@@ -8,16 +8,13 @@ from tanglesim.ledger import (
     UnknownTransaction,
     ParentArity,
     TimeRegression,
-    init_genesis,
 )
 from tanglesim.selection import (
     PriorityPolicy,
     SelectionCandidates,
     SelectionResult,
     EmptyCandidates,
-    effective_priority,
     build_candidates,
-    count_unconfirmed_priority,
     select_uniform,
     select_ptsa,
 )
@@ -48,14 +45,11 @@ __all__ = [
     "UnknownTransaction",
     "ParentArity",
     "TimeRegression",
-    "init_genesis",
     "PriorityPolicy",
     "SelectionCandidates",
     "SelectionResult",
     "EmptyCandidates",
-    "effective_priority",
     "build_candidates",
-    "count_unconfirmed_priority",
     "select_uniform",
     "select_ptsa",
     "SimConfig",

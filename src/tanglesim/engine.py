@@ -9,10 +9,11 @@ function of the configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 
-from tanglesim.ledger import TangleLedger, init_genesis
+from tanglesim.ledger import TangleLedger
 from tanglesim.selection import (
     EmptyCandidates,
     PriorityPolicy,
@@ -35,6 +36,11 @@ class ConfigInvalid(ValueError):
         self.field_name = field_name
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool (YAML's `true` would otherwise count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full experiment parameterization.
@@ -54,24 +60,29 @@ class SimConfig:
     pinned_priority: tuple[int, ...] = ()
 
     def validate(self) -> None:
-        if not self.arrival_rate > 0:
-            raise ConfigInvalid("lambda", "must be > 0")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ConfigInvalid("lambda", "must be finite and > 0")
         if not 0.0 <= self.priority_fraction <= 1.0:
             raise ConfigInvalid("rho", "must be within [0, 1]")
-        if not self.horizon > 0:
-            raise ConfigInvalid("horizon_seconds", "must be > 0")
-        if self.visibility_delay < 0:
-            raise ConfigInvalid("visibility_delay_seconds", "must be >= 0")
-        if not (isinstance(self.theta, int) and self.theta >= 1):
+        if not 0 < self.horizon < math.inf:
+            raise ConfigInvalid("horizon_seconds", "must be finite and > 0")
+        if not 0 <= self.visibility_delay < math.inf:
+            raise ConfigInvalid("visibility_delay_seconds", "must be finite and >= 0")
+        if not (_is_int(self.theta) and self.theta >= 1):
             raise ConfigInvalid("theta", "must be a positive integer")
         if self.strategy not in STRATEGIES:
             raise ConfigInvalid("strategy", f"must be one of {STRATEGIES}")
-        if self.aging.enabled and self.aging.aging_threshold <= 0:
-            raise ConfigInvalid("aging.threshold_seconds", "must be > 0 when enabled")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not isinstance(self.aging.enabled, bool):
+            raise ConfigInvalid("aging.enabled", "must be true or false")
+        threshold = self.aging.aging_threshold
+        if not math.isfinite(threshold) or (self.aging.enabled and threshold <= 0):
+            raise ConfigInvalid(
+                "aging.threshold_seconds", "must be finite, and > 0 when enabled"
+            )
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigInvalid("seed", "must be a 64-bit unsigned integer")
         for ordinal in self.pinned_priority:
-            if not (isinstance(ordinal, int) and ordinal >= 1):
+            if not (_is_int(ordinal) and ordinal >= 1):
                 raise ConfigInvalid(
                     "pinned_priority", "ordinals must be integers >= 1"
                 )
@@ -100,10 +111,13 @@ class SimConfig:
         bad_aging = set(aging_data) - {"enabled", "threshold_seconds"}
         if bad_aging:
             raise ConfigInvalid(f"aging.{sorted(bad_aging)[0]}", "unknown key")
-        enabled = bool(aging_data.get("enabled", True))
-        threshold = float(aging_data.get("threshold_seconds", 30.0))
-        if enabled and threshold <= 0:
-            raise ConfigInvalid("aging.threshold_seconds", "must be > 0 when enabled")
+        try:
+            aging = PriorityPolicy(
+                enabled=aging_data.get("enabled", True),
+                aging_threshold=float(aging_data.get("threshold_seconds", 30.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid("aging.threshold_seconds", str(exc)) from exc
         pinned = data.get("pinned_priority") or ()
         if not isinstance(pinned, (list, tuple)):
             raise ConfigInvalid("pinned_priority", "must be a list of integers")
@@ -115,7 +129,7 @@ class SimConfig:
                 visibility_delay=float(data.get("visibility_delay_seconds", 1.0)),
                 theta=data.get("theta", 8),
                 strategy=data.get("strategy", "ptsa"),
-                aging=PriorityPolicy(enabled=enabled, aging_threshold=threshold),
+                aging=aging,
                 seed=data.get("seed", 42),
                 pinned_priority=tuple(pinned),
             )
@@ -187,8 +201,10 @@ def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedge
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
-    ledger = init_genesis()
-    records: list[TxRecord] = []
+    ledger = TangleLedger()
+    # id -> first time it was a priority candidate; for a common
+    # transaction that is when aging promoted it
+    first_priority: dict[int, float] = {}
     tip_pool_sizes: list[tuple[float, int]] = []
 
     for now, flag in arrivals:
@@ -197,29 +213,26 @@ def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedge
                 ledger, now, config.visibility_delay, config.aging
             )
             for pid in candidates.priority:
-                if pid == ledger.genesis:
-                    continue
-                rec = records[pid - 1]
-                if rec.tx_class == CLASS_COMMON and rec.promoted_at is None:
-                    rec.promoted_at = now
+                first_priority.setdefault(pid, now)
             parents = select(candidates, attach_rng).parents
         except EmptyCandidates:
             parents = [ledger.genesis]
 
-        tx_id = ledger.add_transaction(parents, now, flag)
-        records.append(
-            TxRecord(
-                id=tx_id,
-                tx_class=CLASS_PRIORITY if flag else CLASS_COMMON,
-                issued_at=now,
-                parents=ledger.transaction(tx_id).parents,
-            )
-        )
-        for cid in ledger.confirmation_sweep(config.theta, now):
-            if cid != ledger.genesis:
-                records[cid - 1].confirmed_at = now
+        ledger.add_transaction(parents, now, flag)
+        ledger.confirmation_sweep(config.theta, now)
         tip_pool_sizes.append((now, len(ledger.tip_set)))
 
+    records = [
+        TxRecord(
+            id=tx.id,
+            tx_class=CLASS_PRIORITY if tx.priority_flag else CLASS_COMMON,
+            issued_at=tx.issued_at,
+            parents=tx.parents,
+            confirmed_at=tx.confirmed_at,
+            promoted_at=None if tx.priority_flag else first_priority.get(tx.id),
+        )
+        for tx in map(ledger.transaction, range(1, len(ledger)))
+    ]
     return SimTrace(config, records, tip_pool_sizes), ledger
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from tanglesim.ledger import TangleLedger, Transaction
+from tanglesim.ledger import TangleLedger
 
 BRANCH_P0 = "p=0"
 BRANCH_P1 = "p=1"
@@ -50,20 +50,12 @@ class SelectionCandidates:
     common: list[int]
     tips: list[int]
     newest_non_tip: int | None
-    as_of: float
 
 
 @dataclass
 class SelectionResult:
     parents: list[int]
     branch: str
-
-
-def effective_priority(tx: Transaction, now: float, policy: PriorityPolicy) -> bool:
-    """True iff the transaction is flagged, or old enough to be promoted."""
-    if tx.priority_flag:
-        return True
-    return policy.enabled and (now - tx.issued_at) >= policy.aging_threshold
 
 
 def build_candidates(
@@ -91,12 +83,7 @@ def build_candidates(
         common=common,
         tips=vis_tips,
         newest_non_tip=ledger.newest_non_tip(k),
-        as_of=now,
     )
-
-
-def count_unconfirmed_priority(candidates: SelectionCandidates) -> int:
-    return len(candidates.priority)
 
 
 def _two_tips_or_fallback(
@@ -133,7 +120,7 @@ def select_ptsa(
     When a required pool is empty the arity shrinks, down to the lone-tip
     fallback of the baseline.
     """
-    p = count_unconfirmed_priority(candidates)
+    p = len(candidates.priority)
     if p == 0:
         if not candidates.common:
             raise EmptyCandidates("no common tip and no priority candidate")

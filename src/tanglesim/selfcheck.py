@@ -11,7 +11,7 @@ import random
 import sys
 from typing import TextIO
 
-from tanglesim.ledger import init_genesis
+from tanglesim.ledger import TangleLedger
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
 from tanglesim.selection import (
     BRANCH_P0,
@@ -49,12 +49,13 @@ def check_cumulative_weights(
     for trial in range(trials):
         size = rng.randint(2, max_size)
         parents = random_dag(rng, size)
-        ledger = init_genesis()
+        ledger = TangleLedger()
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
         if fault_inject:
-            # test-only hook: corrupt one maintained weight
-            ledger._cw[rng.randrange(size)] += 1
+            # test-only hook: corrupt one maintained weight (no sweep ran,
+            # so every transaction is still in the frontier)
+            ledger._frontier[rng.randrange(size)] += 1
         expected = brute_force_cumulative_weights(parents)
         actual = {i: ledger.cumulative_weight(i) for i in range(size)}
         if actual != expected:
@@ -81,7 +82,6 @@ def _synthetic_candidates(p: int, n_common: int) -> SelectionCandidates:
         common=common,
         tips=common,
         newest_non_tip=99,
-        as_of=0.0,
     )
 
 

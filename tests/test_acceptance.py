@@ -12,7 +12,7 @@ import pytest
 
 from tanglesim.cli import main
 from tanglesim.engine import SimConfig, run_simulation_with_ledger
-from tanglesim.ledger import init_genesis
+from tanglesim.ledger import TangleLedger
 from tanglesim.metrics import class_stats, compare
 from tanglesim.oracle import brute_force_cumulative_weights, random_dag
 from tanglesim.selection import (
@@ -60,7 +60,6 @@ def test_criterion_1_ptsa_branch_conformance():
                 common=list(range(200, 200 + n_common)),
                 tips=list(range(200, 200 + n_common)),
                 newest_non_tip=99,
-                as_of=0.0,
             )
             if p == 0 and n_common == 0:
                 try:
@@ -88,7 +87,7 @@ def test_criterion_2_cumulative_weight_oracle():
     ok = True
     for _ in range(100):
         parents = random_dag(rng, rng.randint(2, 200))
-        ledger = init_genesis()
+        ledger = TangleLedger()
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
         expected = brute_force_cumulative_weights(parents)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,13 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "rho" in capsys.readouterr().err
+
+    def test_bool_theta_names_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG.replace("theta: 8", "theta: true"))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "theta" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
@@ -144,6 +155,31 @@ class TestSelfCheck:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "dag edges:" in out
+
+
+NO_NUMPY_SCRIPT = """\
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from tanglesim.cli import main
+config, out = sys.argv[1:]
+assert main(["self-check"]) == 0
+assert main(["simulate", "--config", config, "--out", out]) == 0
+"""
+
+
+class TestNoNumpy:
+    def test_runs_with_numpy_blocked(self, config_path, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_SCRIPT, str(config_path), str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "o" / "trace.csv").exists()
 
 
 class TestUsage:

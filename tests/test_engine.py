@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+import yaml
 
 from tanglesim.engine import (
     ConfigInvalid,
@@ -51,6 +52,26 @@ class TestConfigValidation:
     def test_unknown_aging_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             SimConfig.from_dict({"aging": {"enabled": True, "rate": 2}})
+
+    # Parsed only, never simulated: an accepted infinite rate or horizon
+    # would never finish.
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("lambda: .inf", "lambda"),
+            ("horizon_seconds: .inf", "horizon_seconds"),
+            ("visibility_delay_seconds: .nan", "visibility_delay_seconds"),
+            ("aging: {threshold_seconds: .nan}", "aging.threshold_seconds"),
+            ("aging: {threshold_seconds: abc}", "aging.threshold_seconds"),
+            ("theta: true", "theta"),
+            ("seed: true", "seed"),
+            ("aging: {enabled: 'false'}", "aging.enabled"),
+        ],
+    )
+    def test_non_finite_and_mistyped_values_rejected(self, text, field):
+        with pytest.raises(ConfigInvalid) as excinfo:
+            SimConfig.from_dict(yaml.safe_load(text))
+        assert excinfo.value.field_name == field
 
 
 class TestWorkload:

@@ -1,0 +1,84 @@
+"""Pinned sha256 digests of the `simulate` outputs for a fixed set of configs.
+
+Reruns of one build are compared elsewhere (criterion 5); these digests pin
+the outputs across refactors. A change that is meant to alter the model's
+outputs updates them and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+import yaml
+
+from tanglesim.cli import EXIT_OK, main
+from tanglesim.engine import SimConfig
+
+REFERENCE = SimConfig().to_dict()
+
+CONFIGS = {
+    **{
+        f"reference-{strategy}-seed{seed}": {**REFERENCE, "strategy": strategy, "seed": seed}
+        for strategy in ("uniform", "ptsa")
+        for seed in (42, 43, 44)
+    },
+    "lambda40-ptsa-seed42": {**REFERENCE, "lambda": 40.0},
+    "ptsa-backlog-seed42": {
+        **REFERENCE,
+        "lambda": 20.0,
+        "rho": 0.5,
+        "visibility_delay_seconds": 3.0,
+        "theta": 32,
+    },
+}
+
+# name -> (sha256 of trace.csv, sha256 of summary.json)
+GOLDEN = {
+    "lambda40-ptsa-seed42": (
+        "074e43553c362aeb4e34ad358c4c2cc3118804111739ce52e18f142bba572788",
+        "e9782e8ce62e0f59be29b018686c781aedf1c31e8b5cce9988b347f3ec4eadba",
+    ),
+    "ptsa-backlog-seed42": (
+        "eb9a77f4249f3a327d94a8608db05b924b1441f345b54562449593b9566fc3d0",
+        "e5b769fab656e9d92d5e59a9eee0a32182509e3f54587158cfb90bc6df3fae5d",
+    ),
+    "reference-ptsa-seed42": (
+        "68479875327e9b5f886c38c13b4b79c5fad866b182acac1c25d442c63921d4cc",
+        "893c1d72f09825567675281e8d87b20eebea1b163418c494fba819db227995be",
+    ),
+    "reference-ptsa-seed43": (
+        "1acfcc4410a995168b85b91cf7a464ca7394eab8da6db49a50723f1292df28c8",
+        "8a66392dac269a1fcee253196a873d2df252b22675828a9319c1ce7bc060311c",
+    ),
+    "reference-ptsa-seed44": (
+        "53058271ac50f7b25d50e3e7100a40a23f8902ff6192aacfb999f9e749e6d649",
+        "a34916a8194531bfec81b2493c4e8dcc40e13f325b534eceb3a2373c12c19e38",
+    ),
+    "reference-uniform-seed42": (
+        "a27927a647b6f1b6217ce1afb7960cf0eb23276e91bfab5ceb5f9527d72c24cd",
+        "575d697d689fbb0ae273bffada10198e2d7296c7246ac3ae3e6b424f66cd4077",
+    ),
+    "reference-uniform-seed43": (
+        "bf6e19a405b501ec05ad3fb8b622af8628e6529ddd54f938d64ab0397e1688b7",
+        "2dc92048baed9ba3136194c8f1f593e65db1c8ac9047b992e6d8d514584cee62",
+    ),
+    "reference-uniform-seed44": (
+        "240d6c3323300f9b00f3062f9f778b493e336caf5e9686c0ec5e2249f7340e76",
+        "60ea4a085be54d6399af056eefe6baa202765a51089a4935022c74851b9ab15c",
+    ),
+}
+
+
+def simulate_digests(config: dict, tmp_path) -> tuple[str, str]:
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "summary.json")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_golden_digests(name, tmp_path):
+    assert simulate_digests(CONFIGS[name], tmp_path) == GOLDEN[name]

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -6,15 +7,15 @@ from tanglesim.ledger import (
     ParentArity,
     TimeRegression,
     UnknownParent,
+    TangleLedger,
     UnknownTransaction,
-    init_genesis,
 )
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
 
 
 def build_chain():
     """genesis <- A <- B"""
-    ledger = init_genesis()
+    ledger = TangleLedger()
     a = ledger.add_transaction([ledger.genesis], 1.0)
     b = ledger.add_transaction([a], 2.0)
     return ledger, a, b
@@ -22,7 +23,7 @@ def build_chain():
 
 def build_diamond():
     """A and B both approve genesis, C approves [A, B]."""
-    ledger = init_genesis()
+    ledger = TangleLedger()
     a = ledger.add_transaction([ledger.genesis], 1.0)
     b = ledger.add_transaction([ledger.genesis], 2.0)
     c = ledger.add_transaction([a, b], 3.0)
@@ -31,23 +32,23 @@ def build_diamond():
 
 class TestGenesis:
     def test_fresh_ledger_has_only_genesis_tip(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         assert ledger.tips() == {ledger.genesis}
         assert len(ledger) == 1
 
     def test_genesis_weight_is_one(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         assert ledger.cumulative_weight(ledger.genesis) == 1
 
     def test_no_confirmation_below_threshold(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         assert ledger.confirmation_sweep(8, 0.0) == set()
         assert ledger.confirmed_set == set()
 
 
 class TestAddTransaction:
     def test_first_approval_moves_tip(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         new = ledger.add_transaction([ledger.genesis], 1.0)
         assert ledger.tips() == {new}
 
@@ -65,25 +66,25 @@ class TestAddTransaction:
         assert ledger.cumulative_weight(c) == 1
 
     def test_duplicate_parents_deduplicated(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
         assert ledger.transaction(new).parents == (ledger.genesis,)
         assert ledger.approvers[ledger.genesis] == {new}
         assert ledger.cumulative_weight(ledger.genesis) == 2
 
     def test_unknown_parent(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         with pytest.raises(UnknownParent):
             ledger.add_transaction([99], 1.0)
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_parent_arity(self, count):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         with pytest.raises(ParentArity):
             ledger.add_transaction([ledger.genesis] * count, 1.0)
 
     def test_time_regression(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         ledger.add_transaction([ledger.genesis], 5.0)
         with pytest.raises(TimeRegression):
             ledger.add_transaction([ledger.genesis], 4.0)
@@ -95,7 +96,7 @@ class TestTips:
         assert ledger.tips() == {b}
 
     def test_two_independent_children(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         a = ledger.add_transaction([ledger.genesis], 1.0)
         b = ledger.add_transaction([ledger.genesis], 2.0)
         assert ledger.tips() == {a, b}
@@ -107,7 +108,7 @@ class TestCumulativeWeight:
         assert ledger.cumulative_weight(c) == 1
 
     def test_unknown_transaction(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         with pytest.raises(UnknownTransaction):
             ledger.cumulative_weight(123)
 
@@ -136,7 +137,7 @@ class TestCones:
         assert ledger.future_cone(b) == set()
 
     def test_genesis_has_empty_past(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         assert ledger.past_cone(ledger.genesis) == set()
 
     def test_diamond_past_cone(self):
@@ -148,7 +149,7 @@ class TestCones:
         assert ledger.future_cone(ledger.genesis) == {a, b}
 
     def test_unknown(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         with pytest.raises(UnknownTransaction):
             ledger.future_cone(5)
         with pytest.raises(UnknownTransaction):
@@ -156,7 +157,7 @@ class TestCones:
 
 
 def replay(parents):
-    ledger = init_genesis()
+    ledger = TangleLedger()
     for ps in parents[1:]:
         ledger.add_transaction(list(ps), float(len(ledger)))
     return ledger
@@ -200,7 +201,7 @@ class TestRandomizedInvariants:
     def test_weights_monotone_under_insertion(self):
         rng = random.Random(21)
         parents = random_dag(rng, 80)
-        ledger = init_genesis()
+        ledger = TangleLedger()
         previous = {0: 1}
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
@@ -234,3 +235,44 @@ class TestRandomizedInvariants:
             i for i in range(len(parents)) if ledger.cumulative_weight(i) >= theta
         }
         assert ledger.confirmed_set == expected
+
+
+def reachable(start, edges):
+    """Nodes reachable from `start` along `edges`, excluding `start`: plain BFS."""
+    seen, queue = set(), deque([start])
+    while queue:
+        for nxt in edges[queue.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+class TestInterleavedSweeps:
+    """A sweep after every insertion, at a threshold that rises and falls, so
+    the insertion walk runs against a partly confirmed DAG."""
+
+    def test_oracle_after_every_step(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            parents = random_dag(rng, rng.randint(2, 60))
+            approvers = [[] for _ in parents]
+            ledger = TangleLedger()
+            for new, ps in enumerate(parents[1:], start=1):
+                for p in ps:
+                    approvers[p].append(new)
+                ledger.add_transaction(list(ps), float(new))
+                before = set(ledger.confirmed_set)
+                theta = rng.randint(1, 12)
+                newly = ledger.confirmation_sweep(theta, float(new))
+
+                expected = brute_force_cumulative_weights(parents[: new + 1])
+                assert newly == {
+                    i for i, w in expected.items() if w >= theta and i not in before
+                }
+                for i in range(new + 1):
+                    assert ledger.cumulative_weight(i) == expected[i]
+                    assert ledger.past_cone(i) == reachable(i, parents)
+                    assert ledger.future_cone(i) == reachable(i, approvers)
+                confirmed = ledger.confirmed_set
+                assert all(set(parents[i]) <= confirmed for i in confirmed)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from tanglesim.ledger import Transaction, init_genesis
+from tanglesim.ledger import TangleLedger
 from tanglesim.selection import (
     BRANCH_BASELINE,
     BRANCH_P0,
@@ -15,8 +15,6 @@ from tanglesim.selection import (
     PriorityPolicy,
     SelectionCandidates,
     build_candidates,
-    count_unconfirmed_priority,
-    effective_priority,
     select_ptsa,
     select_uniform,
 )
@@ -32,27 +30,30 @@ def make_candidates(priority=(), common=(), tips=None, newest_non_tip=None):
         common=common,
         tips=common if tips is None else list(tips),
         newest_non_tip=newest_non_tip,
-        as_of=0.0,
     )
+
+
+def is_priority(flag, now, policy):
+    """Whether a transaction issued at 0 is a priority candidate at `now`."""
+    ledger = TangleLedger()
+    tx = ledger.add_transaction([ledger.genesis], 0.0, priority_flag=flag)
+    return tx in build_candidates(ledger, now, 0.0, policy).priority
 
 
 class TestEffectivePriority:
     def test_flag_dominates(self):
-        tx = Transaction(1, (0,), 0.0, True)
-        assert effective_priority(tx, 0.0, POLICY)
-        assert effective_priority(tx, 1000.0, NO_AGING)
+        assert is_priority(True, 0.0, POLICY)
+        assert is_priority(True, 1000.0, NO_AGING)
 
     def test_fresh_common_not_promoted(self):
-        tx = Transaction(1, (0,), 0.0, False)
-        assert not effective_priority(tx, 0.0, POLICY)
+        assert not is_priority(False, 0.0, POLICY)
 
     def test_aged_common_promoted(self):
-        tx = Transaction(1, (0,), 0.0, False)
-        assert effective_priority(tx, 31.0, POLICY)
+        assert is_priority(False, 30.0, POLICY)  # age exactly the threshold
+        assert is_priority(False, 31.0, POLICY)
 
     def test_aging_disabled_never_promotes(self):
-        tx = Transaction(1, (0,), 0.0, False)
-        assert not effective_priority(tx, 1000.0, NO_AGING)
+        assert not is_priority(False, 1000.0, NO_AGING)
 
     def test_policy_requires_positive_threshold(self):
         with pytest.raises(ValueError):
@@ -61,20 +62,20 @@ class TestEffectivePriority:
 
 class TestBuildCandidates:
     def test_genesis_only(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         c = build_candidates(ledger, 0.0, 0.0, POLICY)
         assert c.priority == []
         assert c.common == [ledger.genesis]
 
     def test_raises_before_anything_visible(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         with pytest.raises(EmptyCandidates):
             build_candidates(ledger, 0.5, 1.0, POLICY)
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
         # remain in the priority list
-        ledger = init_genesis()
+        ledger = TangleLedger()
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
@@ -83,7 +84,7 @@ class TestBuildCandidates:
         assert c.common == sorted([t1, t2])
 
     def test_confirmed_priority_excluded(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.add_transaction([hp], 2.0)
         ledger.confirmation_sweep(2, 2.0)  # hp now confirmed
@@ -91,7 +92,7 @@ class TestBuildCandidates:
         assert hp not in c.priority
 
     def test_partition_disjoint_and_sorted(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         for i in range(6):
             ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
         c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
@@ -100,7 +101,7 @@ class TestBuildCandidates:
         assert c.common == sorted(c.common)
 
     def test_aging_promotes_old_common(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         old = ledger.add_transaction([ledger.genesis], 1.0)
         c = build_candidates(ledger, 40.0, 0.0, POLICY)
         assert old in c.priority  # age 39 >= 30
@@ -108,7 +109,7 @@ class TestBuildCandidates:
         assert ledger.genesis in c.priority
 
     def test_visibility_delay_hides_recent(self):
-        ledger = init_genesis()
+        ledger = TangleLedger()
         recent = ledger.add_transaction([ledger.genesis], 5.0)
         c = build_candidates(ledger, 5.5, 1.0, NO_AGING)
         # the only visible transaction (genesis) is no longer a tip, so the
@@ -122,7 +123,7 @@ class TestCount:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_counts_priority_list(self, n):
         c = make_candidates(priority=range(100, 100 + n), common=[1, 2])
-        assert count_unconfirmed_priority(c) == n
+        assert len(c.priority) == n
 
 
 class TestSelectUniform:
