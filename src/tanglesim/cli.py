@@ -14,7 +14,13 @@ from pathlib import Path
 
 import yaml
 
-from tanglesim.engine import ConfigInvalid, SimConfig, paired_runs, run_simulation
+from tanglesim.engine import (
+    ConfigInvalid,
+    SimConfig,
+    paired_runs,
+    reference_config_text,
+    run_simulation,
+)
 from tanglesim.metrics import compare, export_csv, export_json, trace_summary
 from tanglesim.selfcheck import run_self_check
 
@@ -23,20 +29,7 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_ORACLE = 3
 
-REFERENCE_CONFIG_TEXT = """\
-# Reference configuration for the tanglesim simulator.
-lambda: 10.0                  # arrival rate, transactions per second
-rho: 0.05                     # fraction of arrivals flagged high-priority
-horizon_seconds: 300.0        # simulated duration
-visibility_delay_seconds: 1.0 # propagation delay before a transaction is selectable
-theta: 8                      # cumulative-weight confirmation threshold
-strategy: ptsa                # "uniform" or "ptsa"
-aging:
-  enabled: true
-  threshold_seconds: 30.0     # unconfirmed age at which a transaction is promoted
-seed: 42
-pinned_priority: []           # 1-based arrival ordinals forced to high priority
-"""
+REFERENCE_CONFIG_TEXT = reference_config_text()
 
 
 def _load_config(path: str) -> SimConfig:
@@ -78,6 +71,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("config error: invalid config field 'seeds': must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     config = _load_config(args.config)
+    # the last seed of the batch must be valid before any file is written
+    dataclasses.replace(config, seed=config.seed + args.seeds - 1).validate()
     out = Path(args.out)
     reports = []
     try:

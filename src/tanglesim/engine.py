@@ -9,9 +9,12 @@ function of the configuration.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 from tanglesim.ledger import TangleLedger
 from tanglesim.selection import (
@@ -41,9 +44,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Full experiment parameterization.
+    """Full experiment parameterization; the defaults are the reference experiment.
 
     `pinned_priority` lists 1-based arrival ordinals forced to high
     priority, mirroring a hand-picked set of marked transactions.
@@ -60,99 +67,107 @@ class SimConfig:
     pinned_priority: tuple[int, ...] = ()
 
     def validate(self) -> None:
-        if not 0 < self.arrival_rate < math.inf:
-            raise ConfigInvalid("lambda", "must be finite and > 0")
-        if not 0.0 <= self.priority_fraction <= 1.0:
-            raise ConfigInvalid("rho", "must be within [0, 1]")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigInvalid("horizon_seconds", "must be finite and > 0")
-        if not 0 <= self.visibility_delay < math.inf:
-            raise ConfigInvalid("visibility_delay_seconds", "must be finite and >= 0")
-        if not (_is_int(self.theta) and self.theta >= 1):
-            raise ConfigInvalid("theta", "must be a positive integer")
-        if self.strategy not in STRATEGIES:
-            raise ConfigInvalid("strategy", f"must be one of {STRATEGIES}")
-        if not isinstance(self.aging.enabled, bool):
-            raise ConfigInvalid("aging.enabled", "must be true or false")
-        threshold = self.aging.aging_threshold
-        if not math.isfinite(threshold) or (self.aging.enabled and threshold <= 0):
-            raise ConfigInvalid(
-                "aging.threshold_seconds", "must be finite, and > 0 when enabled"
-            )
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ConfigInvalid("seed", "must be a 64-bit unsigned integer")
-        for ordinal in self.pinned_priority:
-            if not (_is_int(ordinal) and ordinal >= 1):
-                raise ConfigInvalid(
-                    "pinned_priority", "ordinals must be integers >= 1"
-                )
+        for key, spec in _FIELDS.items():
+            if not spec.bound(attrgetter(spec.attr)(self), self):
+                raise ConfigInvalid(key, spec.message)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         if not isinstance(data, dict):
             raise ConfigInvalid("<root>", "config must be a mapping")
-        known = {
-            "lambda",
-            "rho",
-            "horizon_seconds",
-            "visibility_delay_seconds",
-            "theta",
-            "strategy",
-            "aging",
-            "seed",
-            "pinned_priority",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigInvalid(sorted(unknown)[0], "unknown key")
         aging_data = data.get("aging", {})
         if not isinstance(aging_data, dict):
             raise ConfigInvalid("aging", "must be a mapping")
-        bad_aging = set(aging_data) - {"enabled", "threshold_seconds"}
-        if bad_aging:
-            raise ConfigInvalid(f"aging.{sorted(bad_aging)[0]}", "unknown key")
-        try:
-            aging = PriorityPolicy(
-                enabled=aging_data.get("enabled", True),
-                aging_threshold=float(aging_data.get("threshold_seconds", 30.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("aging.threshold_seconds", str(exc)) from exc
-        pinned = data.get("pinned_priority") or ()
-        if not isinstance(pinned, (list, tuple)):
-            raise ConfigInvalid("pinned_priority", "must be a list of integers")
-        try:
-            config = cls(
-                arrival_rate=float(data.get("lambda", 10.0)),
-                priority_fraction=float(data.get("rho", 0.05)),
-                horizon=float(data.get("horizon_seconds", 300.0)),
-                visibility_delay=float(data.get("visibility_delay_seconds", 1.0)),
-                theta=data.get("theta", 8),
-                strategy=data.get("strategy", "ptsa"),
-                aging=aging,
-                seed=data.get("seed", 42),
-                pinned_priority=tuple(pinned),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("<root>", str(exc)) from exc
+        flat = {key: value for key, value in data.items() if key != "aging"}
+        flat.update((f"aging.{key}", value) for key, value in aging_data.items())
+        defaults = cls()
+        top: dict = {}
+        aging: dict = {}
+        for key, value in flat.items():
+            if key not in _FIELDS:
+                raise ConfigInvalid(key, "unknown key")
+            attr = _FIELDS[key].attr
+            if isinstance(value, list):
+                value = tuple(value)
+            elif _is_number(value) and isinstance(attrgetter(attr)(defaults), float):
+                value = float(value)  # a YAML int in a float field
+            owner, _, name = attr.rpartition(".")
+            (aging if owner else top)[name] = value
+        config = cls(**top, aging=PriorityPolicy(**aging))
         config.validate()
         return config
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.arrival_rate,
-            "rho": self.priority_fraction,
-            "horizon_seconds": self.horizon,
-            "visibility_delay_seconds": self.visibility_delay,
-            "theta": self.theta,
-            "strategy": self.strategy,
-            "aging": {
-                "enabled": self.aging.enabled,
-                "threshold_seconds": self.aging.aging_threshold,
-            },
-            "seed": self.seed,
-            "pinned_priority": list(self.pinned_priority),
-        }
+        out: dict = {}
+        for key, spec in _FIELDS.items():
+            value = attrgetter(spec.attr)(self)
+            section, _, name = key.rpartition(".")
+            (out.setdefault(section, {}) if section else out)[name] = (
+                list(value) if isinstance(value, tuple) else value
+            )
+        return out
+
+
+class _Field(NamedTuple):
+    attr: str  # dotted path below SimConfig
+    bound: Callable[[Any, SimConfig], bool]  # (value, whole config) -> valid
+    message: str
+    comment: str  # gen-config's comment on the key's line
+
+
+def _finite(v: object) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
+# One entry per YAML key, the `aging.*` keys inside the `aging` mapping.
+# The defaults are SimConfig's and PriorityPolicy's field defaults.
+_FIELDS = {
+    "lambda": _Field("arrival_rate", lambda v, _: _finite(v) and v > 0,
+                     "must be finite and > 0", "arrival rate, transactions per second"),
+    "rho": _Field("priority_fraction", lambda v, _: _is_number(v) and 0 <= v <= 1,
+                  "must be within [0, 1]", "fraction of arrivals flagged high-priority"),
+    "horizon_seconds": _Field("horizon", lambda v, _: _finite(v) and v > 0,
+                              "must be finite and > 0", "simulated duration"),
+    "visibility_delay_seconds": _Field(
+        "visibility_delay", lambda v, _: _finite(v) and v >= 0, "must be finite and >= 0",
+        "propagation delay before a transaction is selectable"),
+    "theta": _Field("theta", lambda v, _: _is_int(v) and v >= 1,
+                    "must be a positive integer", "cumulative-weight confirmation threshold"),
+    "strategy": _Field("strategy", lambda v, _: v in STRATEGIES,
+                       f"must be one of {STRATEGIES}", '"uniform" or "ptsa"'),
+    "aging.enabled": _Field("aging.enabled", lambda v, _: isinstance(v, bool),
+                            "must be true or false", ""),
+    "aging.threshold_seconds": _Field(
+        "aging.aging_threshold",
+        lambda v, config: _finite(v) and (v > 0 or not config.aging.enabled),
+        "must be finite, and > 0 when enabled",
+        "unconfirmed age at which a transaction is promoted"),
+    "seed": _Field("seed", lambda v, _: _is_int(v) and 0 <= v < 2**64,
+                   "must be a 64-bit unsigned integer", ""),
+    "pinned_priority": _Field(
+        "pinned_priority",
+        lambda v, _: isinstance(v, tuple) and all(_is_int(o) and o >= 1 for o in v),
+        "must be a list of integers >= 1", "1-based arrival ordinals forced to high priority"),
+}
+
+
+def reference_config_text() -> str:
+    """The default config as commented YAML, as `gen-config` writes it."""
+    lines = ["# Reference configuration for the tanglesim simulator."]
+
+    def add(key: str, label: str, value: object) -> None:
+        text = f"{label}: {value if isinstance(value, str) else json.dumps(value)}"
+        comment = _FIELDS[key].comment
+        lines.append(f"{text:<30}# {comment}" if comment else text)
+
+    for key, value in SimConfig().to_dict().items():
+        if isinstance(value, dict):
+            lines.append(f"{key}:")
+            for name, item in value.items():
+                add(f"{key}.{name}", f"  {name}", item)
+        else:
+            add(key, key, value)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

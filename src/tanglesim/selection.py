@@ -30,10 +30,6 @@ class PriorityPolicy:
     enabled: bool = True
     aging_threshold: float = 30.0
 
-    def __post_init__(self) -> None:
-        if self.enabled and self.aging_threshold <= 0:
-            raise ValueError("aging_threshold must be positive when enabled")
-
 
 @dataclass
 class SelectionCandidates:

@@ -74,15 +74,40 @@ def check_cumulative_weights(
     return True
 
 
-def _synthetic_candidates(p: int, n_common: int) -> SelectionCandidates:
-    priority = list(range(100, 100 + p))
+BRANCH_TABLE_P = (0, 1, 2, 5)
+BRANCH_TABLE_COMMON = (0, 1, 2, 10)
+
+
+def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
+    """What `select_ptsa` gets wrong with p priority candidates (ids 100..)
+    and n_common common tips (ids 200..), or None if the branch, arity,
+    priority and common-tip inclusion and distinctness all hold."""
     common = list(range(200, 200 + n_common))
-    return SelectionCandidates(
-        priority=priority,
+    candidates = SelectionCandidates(
+        priority=list(range(100, 100 + p)),
         common=common,
         tips=common,
         newest_non_tip=99,
     )
+    if p == 0 and n_common == 0:
+        try:
+            select_ptsa(candidates, rng)
+        except EmptyCandidates:
+            return None
+        return "must be empty"
+    result = select_ptsa(candidates, rng)
+    parents = result.parents
+    expect_branch = {0: BRANCH_P0, 1: BRANCH_P1}.get(p, BRANCH_P2)
+    expect_arity = 3 if p >= 2 and n_common >= 1 else 2
+    if (
+        result.branch != expect_branch
+        or len(parents) != expect_arity
+        or len(set(parents)) != len(parents)
+        or sum(1 for x in parents if 100 <= x < 200) != min(p, 2)
+        or (p >= 1 and n_common >= 1 and sum(1 for x in parents if x >= 200) != 1)
+    ):
+        return f"got branch={result.branch} parents={parents}"
+    return None
 
 
 def check_branch_table(stream: TextIO | None = None) -> bool:
@@ -90,38 +115,11 @@ def check_branch_table(stream: TextIO | None = None) -> bool:
     stream = stream or sys.stdout
     rng = random.Random(1)
     ok = True
-    for p in (0, 1, 2, 5):
-        for n_common in (0, 1, 2, 10):
-            candidates = _synthetic_candidates(p, n_common)
-            if p == 0 and n_common == 0:
-                try:
-                    select_ptsa(candidates, rng)
-                except EmptyCandidates:
-                    continue
-                print("FAIL branch table: p=0, common=0 must be empty", file=stream)
-                ok = False
-                continue
-            result = select_ptsa(candidates, rng)
-            if p == 0:
-                expect_branch, expect_arity = BRANCH_P0, 2
-            elif p == 1:
-                expect_branch, expect_arity = BRANCH_P1, 2
-            else:
-                expect_branch = BRANCH_P2
-                expect_arity = 3 if n_common else 2
-            n_priority = sum(1 for x in result.parents if x in set(candidates.priority))
-            expect_priority = min(p, 2)
-            if (
-                result.branch != expect_branch
-                or len(result.parents) != expect_arity
-                or len(set(result.parents)) != len(result.parents)
-                or n_priority != expect_priority
-            ):
-                print(
-                    f"FAIL branch table: p={p}, common={n_common}, "
-                    f"got branch={result.branch} parents={result.parents}",
-                    file=stream,
-                )
+    for p in BRANCH_TABLE_P:
+        for n_common in BRANCH_TABLE_COMMON:
+            error = branch_case_error(p, n_common, rng)
+            if error:
+                print(f"FAIL branch table: p={p}, common={n_common}, {error}", file=stream)
                 ok = False
     if ok:
         print("PASS branch table (p x common exhaustive)", file=stream)

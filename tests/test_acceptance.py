@@ -15,14 +15,7 @@ from tanglesim.engine import SimConfig, run_simulation_with_ledger
 from tanglesim.ledger import TangleLedger
 from tanglesim.metrics import class_stats, compare
 from tanglesim.oracle import brute_force_cumulative_weights, random_dag
-from tanglesim.selection import (
-    BRANCH_P0,
-    BRANCH_P1,
-    BRANCH_P2,
-    EmptyCandidates,
-    SelectionCandidates,
-    select_ptsa,
-)
+from tanglesim.selfcheck import check_branch_table
 
 REFERENCE = SimConfig()  # the defaults are the reference experiment
 N_SEEDS = 10
@@ -51,32 +44,7 @@ def reference_runs():
 
 def test_criterion_1_ptsa_branch_conformance():
     start = time.monotonic()
-    rng = random.Random(0)
-    ok = True
-    for p in (0, 1, 2, 5):
-        for n_common in (0, 1, 2, 10):
-            candidates = SelectionCandidates(
-                priority=list(range(100, 100 + p)),
-                common=list(range(200, 200 + n_common)),
-                tips=list(range(200, 200 + n_common)),
-                newest_non_tip=99,
-            )
-            if p == 0 and n_common == 0:
-                try:
-                    select_ptsa(candidates, rng)
-                    ok = False
-                except EmptyCandidates:
-                    pass
-                continue
-            result = select_ptsa(candidates, rng)
-            expected_branch = {0: BRANCH_P0, 1: BRANCH_P1}.get(p, BRANCH_P2)
-            expected_arity = 2 if p <= 1 else (3 if n_common else 2)
-            ok &= result.branch == expected_branch
-            ok &= len(result.parents) == expected_arity
-            ok &= len(set(result.parents)) == len(result.parents)
-            ok &= sum(1 for x in result.parents if 100 <= x < 200) == min(p, 2)
-            if p >= 1 and n_common >= 1:
-                ok &= sum(1 for x in result.parents if x >= 200) == 1
+    ok = check_branch_table()
     ok &= time.monotonic() - start < 1.0
     report("criterion 1 (PTSA branch conformance)", ok)
 

@@ -30,6 +30,23 @@ pinned_priority: []
 """
 
 
+# `gen-config` output, pinned byte for byte
+REFERENCE_YAML = """\
+# Reference configuration for the tanglesim simulator.
+lambda: 10.0                  # arrival rate, transactions per second
+rho: 0.05                     # fraction of arrivals flagged high-priority
+horizon_seconds: 300.0        # simulated duration
+visibility_delay_seconds: 1.0 # propagation delay before a transaction is selectable
+theta: 8                      # cumulative-weight confirmation threshold
+strategy: ptsa                # "uniform" or "ptsa"
+aging:
+  enabled: true
+  threshold_seconds: 30.0     # unconfirmed age at which a transaction is promoted
+seed: 42
+pinned_priority: []           # 1-based arrival ordinals forced to high priority
+"""
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.yaml"
@@ -115,6 +132,15 @@ class TestCompare:
         )
         assert code == EXIT_CONFIG
 
+    def test_seed_range_checked_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "top.yaml"
+        path.write_text(SMALL_CONFIG.replace("seed: 42", f"seed: {2**64 - 1}"))
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config", str(path), "--seeds", "2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenConfig:
     def test_round_trips_through_simulate(self, tmp_path):
@@ -136,7 +162,7 @@ class TestGenConfig:
         main(["gen-config", "--out", str(a)])
         main(["gen-config", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-        assert a.read_text() == REFERENCE_CONFIG_TEXT
+        assert a.read_text() == REFERENCE_CONFIG_TEXT == REFERENCE_YAML
 
     def test_unwritable_destination(self, tmp_path):
         code = main(["gen-config", "--out", str(tmp_path / "missing" / "ref.yaml")])

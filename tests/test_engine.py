@@ -45,6 +45,11 @@ class TestConfigValidation:
         config = SimConfig(seed=7, pinned_priority=(1, 2, 3))
         assert SimConfig.from_dict(config.to_dict()) == config
 
+    def test_yaml_int_in_number_field_stored_as_float(self):
+        config = SimConfig.from_dict(yaml.safe_load("lambda: 10\nhorizon_seconds: 60"))
+        assert repr(config.to_dict()["lambda"]) == "10.0"
+        assert isinstance(config.horizon, float)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             SimConfig.from_dict({"lambda": 1.0, "mu": 2.0})
@@ -66,6 +71,12 @@ class TestConfigValidation:
             ("theta: true", "theta"),
             ("seed: true", "seed"),
             ("aging: {enabled: 'false'}", "aging.enabled"),
+            ("lambda: true", "lambda"),
+            ("rho: false", "rho"),
+            ("horizon_seconds: true", "horizon_seconds"),
+            ("visibility_delay_seconds: true", "visibility_delay_seconds"),
+            ("aging: {threshold_seconds: true}", "aging.threshold_seconds"),
+            ("lambda: abc", "lambda"),
         ],
     )
     def test_non_finite_and_mistyped_values_rejected(self, text, field):

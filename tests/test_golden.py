@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the `simulate` outputs for a fixed set of configs.
+"""Pinned sha256 digests of the `simulate` and `compare` outputs for fixed configs.
 
 Reruns of one build are compared elsewhere (criterion 5); these digests pin
 the outputs across refactors. A change that is meant to alter the model's
@@ -68,17 +68,36 @@ GOLDEN = {
 }
 
 
+# file -> sha256, for `compare --seeds 2` on the reference config
+COMPARE_GOLDEN = {
+    "compare_seed42.json": "619ce368ef6fa748206f48e3a1ef247bb30964eb3dc3a228a91cb3afa92484d1",
+    "compare_seed43.json": "af64d6ea6ae7f0d1fa73775ee877fb8a7a484b22fe3d0f3b43fab6c49924a81a",
+    "aggregate.json": "77ee75f2cf80b90b916ced30a754f398ebcc3fd93895c1a6eb080e2f1fc3e08b",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def simulate_digests(config: dict, tmp_path) -> tuple[str, str]:
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(config))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
-    return tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("trace.csv", "summary.json")
-    )
+    return tuple(_sha256(out / name) for name in ("trace.csv", "summary.json"))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, tmp_path):
     assert simulate_digests(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+def test_compare_outputs_match_golden_digests(tmp_path):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(REFERENCE))
+    out = tmp_path / "out"
+    args = ["compare", "--config", str(config_path), "--seeds", "2", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(COMPARE_GOLDEN)
+    assert {name: _sha256(out / name) for name in COMPARE_GOLDEN} == COMPARE_GOLDEN

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from tanglesim.engine import SimConfig
 from tanglesim.ledger import TangleLedger
 from tanglesim.selection import (
     BRANCH_BASELINE,
@@ -18,6 +19,7 @@ from tanglesim.selection import (
     select_ptsa,
     select_uniform,
 )
+from tanglesim.selfcheck import BRANCH_TABLE_COMMON, BRANCH_TABLE_P, branch_case_error
 
 POLICY = PriorityPolicy(enabled=True, aging_threshold=30.0)
 NO_AGING = PriorityPolicy(enabled=False)
@@ -56,8 +58,10 @@ class TestEffectivePriority:
         assert not is_priority(False, 1000.0, NO_AGING)
 
     def test_policy_requires_positive_threshold(self):
-        with pytest.raises(ValueError):
-            PriorityPolicy(enabled=True, aging_threshold=0.0)
+        config = SimConfig(aging=PriorityPolicy(enabled=True, aging_threshold=0.0))
+        with pytest.raises(ValueError) as excinfo:
+            config.validate()
+        assert excinfo.value.field_name == "aging.threshold_seconds"
 
 
 class TestBuildCandidates:
@@ -226,33 +230,10 @@ class TestSelectPtsa:
 class TestBranchTable:
     """Exactly one branch fires for every partition shape."""
 
-    @pytest.mark.parametrize("p", [0, 1, 2, 5])
-    @pytest.mark.parametrize("n_common", [0, 1, 2, 10])
+    @pytest.mark.parametrize("p", BRANCH_TABLE_P)
+    @pytest.mark.parametrize("n_common", BRANCH_TABLE_COMMON)
     def test_branch_and_arity(self, p, n_common):
-        c = make_candidates(
-            priority=range(100, 100 + p),
-            common=range(200, 200 + n_common),
-            newest_non_tip=99,
-        )
-        if p == 0 and n_common == 0:
-            with pytest.raises(EmptyCandidates):
-                select_ptsa(c, random.Random(1))
-            return
-        result = select_ptsa(c, random.Random(1))
-        if p == 0:
-            assert result.branch == BRANCH_P0
-            assert len(result.parents) == 2
-        elif p == 1:
-            assert result.branch == BRANCH_P1
-            assert len(result.parents) == 2
-        else:
-            assert result.branch == BRANCH_P2
-            assert len(result.parents) == (3 if n_common else 2)
-        # priority inclusion, common inclusion, distinctness
-        assert sum(1 for x in result.parents if x >= 100 and x < 200) == min(p, 2)
-        if p >= 1 and n_common >= 1:
-            assert sum(1 for x in result.parents if x >= 200) == 1
-        assert len(set(result.parents)) == len(result.parents)
+        assert branch_case_error(p, n_common, random.Random(1)) is None
 
 
 class TestUniformity:
