@@ -217,9 +217,10 @@ def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedge
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
     ledger = TangleLedger()
-    # id -> first time it was a priority candidate; for a common
-    # transaction that is when aging promoted it
-    first_priority: dict[int, float] = {}
+    # common id -> when aging promoted it: the first arrival whose aged
+    # prefix reached it while it was unconfirmed
+    promoted_at: dict[int, float] = {}
+    aged = 0  # the aged prefix scanned so far; it only grows
     tip_pool_sizes: list[tuple[float, int]] = []
 
     for now, flag in arrivals:
@@ -227,15 +228,17 @@ def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedge
             candidates = build_candidates(
                 ledger, now, config.visibility_delay, config.aging
             )
-            for pid in candidates.priority:
-                first_priority.setdefault(pid, now)
+            for tx in map(ledger.transaction, range(aged, candidates.aged)):
+                if not tx.priority_flag and tx.confirmed_at is None:
+                    promoted_at[tx.id] = now
+            aged = candidates.aged
             parents = select(candidates, attach_rng).parents
         except EmptyCandidates:
             parents = [ledger.genesis]
 
         ledger.add_transaction(parents, now, flag)
         ledger.confirmation_sweep(config.theta, now)
-        tip_pool_sizes.append((now, len(ledger.tip_set)))
+        tip_pool_sizes.append((now, ledger.tip_count()))
 
     records = [
         TxRecord(
@@ -244,7 +247,7 @@ def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedge
             issued_at=tx.issued_at,
             parents=tx.parents,
             confirmed_at=tx.confirmed_at,
-            promoted_at=None if tx.priority_flag else first_priority.get(tx.id),
+            promoted_at=promoted_at.get(tx.id),
         )
         for tx in map(ledger.transaction, range(1, len(ledger)))
     ]

@@ -8,17 +8,30 @@ A transaction confirms once its cumulative weight reaches the threshold.
 Every ancestor of a transaction outweighs it, so a sweep that confirms a
 transaction confirms its unconfirmed ancestors too, and the confirmed set is
 closed under ancestry. An arrival therefore changes the weight of its
-unconfirmed ancestors only: the ledger keeps the exact weights of the
-unconfirmed frontier, and an insertion walks parent edges from the new
-transaction and stops at confirmed ones. Past and future cones, and the
-weight of a confirmed transaction, are audit queries answered from int
-bitsets built on first use and dropped by the next insertion.
+unconfirmed ancestors only: an insertion walks parent edges from the new
+transaction, stops at confirmed ones and marks the ids it walked as touched.
+A stored weight is exact while its transaction is unconfirmed.
+
+Three id-sorted lists index what every arrival asks about: the unconfirmed
+ids, the unconfirmed flagged ids and the tips. A new id is the largest, so it
+is appended; a confirmation or an approval removes an id by bisection. Since
+ids are issued in time order, a time cutoff is an id prefix, and the priority
+candidates and the visible tips are slices of these lists.
+
+A sweep checks only the ids touched since the previous sweep: any other
+unconfirmed weight is unchanged and was below the previous threshold. When
+the threshold drops below the previous one, the sweep rescans every
+unconfirmed id.
+
+Past and future cones, and the weight of a confirmed transaction, are audit
+queries answered from int bitsets built on first use and dropped by the next
+insertion.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
 
@@ -45,7 +58,7 @@ class ParentArity(TangleError):
 
 
 class TimeRegression(TangleError):
-    """Issue time earlier than an already-stored transaction."""
+    """Issue time not finite, or earlier than an already-stored transaction."""
 
 
 @dataclass
@@ -74,9 +87,16 @@ class TangleLedger:
         self._issued: list[float] = [0.0]
         self._flag: list[bool] = [False]
         self.approvers: list[set[int]] = [set()]
-        self.tip_set: set[int] = {0}
-        # unconfirmed id -> cumulative weight, in id order; confirmed ids leave
-        self._frontier: dict[int, int] = {0: 1}
+        # cumulative weight per id, kept exact until the id confirms
+        self._weight: list[int] = [1]
+        # id-sorted indexes over the state above
+        self._unconfirmed: list[int] = [0]
+        self._flagged: list[int] = []  # unconfirmed and flagged
+        self._tips: list[int] = [0]
+        # unconfirmed ids whose weight changed since the last sweep, and that
+        # sweep's threshold (none yet, so the first sweep rescans)
+        self._touched: set[int] = set()
+        self._swept_theta: float = math.inf
         # confirmed id -> confirmation time
         self._confirmed_at: dict[int, float] = {}
         self.confirmed_set = self._confirmed_at.keys()
@@ -119,6 +139,8 @@ class TangleLedger:
         for p in parents:
             if p not in self:
                 raise UnknownParent(f"parent {p} does not exist")
+        if not math.isfinite(issued_at):
+            raise TimeRegression(f"issued_at {issued_at} is not finite")
         last = self._issued[-1]
         if issued_at < last:
             raise TimeRegression(
@@ -131,25 +153,32 @@ class TangleLedger:
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
         self.approvers.append(set())
-        self.tip_set.add(new_id)
+        self._weight.append(1)
+        self._unconfirmed.append(new_id)
+        if priority_flag:
+            self._flagged.append(new_id)
         self._cones = None
+        tips = self._tips
         for p in distinct:
+            if not self.approvers[p]:
+                del tips[bisect_left(tips, p)]
             self.approvers[p].add(new_id)
-            self.tip_set.discard(p)
+        tips.append(new_id)
 
         # every distinct unconfirmed ancestor gains one approving descendant;
         # confirmed ancestors have only confirmed ancestors, so the walk stops there
-        frontier = self._frontier
-        frontier[new_id] = 1
-        stack = [p for p in distinct if p in frontier]
+        confirmed, weight = self._confirmed_at, self._weight
+        stack = [p for p in distinct if p not in confirmed]
         seen = set(stack)
         while stack:
             i = stack.pop()
-            frontier[i] += 1
+            weight[i] += 1
             for p in self._parents[i]:
-                if p in frontier and p not in seen:
+                if p not in confirmed and p not in seen:
                     seen.add(p)
                     stack.append(p)
+        seen.add(new_id)
+        self._touched |= seen
         return new_id
 
     def confirmation_sweep(self, theta: int, now: float) -> set[int]:
@@ -157,9 +186,16 @@ class TangleLedger:
 
         Returns the newly confirmed ids; idempotent at a fixed instant.
         """
-        newly = {i for i, weight in self._frontier.items() if weight >= theta}
+        checked = self._unconfirmed if theta < self._swept_theta else self._touched
+        weight = self._weight
+        newly = {i for i in checked if weight[i] >= theta}
+        self._touched = set()
+        self._swept_theta = theta
+        unconfirmed, flagged = self._unconfirmed, self._flagged
         for i in newly:
-            del self._frontier[i]
+            del unconfirmed[bisect_left(unconfirmed, i)]
+            if self._flag[i]:
+                del flagged[bisect_left(flagged, i)]
             self._confirmed_at[i] = now
         return newly
 
@@ -167,7 +203,11 @@ class TangleLedger:
 
     def tips(self) -> set[int]:
         """Transactions not yet approved by any other transaction."""
-        return set(self.tip_set)
+        return set(self._tips)
+
+    def tip_count(self) -> int:
+        """Number of transactions not yet approved by any other transaction."""
+        return len(self._tips)
 
     def _cone_bits(self) -> tuple[list[int], list[int]]:
         """Bit j of past[i] (future[i]) is set iff j is an ancestor
@@ -188,9 +228,9 @@ class TangleLedger:
     def cumulative_weight(self, tx_id: int) -> int:
         """1 + number of distinct transactions approving `tx_id` transitively."""
         self._check_known(tx_id)
-        if tx_id in self._frontier:
-            return self._frontier[tx_id]
-        return 1 + self._cone_bits()[1][tx_id].bit_count()
+        if tx_id in self._confirmed_at:
+            return 1 + self._cone_bits()[1][tx_id].bit_count()
+        return self._weight[tx_id]
 
     def past_cone(self, tx_id: int) -> set[int]:
         """All distinct ancestors of `tx_id`, excluding itself."""
@@ -209,20 +249,26 @@ class TangleLedger:
         insertion order is time order)."""
         return bisect_right(self._issued, cutoff)
 
-    def priority_candidates(
-        self, visible: int, promote_before: float | None
-    ) -> list[int]:
-        """Unconfirmed transactions among the first `visible` whose flag is
-        set, or whose issue time is at or before `promote_before`."""
-        cutoff = -math.inf if promote_before is None else promote_before
-        flag, issued = self._flag, self._issued
-        return [
-            i for i in self._frontier if i < visible and (flag[i] or issued[i] <= cutoff)
-        ]
+    def priority_candidates(self, visible: int, aged: int) -> list[int]:
+        """Unconfirmed transactions among the first `visible` that are flagged
+        or among the first `aged` (at most `visible`), in id order."""
+        unconfirmed, flagged = self._unconfirmed, self._flagged
+        return (
+            unconfirmed[: bisect_left(unconfirmed, aged)]
+            + flagged[bisect_left(flagged, aged) : bisect_left(flagged, visible)]
+        )
+
+    def tip_candidates(self, visible: int, aged: int) -> tuple[list[int], list[int]]:
+        """The tips among the first `visible` transactions, and those of them
+        that are not priority candidates (see `priority_candidates`)."""
+        tips = self._tips[: bisect_left(self._tips, visible)]
+        confirmed, flag = self._confirmed_at, self._flag
+        return tips, [t for t in tips if t in confirmed or (t >= aged and not flag[t])]
 
     def newest_non_tip(self, visible: int) -> int | None:
         """Most recently issued non-tip among the first `visible`, if any."""
+        approvers = self.approvers
         for i in range(visible - 1, -1, -1):
-            if i not in self.tip_set:
+            if approvers[i]:
                 return i
         return None

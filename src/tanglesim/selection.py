@@ -39,13 +39,15 @@ class SelectionCandidates:
     necessarily tips: they stay selectable until confirmed). `common` holds
     the remaining selectable tips. `tips` is the full selectable tip pool
     regardless of class, and `newest_non_tip` backs the single-tip fallback;
-    both exist so strategies need no ledger access.
+    both exist so strategies need no ledger access. Ids below `aged` are
+    old enough for aging to promote them while unconfirmed.
     """
 
     priority: list[int]
     common: list[int]
     tips: list[int]
     newest_non_tip: int | None
+    aged: int = 0
 
 
 @dataclass
@@ -69,16 +71,16 @@ def build_candidates(
     k = ledger.visible_count(now - visibility_delay)
     if k == 0:
         raise EmptyCandidates(f"no transaction visible at t={now}")
-    promote_before = now - policy.aging_threshold if policy.enabled else None
-    priority = ledger.priority_candidates(k, promote_before)
-    pset = set(priority)
-    vis_tips = sorted(t for t in ledger.tip_set if t < k)
-    common = [t for t in vis_tips if t not in pset]
+    aged = (
+        min(k, ledger.visible_count(now - policy.aging_threshold)) if policy.enabled else 0
+    )
+    tips, common = ledger.tip_candidates(k, aged)
     return SelectionCandidates(
-        priority=priority,
+        priority=ledger.priority_candidates(k, aged),
         common=common,
-        tips=vis_tips,
+        tips=tips,
         newest_non_tip=ledger.newest_non_tip(k),
+        aged=aged,
     )
 
 

@@ -54,8 +54,8 @@ def check_cumulative_weights(
             ledger.add_transaction(list(ps), float(len(ledger)))
         if fault_inject:
             # test-only hook: corrupt one maintained weight (no sweep ran,
-            # so every transaction is still in the frontier)
-            ledger._frontier[rng.randrange(size)] += 1
+            # so every stored weight is still maintained)
+            ledger._weight[rng.randrange(size)] += 1
         expected = brute_force_cumulative_weights(parents)
         actual = {i: ledger.cumulative_weight(i) for i in range(size)}
         if actual != expected:

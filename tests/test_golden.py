@@ -6,12 +6,13 @@ outputs updates them and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 import yaml
 
 from tanglesim.cli import EXIT_OK, main
-from tanglesim.engine import SimConfig
+from tanglesim.engine import SimConfig, run_simulation
 
 REFERENCE = SimConfig().to_dict()
 
@@ -29,10 +30,31 @@ CONFIGS = {
         "visibility_delay_seconds": 3.0,
         "theta": 32,
     },
+    # every arrival confirms at once, so confirmed transactions stay tips
+    "theta1-ptsa-seed42": {**REFERENCE, "theta": 1},
+    # the aging cutoff lies after the visibility cutoff, so the visible prefix
+    # bounds the aged one
+    "aging-before-visible-ptsa-seed42": {
+        **REFERENCE,
+        "visibility_delay_seconds": 3.0,
+        "aging": {"enabled": True, "threshold_seconds": 0.5},
+    },
+    "aging-off-ptsa-seed42": {
+        **REFERENCE,
+        "aging": {"enabled": False, "threshold_seconds": 30.0},
+    },
 }
 
 # name -> (sha256 of trace.csv, sha256 of summary.json)
 GOLDEN = {
+    "aging-before-visible-ptsa-seed42": (
+        "86bcdebcd0b3e2bef61564d8f177fb156a2c25c455530d8ee87834905fc49683",
+        "3628ee0ebe21a548d4b48995048b5e00293e2b3185ddb4bb664e828e6c133455",
+    ),
+    "aging-off-ptsa-seed42": (
+        "68479875327e9b5f886c38c13b4b79c5fad866b182acac1c25d442c63921d4cc",
+        "bf0c8da75f127cabc8332bcf52f147a13e7a70ef13cb166d1a7eb7556a2b0a40",
+    ),
     "lambda40-ptsa-seed42": (
         "074e43553c362aeb4e34ad358c4c2cc3118804111739ce52e18f142bba572788",
         "e9782e8ce62e0f59be29b018686c781aedf1c31e8b5cce9988b347f3ec4eadba",
@@ -65,6 +87,10 @@ GOLDEN = {
         "240d6c3323300f9b00f3062f9f778b493e336caf5e9686c0ec5e2249f7340e76",
         "60ea4a085be54d6399af056eefe6baa202765a51089a4935022c74851b9ab15c",
     ),
+    "theta1-ptsa-seed42": (
+        "1e865775bf9b1ba6b125c54556bb730792ba39698a90a2f12d5ac781bfe319bc",
+        "0006903886c9064fc8f32983f0c41828fd0d1db84443a0ca3e17c259c9c6afb7",
+    ),
 }
 
 
@@ -74,6 +100,11 @@ COMPARE_GOLDEN = {
     "compare_seed43.json": "af64d6ea6ae7f0d1fa73775ee877fb8a7a484b22fe3d0f3b43fab6c49924a81a",
     "aggregate.json": "77ee75f2cf80b90b916ced30a754f398ebcc3fd93895c1a6eb080e2f1fc3e08b",
 }
+
+
+# sha256 of every record's promoted_at and the tip-pool series, which no
+# output file holds, for the ptsa-backlog config
+IN_MEMORY_GOLDEN = "2a0e49959ddc2c4b42ecebaacc285bce4ecd5f59cfaaaa3337683dc3ae0b4317"
 
 
 def _sha256(path) -> str:
@@ -101,3 +132,13 @@ def test_compare_outputs_match_golden_digests(tmp_path):
     assert main(args) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == sorted(COMPARE_GOLDEN)
     assert {name: _sha256(out / name) for name in COMPARE_GOLDEN} == COMPARE_GOLDEN
+
+
+def test_promotions_and_tip_pool_match_golden_digest():
+    trace = run_simulation(SimConfig.from_dict(CONFIGS["ptsa-backlog-seed42"]))
+    pinned = {
+        "promoted_at": [[r.id, r.promoted_at] for r in trace.records],
+        "tip_pool_sizes": trace.tip_pool_sizes,
+    }
+    digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+    assert digest == IN_MEMORY_GOLDEN

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -88,6 +89,19 @@ class TestAddTransaction:
         ledger.add_transaction([ledger.genesis], 5.0)
         with pytest.raises(TimeRegression):
             ledger.add_transaction([ledger.genesis], 4.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_issue_time(self, bad):
+        # a stored NaN would let the next insertion go back in time and break
+        # the time-ordered prefix that visible_count bisects
+        ledger = TangleLedger()
+        ledger.add_transaction([ledger.genesis], 5.0)
+        with pytest.raises(TimeRegression):
+            ledger.add_transaction([ledger.genesis], bad)
+        with pytest.raises(TimeRegression):
+            ledger.add_transaction([ledger.genesis], 1.0)
+        assert len(ledger) == 2
+        assert ledger.visible_count(2.0) == 1
 
 
 class TestTips:
