@@ -1,14 +1,14 @@
 """Command-line entry point.
 
 Exit statuses are a stable contract: 0 success, 1 config error, 2 I/O
-error, 3 oracle failure.
+error or command-line usage error, 3 oracle failure. Only `main` maps
+exceptions to them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -38,55 +38,38 @@ def _load_config(path: str) -> SimConfig:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigInvalid("<file>", f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigInvalid("<file>", f"cannot parse {path}: {exc}") from exc
     return SimConfig.from_dict(data or {})
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-        config.validate()
     trace = run_simulation(config)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        export_csv(trace, out / "trace.csv")
-        _write_json(trace_summary(trace), out / "summary.json")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    export_csv(trace, out / "trace.csv")
+    export_json(trace_summary(trace), out / "summary.json")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.seeds < 1:
-        print("config error: invalid config field 'seeds': must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigInvalid("seeds", "must be >= 1")
     config = _load_config(args.config)
-    # the last seed of the batch must be valid before any file is written
-    dataclasses.replace(config, seed=config.seed + args.seeds - 1).validate()
+    # building the batch's last seed checks it before any file is written
+    dataclasses.replace(config, seed=config.seed + args.seeds - 1)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     reports = []
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for offset in range(args.seeds):
-            run_config = dataclasses.replace(config, seed=config.seed + offset)
-            uniform_trace, ptsa_trace = paired_runs(run_config)
-            report = compare(uniform_trace, ptsa_trace)
-            export_json(report, out / f"compare_seed{run_config.seed}.json")
-            reports.append(report)
-        _write_json(_aggregate(config, reports), out / "aggregate.json")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for offset in range(args.seeds):
+        run_config = dataclasses.replace(config, seed=config.seed + offset)
+        report = compare(*paired_runs(run_config))
+        export_json(report.to_dict(), out / f"compare_seed{run_config.seed}.json")
+        reports.append(report)
+    export_json(_aggregate(config, reports), out / "aggregate.json")
     return EXIT_OK
 
 
@@ -116,12 +99,8 @@ def _aggregate(config: SimConfig, reports: list) -> dict:
 
 
 def cmd_gen_config(args: argparse.Namespace) -> int:
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(REFERENCE_CONFIG_TEXT)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w") as fh:
+        fh.write(REFERENCE_CONFIG_TEXT)
     return EXIT_OK
 
 
@@ -175,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entry_point() -> None:

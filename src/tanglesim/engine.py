@@ -53,7 +53,8 @@ class SimConfig:
     """Full experiment parameterization; the defaults are the reference experiment.
 
     `pinned_priority` lists 1-based arrival ordinals forced to high
-    priority, mirroring a hand-picked set of marked transactions.
+    priority, mirroring a hand-picked set of marked transactions. Building
+    one, by any route, checks every field against `_FIELDS`.
     """
 
     arrival_rate: float = 10.0
@@ -66,7 +67,7 @@ class SimConfig:
     seed: int = 42
     pinned_priority: tuple[int, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key, spec in _FIELDS.items():
             if not spec.bound(attrgetter(spec.attr)(self), self):
                 raise ConfigInvalid(key, spec.message)
@@ -93,9 +94,7 @@ class SimConfig:
                 value = float(value)  # a YAML int in a float field
             owner, _, name = attr.rpartition(".")
             (aging if owner else top)[name] = value
-        config = cls(**top, aging=PriorityPolicy(**aging))
-        config.validate()
-        return config
+        return cls(**top, aging=PriorityPolicy(**aging))
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -115,6 +114,11 @@ class _Field(NamedTuple):
     comment: str  # gen-config's comment on the key's line
 
 
+# The most transactions a config may expect (lambda * horizon_seconds); a run
+# holds every one in memory until it ends (about 0.8 GB of peak RSS at 1M).
+MAX_EXPECTED_TX = 2_000_000
+
+
 def _finite(v: object) -> bool:
     return _is_number(v) and math.isfinite(v)
 
@@ -126,8 +130,11 @@ _FIELDS = {
                      "must be finite and > 0", "arrival rate, transactions per second"),
     "rho": _Field("priority_fraction", lambda v, _: _is_number(v) and 0 <= v <= 1,
                   "must be within [0, 1]", "fraction of arrivals flagged high-priority"),
-    "horizon_seconds": _Field("horizon", lambda v, _: _finite(v) and v > 0,
-                              "must be finite and > 0", "simulated duration"),
+    "horizon_seconds": _Field(
+        "horizon",
+        lambda v, config: _finite(v) and v > 0 and config.arrival_rate * v <= MAX_EXPECTED_TX,
+        f"must be finite and > 0, with lambda * horizon_seconds <= {MAX_EXPECTED_TX}",
+        "simulated duration"),
     "visibility_delay_seconds": _Field(
         "visibility_delay", lambda v, _: _finite(v) and v >= 0, "must be finite and >= 0",
         "propagation delay before a transaction is selectable"),
@@ -211,7 +218,6 @@ def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:
 
 def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedger]:
     """Run one simulation and return both the trace and the final ledger."""
-    config.validate()
     arrivals = generate_workload(config)
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
@@ -266,7 +272,6 @@ def paired_runs(config: SimConfig) -> tuple[SimTrace, SimTrace]:
     Returns (uniform trace, ptsa trace); the two differ only in attachment
     choices because the arrival stream is derived from its own sub-seed.
     """
-    config.validate()
     uniform_trace = run_simulation(dataclasses.replace(config, strategy="uniform"))
     ptsa_trace = run_simulation(dataclasses.replace(config, strategy="ptsa"))
     return uniform_trace, ptsa_trace

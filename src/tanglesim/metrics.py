@@ -9,7 +9,7 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from tanglesim.engine import CLASS_COMMON, CLASS_PRIORITY, SimConfig, SimTrace, TxRecord
+from tanglesim.engine import CLASS_COMMON, CLASS_PRIORITY, SimConfig, SimTrace
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
 
@@ -135,31 +135,10 @@ def export_csv(trace: SimTrace, destination: str | Path) -> None:
             )
 
 
-def load_records_csv(source: str | Path) -> list[TxRecord]:
-    """Read back a trace CSV into records (inverse of export_csv for the
-    fields the statistics use)."""
-    out: list[TxRecord] = []
-    with open(source, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                TxRecord(
-                    id=int(row["id"]),
-                    tx_class=row["class"],
-                    issued_at=float(row["issued_at"]),
-                    parents=tuple(
-                        int(p) for p in row["parents"].split(";") if p
-                    ),
-                    confirmed_at=(
-                        float(row["confirmed_at"]) if row["confirmed_at"] else None
-                    ),
-                )
-            )
-    return out
-
-
-def export_json(report: ComparisonReport, destination: str | Path) -> None:
+def export_json(payload: dict, destination: str | Path) -> None:
+    """Write a report or summary as indented JSON with a final newline."""
     with open(destination, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 

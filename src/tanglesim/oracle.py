@@ -9,14 +9,14 @@ from __future__ import annotations
 import random
 from collections import deque
 
+MAX_PARENTS = 8
 
-def random_dag(
-    rng: random.Random, size: int, max_parents: int = 8
-) -> list[tuple[int, ...]]:
+
+def random_dag(rng: random.Random, size: int) -> list[tuple[int, ...]]:
     """Parents per node for a random DAG; node 0 is the parentless genesis."""
     parents: list[tuple[int, ...]] = [()]
     for i in range(1, size):
-        k = rng.randint(1, min(max_parents, i))
+        k = rng.randint(1, min(MAX_PARENTS, i))
         parents.append(tuple(sorted(rng.sample(range(i), k))))
     return parents
 

@@ -8,8 +8,6 @@ priority-selection branch table exhaustively.
 from __future__ import annotations
 
 import random
-import sys
-from typing import TextIO
 
 from tanglesim.ledger import TangleLedger
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
@@ -22,8 +20,8 @@ from tanglesim.selection import (
     select_ptsa,
 )
 
-DEFAULT_TRIALS = 100
-DEFAULT_MAX_SIZE = 200
+ORACLE_TRIALS = 100
+ORACLE_MAX_SIZE = 200
 ORACLE_SEED = 20240917
 
 
@@ -36,18 +34,11 @@ def _format_edges(parents: list[tuple[int, ...]]) -> str:
     return " ".join(edges)
 
 
-def check_cumulative_weights(
-    trials: int = DEFAULT_TRIALS,
-    max_size: int = DEFAULT_MAX_SIZE,
-    seed: int = ORACLE_SEED,
-    fault_inject: bool = False,
-    stream: TextIO | None = None,
-) -> bool:
+def check_cumulative_weights(fault_inject: bool = False) -> bool:
     """Incremental CW == brute-force reverse-reachability on random DAGs."""
-    stream = stream or sys.stdout
-    rng = random.Random(seed)
-    for trial in range(trials):
-        size = rng.randint(2, max_size)
+    rng = random.Random(ORACLE_SEED)
+    for trial in range(ORACLE_TRIALS):
+        size = rng.randint(2, ORACLE_MAX_SIZE)
         parents = random_dag(rng, size)
         ledger = TangleLedger()
         for ps in parents[1:]:
@@ -60,17 +51,14 @@ def check_cumulative_weights(
         actual = {i: ledger.cumulative_weight(i) for i in range(size)}
         if actual != expected:
             bad = sorted(i for i in expected if actual[i] != expected[i])
-            print(
-                f"FAIL cumulative-weight oracle: trial {trial}, nodes {bad}",
-                file=stream,
-            )
-            print(f"  dag edges: {_format_edges(parents)}", file=stream)
+            print(f"FAIL cumulative-weight oracle: trial {trial}, nodes {bad}")
+            print(f"  dag edges: {_format_edges(parents)}")
             return False
         if ledger.tips() != brute_force_tips(parents):
-            print(f"FAIL tip-set oracle: trial {trial}", file=stream)
-            print(f"  dag edges: {_format_edges(parents)}", file=stream)
+            print(f"FAIL tip-set oracle: trial {trial}")
+            print(f"  dag edges: {_format_edges(parents)}")
             return False
-    print(f"PASS cumulative-weight oracle ({trials} random DAGs)", file=stream)
+    print(f"PASS cumulative-weight oracle ({ORACLE_TRIALS} random DAGs)")
     return True
 
 
@@ -110,23 +98,22 @@ def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
     return None
 
 
-def check_branch_table(stream: TextIO | None = None) -> bool:
+def check_branch_table() -> bool:
     """Exhaustive branch/arity table over p x |common| combinations."""
-    stream = stream or sys.stdout
     rng = random.Random(1)
     ok = True
     for p in BRANCH_TABLE_P:
         for n_common in BRANCH_TABLE_COMMON:
             error = branch_case_error(p, n_common, rng)
             if error:
-                print(f"FAIL branch table: p={p}, common={n_common}, {error}", file=stream)
+                print(f"FAIL branch table: p={p}, common={n_common}, {error}")
                 ok = False
     if ok:
-        print("PASS branch table (p x common exhaustive)", file=stream)
+        print("PASS branch table (p x common exhaustive)")
     return ok
 
 
-def run_self_check(fault_inject: bool = False, stream: TextIO | None = None) -> bool:
-    ok = check_cumulative_weights(fault_inject=fault_inject, stream=stream)
-    ok = check_branch_table(stream=stream) and ok
+def run_self_check(fault_inject: bool = False) -> bool:
+    ok = check_cumulative_weights(fault_inject=fault_inject)
+    ok = check_branch_table() and ok
     return ok

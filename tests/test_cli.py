@@ -81,6 +81,20 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
 
+    def test_undecodable_config_names_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(b"\xff\xfe\x00")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "<file>" in capsys.readouterr().err
+
+    def test_out_is_regular_file(self, config_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["simulate", "--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(config_path), "--out", str(out_a)])
@@ -140,6 +154,13 @@ class TestCompare:
         assert code == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_is_regular_file(self, config_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["compare", "--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestGenConfig:

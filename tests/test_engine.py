@@ -29,17 +29,17 @@ class TestConfigValidation:
             ({"strategy": "mcmc"}, "strategy"),
             ({"seed": -1}, "seed"),
             ({"pinned_priority": (0,)}, "pinned_priority"),
+            ({"arrival_rate": 1.0e12}, "horizon_seconds"),
         ],
     )
     def test_bounds_rejected_naming_field(self, changes, field):
-        config = dataclasses.replace(SimConfig(), **changes)
         with pytest.raises(ConfigInvalid) as excinfo:
-            config.validate()
+            dataclasses.replace(SimConfig(), **changes)
         assert excinfo.value.field_name == field
         assert field in str(excinfo.value)
 
     def test_default_config_valid(self):
-        SimConfig().validate()
+        SimConfig()
 
     def test_dict_round_trip(self):
         config = SimConfig(seed=7, pinned_priority=(1, 2, 3))
@@ -50,6 +50,10 @@ class TestConfigValidation:
         assert repr(config.to_dict()["lambda"]) == "10.0"
         assert isinstance(config.horizon, float)
 
+    def test_million_tx_rung_accepted(self):
+        config = SimConfig.from_dict({"lambda": 100.0, "horizon_seconds": 10000.0})
+        assert config.arrival_rate * config.horizon == 1_000_000
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             SimConfig.from_dict({"lambda": 1.0, "mu": 2.0})
@@ -58,8 +62,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             SimConfig.from_dict({"aging": {"enabled": True, "rate": 2}})
 
-    # Parsed only, never simulated: an accepted infinite rate or horizon
-    # would never finish.
+    # Parsed only, never simulated: an accepted infinite rate or horizon, or
+    # 3e14 expected transactions, would never finish.
     @pytest.mark.parametrize(
         "text,field",
         [
@@ -77,6 +81,7 @@ class TestConfigValidation:
             ("visibility_delay_seconds: true", "visibility_delay_seconds"),
             ("aging: {threshold_seconds: true}", "aging.threshold_seconds"),
             ("lambda: abc", "lambda"),
+            ("lambda: 1.0e+12", "horizon_seconds"),
         ],
     )
     def test_non_finite_and_mistyped_values_rejected(self, text, field):
@@ -195,9 +200,8 @@ class TestPairedRuns:
             assert p.confirmed_at == p.issued_at
 
     def test_invalid_config_rejected(self):
-        config = dataclasses.replace(SMALL, priority_fraction=2.0)
         with pytest.raises(ConfigInvalid):
-            paired_runs(config)
+            paired_runs(dataclasses.replace(SMALL, priority_fraction=2.0))
 
 
 class TestLedgerInvariantsAfterRun:

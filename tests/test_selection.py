@@ -58,9 +58,8 @@ class TestEffectivePriority:
         assert not is_priority(False, 1000.0, NO_AGING)
 
     def test_policy_requires_positive_threshold(self):
-        config = SimConfig(aging=PriorityPolicy(enabled=True, aging_threshold=0.0))
         with pytest.raises(ValueError) as excinfo:
-            config.validate()
+            SimConfig(aging=PriorityPolicy(enabled=True, aging_threshold=0.0))
         assert excinfo.value.field_name == "aging.threshold_seconds"
 
 
