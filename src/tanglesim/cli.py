@@ -40,7 +40,7 @@ def _load_config(path: str) -> SimConfig:
         raise ConfigInvalid("<file>", f"cannot read {path}: {exc}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigInvalid("<file>", f"cannot parse {path}: {exc}") from exc
-    return SimConfig.from_dict(data or {})
+    return SimConfig.from_dict({} if data is None else data)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -80,6 +80,9 @@ class SimConfig:
         if not isinstance(aging_data, dict):
             raise ConfigInvalid("aging", "must be a mapping")
         flat = {key: value for key, value in data.items() if key != "aging"}
+        for key in flat:  # an `aging.*` key is valid only inside `aging:`
+            if key not in _FIELDS or "." in key:
+                raise ConfigInvalid(key, "unknown key")
         flat.update((f"aging.{key}", value) for key, value in aging_data.items())
         defaults = cls()
         top: dict = {}
@@ -177,7 +180,7 @@ def reference_config_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     """Lifecycle of one simulated transaction (genesis excluded)."""
 
@@ -194,6 +197,8 @@ class SimTrace:
     config: SimConfig
     records: list[TxRecord]
     tip_pool_sizes: list[tuple[float, int]]
+    # the records carry every fact of the ledger, so equal records mean equal ledgers
+    ledger: TangleLedger = field(compare=False, repr=False)
 
 
 def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:
@@ -216,8 +221,8 @@ def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:
         out.append((t, flag))
 
 
-def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedger]:
-    """Run one simulation and return both the trace and the final ledger."""
+def run_simulation(config: SimConfig) -> SimTrace:
+    """Deterministic simulation run: a pure function of the configuration."""
     arrivals = generate_workload(config)
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
@@ -257,13 +262,7 @@ def run_simulation_with_ledger(config: SimConfig) -> tuple[SimTrace, TangleLedge
         )
         for tx in map(ledger.transaction, range(1, len(ledger)))
     ]
-    return SimTrace(config, records, tip_pool_sizes), ledger
-
-
-def run_simulation(config: SimConfig) -> SimTrace:
-    """Deterministic simulation run: a pure function of the configuration."""
-    trace, _ = run_simulation_with_ledger(config)
-    return trace
+    return SimTrace(config, records, tip_pool_sizes, ledger)
 
 
 def paired_runs(config: SimConfig) -> tuple[SimTrace, SimTrace]:

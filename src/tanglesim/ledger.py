@@ -78,7 +78,7 @@ def _bit_ids(bits: int) -> set[int]:
 
 
 class TangleLedger:
-    """The DAG store: transactions, approver adjacency, tips, confirmation."""
+    """The DAG store: transactions, first approvers, tips, confirmation."""
 
     def __init__(self) -> None:
         # genesis: no parents, issued at time 0, common class
@@ -86,7 +86,7 @@ class TangleLedger:
         self._parents: list[tuple[int, ...]] = [()]
         self._issued: list[float] = [0.0]
         self._flag: list[bool] = [False]
-        self.approvers: list[set[int]] = [set()]
+        self._first_approver: list[int] = [0]  # 0 until approved; genesis approves nothing
         # cumulative weight per id, kept exact until the id confirms
         self._weight: list[int] = [1]
         # id-sorted indexes over the state above
@@ -152,17 +152,17 @@ class TangleLedger:
         self._parents.append(distinct)
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
-        self.approvers.append(set())
+        self._first_approver.append(0)
         self._weight.append(1)
         self._unconfirmed.append(new_id)
         if priority_flag:
             self._flagged.append(new_id)
         self._cones = None
-        tips = self._tips
+        tips, first = self._tips, self._first_approver
         for p in distinct:
-            if not self.approvers[p]:
+            if not first[p]:
+                first[p] = new_id
                 del tips[bisect_left(tips, p)]
-            self.approvers[p].add(new_id)
         tips.append(new_id)
 
         # every distinct unconfirmed ancestor gains one approving descendant;
@@ -220,8 +220,8 @@ class TangleLedger:
                     past[i] |= past[p] | (1 << p)
             future = [0] * n
             for i in range(n - 1, -1, -1):
-                for a in self.approvers[i]:
-                    future[i] |= future[a] | (1 << a)
+                for p in self._parents[i]:
+                    future[p] |= future[i] | (1 << i)
             self._cones = past, future
         return self._cones
 
@@ -267,8 +267,8 @@ class TangleLedger:
 
     def newest_non_tip(self, visible: int) -> int | None:
         """Most recently issued non-tip among the first `visible`, if any."""
-        approvers = self.approvers
+        first = self._first_approver
         for i in range(visible - 1, -1, -1):
-            if approvers[i]:
+            if first[i]:
                 return i
         return None

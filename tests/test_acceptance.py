@@ -11,10 +11,10 @@ import time
 import pytest
 
 from tanglesim.cli import main
-from tanglesim.engine import SimConfig, run_simulation_with_ledger
+from tanglesim.engine import SimConfig, run_simulation
 from tanglesim.ledger import TangleLedger
 from tanglesim.metrics import class_stats, compare
-from tanglesim.oracle import brute_force_cumulative_weights, random_dag
+from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
 from tanglesim.selfcheck import check_branch_table
 
 REFERENCE = SimConfig()  # the defaults are the reference experiment
@@ -32,13 +32,9 @@ def reference_runs():
     runs = []
     for offset in range(N_SEEDS):
         config = dataclasses.replace(REFERENCE, seed=REFERENCE.seed + offset)
-        u_trace, u_ledger = run_simulation_with_ledger(
-            dataclasses.replace(config, strategy="uniform")
-        )
-        p_trace, p_ledger = run_simulation_with_ledger(
-            dataclasses.replace(config, strategy="ptsa")
-        )
-        runs.append((u_trace, u_ledger, p_trace, p_ledger))
+        u_trace = run_simulation(dataclasses.replace(config, strategy="uniform"))
+        p_trace = run_simulation(dataclasses.replace(config, strategy="ptsa"))
+        runs.append((u_trace, u_trace.ledger, p_trace, p_trace.ledger))
     return runs
 
 
@@ -123,7 +119,8 @@ def test_criterion_7_ledger_invariants(reference_runs):
     for _, u_ledger, _, p_ledger in reference_runs:
         for ledger in (u_ledger, p_ledger):
             n = len(ledger)
-            ok &= ledger.tips() == {i for i in range(n) if not ledger.approvers[i]}
+            parents = [ledger.transaction(i).parents for i in range(n)]
+            ok &= ledger.tips() == brute_force_tips(parents)
             ok &= ledger.confirmed_set == {
                 i for i in range(n) if ledger.cumulative_weight(i) >= theta
             }

@@ -1,0 +1,50 @@
+"""The benchmark's traced runs keep working: `tsbench/traced_cli.py` wraps
+program functions by name and reads `records[].promoted_at`, so renaming either
+fails here rather than only under `tsbench/run.py --trace 1`."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the `ptsa-backlog` workload shortened to 60 s; aging promotes on it
+BACKLOG_60S = {
+    "lambda": 20.0,
+    "rho": 0.5,
+    "horizon_seconds": 60.0,
+    "visibility_delay_seconds": 3.0,
+    "theta": 32,
+}
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--seeds", "2"]])
+def test_traced_cli_runs_and_counts(command, tmp_path):
+    config = tmp_path / "config.json"  # JSON is YAML
+    config.write_text(json.dumps(BACKLOG_60S))
+    prefix = tmp_path / "spans"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "tsbench" / "traced_cli.py"),
+            str(prefix),
+            *command,
+            "--config",
+            str(config),
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header = json.loads(prefix.with_suffix(".json").read_text())
+    assert "engine.run_simulation" in header["names"]
+    assert header["counters"]["promoted"] > 0

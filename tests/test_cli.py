@@ -14,6 +14,7 @@ from tanglesim.cli import (
     REFERENCE_CONFIG_TEXT,
     main,
 )
+from tanglesim.engine import SimConfig
 
 SMALL_CONFIG = """\
 lambda: 10.0
@@ -87,6 +88,23 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "<file>" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["false", "0", '""', "[]"])
+    def test_falsy_root_names_root(self, text, tmp_path, capsys):
+        path = tmp_path / "falsy.yaml"
+        path.write_text(text + "\n")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "<root>" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_empty_file_means_defaults(self, text, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"] == SimConfig().to_dict()
 
     def test_out_is_regular_file(self, config_path, tmp_path, capsys):
         out = tmp_path / "taken"

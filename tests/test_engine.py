@@ -9,8 +9,8 @@ from tanglesim.engine import (
     generate_workload,
     paired_runs,
     run_simulation,
-    run_simulation_with_ledger,
 )
+from tanglesim.oracle import brute_force_tips
 from tanglesim.selection import PriorityPolicy
 
 SMALL = SimConfig(horizon=60.0)
@@ -82,6 +82,9 @@ class TestConfigValidation:
             ("aging: {threshold_seconds: true}", "aging.threshold_seconds"),
             ("lambda: abc", "lambda"),
             ("lambda: 1.0e+12", "horizon_seconds"),
+            # the `aging.*` keys belong inside `aging:`, not at the top level
+            ("aging.enabled: false\naging.threshold_seconds: 0.0", "aging.enabled"),
+            ("aging: {enabled: true}\naging.enabled: false", "aging.enabled"),
         ],
     )
     def test_non_finite_and_mistyped_values_rejected(self, text, field):
@@ -171,7 +174,8 @@ class TestRunSimulation:
             assert r.promoted_at - r.issued_at >= config.aging.aging_threshold
 
     def test_final_ledger_consistent_with_trace(self):
-        trace, ledger = run_simulation_with_ledger(SMALL)
+        trace = run_simulation(SMALL)
+        ledger = trace.ledger
         assert len(ledger) == len(trace.records) + 1
         for r in trace.records:
             tx = ledger.transaction(r.id)
@@ -208,15 +212,42 @@ class TestLedgerInvariantsAfterRun:
     def test_maintained_state_matches_recomputation(self):
         for strategy in ("uniform", "ptsa"):
             config = dataclasses.replace(SMALL, strategy=strategy)
-            trace, ledger = run_simulation_with_ledger(config)
+            ledger = run_simulation(config).ledger
             n = len(ledger)
-            recomputed_tips = {
-                i for i in range(n) if not ledger.approvers[i]
-            }
-            assert ledger.tips() == recomputed_tips
+            parents = [ledger.transaction(i).parents for i in range(n)]
+            assert ledger.tips() == brute_force_tips(parents)
             assert ledger.confirmed_set == {
                 i for i in range(n) if ledger.cumulative_weight(i) >= config.theta
             }
             total_cw = sum(ledger.cumulative_weight(i) for i in range(n))
             total_cones = sum(1 + len(ledger.past_cone(i)) for i in range(n))
             assert total_cw == total_cones
+
+
+class TestMetamorphic:
+    """Identities between runs, or within one, that hold for any correct model."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ptsa_without_priority_is_uniform(self, seed):
+        # nothing is flagged or aged, so ptsa takes its p=0 branch throughout
+        config = SimConfig(
+            priority_fraction=0.0,
+            aging=PriorityPolicy(enabled=False, aging_threshold=30.0),
+            seed=seed,
+        )
+        uniform_trace, ptsa_trace = paired_runs(config)
+        uniform = [(r.parents, r.confirmed_at) for r in uniform_trace.records]
+        ptsa = [(r.parents, r.confirmed_at) for r in ptsa_trace.records]
+        assert ptsa == uniform
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    @pytest.mark.parametrize("strategy", ["uniform", "ptsa"])
+    def test_theta_two_confirms_at_first_approval(self, strategy, seed):
+        trace = run_simulation(SimConfig(theta=2, strategy=strategy, seed=seed))
+        first_approval: dict[int, float] = {}
+        for r in trace.records:
+            for p in r.parents:
+                first_approval.setdefault(p, r.issued_at)
+        assert [r.confirmed_at for r in trace.records] == [
+            first_approval.get(r.id) for r in trace.records
+        ]

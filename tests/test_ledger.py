@@ -70,7 +70,7 @@ class TestAddTransaction:
         ledger = TangleLedger()
         new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
         assert ledger.transaction(new).parents == (ledger.genesis,)
-        assert ledger.approvers[ledger.genesis] == {new}
+        assert ledger.future_cone(ledger.genesis) == {new}
         assert ledger.cumulative_weight(ledger.genesis) == 2
 
     def test_unknown_parent(self):
