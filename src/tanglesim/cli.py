@@ -15,6 +15,7 @@ from pathlib import Path
 import yaml
 
 from tanglesim.engine import (
+    CLASS_PRIORITY,
     ConfigInvalid,
     SimConfig,
     paired_runs,
@@ -77,8 +78,8 @@ def _aggregate(config: SimConfig, reports: list) -> dict:
     wins = 0
     means_u, means_p = [], []
     for report in reports:
-        mu = report.uniform["priority"].mean_latency
-        mp = report.ptsa["priority"].mean_latency
+        mu = report.uniform[CLASS_PRIORITY].mean_latency
+        mp = report.ptsa[CLASS_PRIORITY].mean_latency
         if mu is not None and mp is not None:
             means_u.append(mu)
             means_p.append(mp)

@@ -227,7 +227,7 @@ def run_simulation(config: SimConfig) -> SimTrace:
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
-    ledger = TangleLedger()
+    ledger = TangleLedger(config.theta)
     # common id -> when aging promoted it: the first arrival whose aged
     # prefix reached it while it was unconfirmed
     promoted_at: dict[int, float] = {}
@@ -248,7 +248,7 @@ def run_simulation(config: SimConfig) -> SimTrace:
             parents = [ledger.genesis]
 
         ledger.add_transaction(parents, now, flag)
-        ledger.confirmation_sweep(config.theta, now)
+        ledger.confirmation_sweep(now)
         tip_pool_sizes.append((now, ledger.tip_count()))
 
     records = [

@@ -4,13 +4,14 @@ Transaction ids are insertion ordinals starting at 0 (the genesis), so id
 order equals issue-time order. Each transaction's state is stored once, in
 per-field lists indexed by id.
 
-A transaction confirms once its cumulative weight reaches the threshold.
-Every ancestor of a transaction outweighs it, so a sweep that confirms a
-transaction confirms its unconfirmed ancestors too, and the confirmed set is
-closed under ancestry. An arrival therefore changes the weight of its
-unconfirmed ancestors only: an insertion walks parent edges from the new
-transaction, stops at confirmed ones and marks the ids it walked as touched.
-A stored weight is exact while its transaction is unconfirmed.
+A transaction confirms once its cumulative weight reaches the threshold θ,
+which the ledger takes once, at construction. Every ancestor of a
+transaction outweighs it, so a sweep that confirms a transaction confirms
+its unconfirmed ancestors too, and the confirmed set is closed under
+ancestry. An arrival therefore changes the weight of its unconfirmed
+ancestors only: an insertion walks parent edges from the new transaction and
+stops at confirmed ones. A stored weight is exact while its transaction is
+unconfirmed.
 
 Three id-sorted lists index what every arrival asks about: the unconfirmed
 ids, the unconfirmed flagged ids and the tips. A new id is the largest, so it
@@ -18,10 +19,10 @@ is appended; a confirmation or an approval removes an id by bisection. Since
 ids are issued in time order, a time cutoff is an id prefix, and the priority
 candidates and the visible tips are slices of these lists.
 
-A sweep checks only the ids touched since the previous sweep: any other
-unconfirmed weight is unchanged and was below the previous threshold. When
-the threshold drops below the previous one, the sweep rescans every
-unconfirmed id.
+A stored weight starts at 1 and grows by one per insertion walk, so it
+equals θ at exactly one moment (θ is the config's validated integer >= 1).
+Then the id joins the ripe list (genesis at construction, when θ is 1), and
+a sweep confirms exactly that list.
 
 Past and future cones, and the weight of a confirmed transaction, are audit
 queries answered from int bitsets built on first use and dropped by the next
@@ -80,7 +81,7 @@ def _bit_ids(bits: int) -> set[int]:
 class TangleLedger:
     """The DAG store: transactions, first approvers, tips, confirmation."""
 
-    def __init__(self) -> None:
+    def __init__(self, theta: int) -> None:
         # genesis: no parents, issued at time 0, common class
         self.genesis = 0
         self._parents: list[tuple[int, ...]] = [()]
@@ -93,10 +94,10 @@ class TangleLedger:
         self._unconfirmed: list[int] = [0]
         self._flagged: list[int] = []  # unconfirmed and flagged
         self._tips: list[int] = [0]
-        # unconfirmed ids whose weight changed since the last sweep, and that
-        # sweep's threshold (none yet, so the first sweep rescans)
-        self._touched: set[int] = set()
-        self._swept_theta: float = math.inf
+        # the confirmation threshold, and the unconfirmed ids whose weight
+        # reached it since the last sweep
+        self._theta = theta
+        self._ripe: list[int] = [0] if theta == 1 else []
         # confirmed id -> confirmation time
         self._confirmed_at: dict[int, float] = {}
         self.confirmed_set = self._confirmed_at.keys()
@@ -153,7 +154,7 @@ class TangleLedger:
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
         self._first_approver.append(0)
-        self._weight.append(1)
+        self._weight.append(0)  # the walk below raises it to 1
         self._unconfirmed.append(new_id)
         if priority_flag:
             self._flagged.append(new_id)
@@ -165,32 +166,29 @@ class TangleLedger:
                 del tips[bisect_left(tips, p)]
         tips.append(new_id)
 
-        # every distinct unconfirmed ancestor gains one approving descendant;
-        # confirmed ancestors have only confirmed ancestors, so the walk stops there
-        confirmed, weight = self._confirmed_at, self._weight
-        stack = [p for p in distinct if p not in confirmed]
-        seen = set(stack)
+        # the new id and every distinct unconfirmed ancestor gain one; confirmed
+        # ancestors have only confirmed ancestors, so the walk stops there
+        confirmed, weight, theta = self._confirmed_at, self._weight, self._theta
+        stack = [new_id]
+        seen = {new_id}
         while stack:
             i = stack.pop()
             weight[i] += 1
+            if weight[i] == theta:
+                self._ripe.append(i)
             for p in self._parents[i]:
                 if p not in confirmed and p not in seen:
                     seen.add(p)
                     stack.append(p)
-        seen.add(new_id)
-        self._touched |= seen
         return new_id
 
-    def confirmation_sweep(self, theta: int, now: float) -> set[int]:
-        """Confirm every transaction whose cumulative weight reached `theta`.
+    def confirmation_sweep(self, now: float) -> set[int]:
+        """Confirm every transaction whose cumulative weight reached theta.
 
         Returns the newly confirmed ids; idempotent at a fixed instant.
         """
-        checked = self._unconfirmed if theta < self._swept_theta else self._touched
-        weight = self._weight
-        newly = {i for i in checked if weight[i] >= theta}
-        self._touched = set()
-        self._swept_theta = theta
+        newly = set(self._ripe)
+        self._ripe = []
         unconfirmed, flagged = self._unconfirmed, self._flagged
         for i in newly:
             del unconfirmed[bisect_left(unconfirmed, i)]

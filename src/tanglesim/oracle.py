@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-MAX_PARENTS = 8
+from tanglesim.ledger import MAX_PARENTS
 
 
 def random_dag(rng: random.Random, size: int) -> list[tuple[int, ...]]:

@@ -84,15 +84,17 @@ def build_candidates(
     )
 
 
+def _with_fallback(lone: int, fallback: int | None) -> list[int]:
+    """A lone parent, plus the fallback when it exists and differs from it."""
+    return [lone] if fallback is None or fallback == lone else [lone, fallback]
+
+
 def _two_tips_or_fallback(
     pool: list[int], fallback: int | None, rng: random.Random
 ) -> list[int]:
     if len(pool) >= 2:
         return rng.sample(pool, 2)
-    lone = pool[0]
-    if fallback is not None and fallback != lone:
-        return [lone, fallback]
-    return [lone]
+    return _with_fallback(pool[0], fallback)
 
 
 def select_uniform(
@@ -137,7 +139,5 @@ def select_ptsa(
     if candidates.common:
         parents.append(rng.choice(candidates.common))
     elif len(parents) == 1:
-        fb = candidates.newest_non_tip
-        if fb is not None and fb != parents[0]:
-            parents.append(fb)
+        parents = _with_fallback(parents[0], candidates.newest_non_tip)
     return SelectionResult(parents, branch)

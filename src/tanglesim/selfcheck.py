@@ -40,7 +40,7 @@ def check_cumulative_weights(fault_inject: bool = False) -> bool:
     for trial in range(ORACLE_TRIALS):
         size = rng.randint(2, ORACLE_MAX_SIZE)
         parents = random_dag(rng, size)
-        ledger = TangleLedger()
+        ledger = TangleLedger(theta=1)  # never swept, so theta is unused
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
         if fault_inject:

@@ -51,7 +51,7 @@ def test_criterion_2_cumulative_weight_oracle():
     ok = True
     for _ in range(100):
         parents = random_dag(rng, rng.randint(2, 200))
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
         expected = brute_force_cumulative_weights(parents)

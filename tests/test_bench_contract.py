@@ -1,7 +1,10 @@
 """The benchmark's traced runs keep working: `tsbench/traced_cli.py` wraps
-program functions by name and reads `records[].promoted_at`, so renaming either
-fails here rather than only under `tsbench/run.py --trace 1`."""
+program functions by name, counts the ids each confirmation sweep returns and
+reads `records[].promoted_at`, so renaming either, or changing the sweep's
+signature, fails here rather than only under `tsbench/run.py --trace 1`. And
+`BENCHMARK.json` stays what `tsbench/write_manifest.py` renders from its spec."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -47,4 +50,16 @@ def test_traced_cli_runs_and_counts(command, tmp_path):
     assert result.returncode == 0, result.stderr
     header = json.loads(prefix.with_suffix(".json").read_text())
     assert "engine.run_simulation" in header["names"]
-    assert header["counters"]["promoted"] > 0
+    assert "ledger.confirmation_sweep" in header["names"]
+    counters = header["counters"]
+    assert counters["promoted"] > 0
+    assert counters["sweeps"] == counters["inserts"]  # one sweep per arrival
+    assert counters["confirmed"] > 0
+
+
+def test_manifest_matches_spec(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tsbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under tsbench/
+    write_manifest = importlib.import_module("write_manifest")
+    rendered = json.dumps(write_manifest.manifest(), indent=2) + "\n"
+    assert (ROOT / "BENCHMARK.json").read_text() == rendered

@@ -14,9 +14,9 @@ from tanglesim.ledger import (
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
 
 
-def build_chain():
+def build_chain(theta=8):
     """genesis <- A <- B"""
-    ledger = TangleLedger()
+    ledger = TangleLedger(theta)
     a = ledger.add_transaction([ledger.genesis], 1.0)
     b = ledger.add_transaction([a], 2.0)
     return ledger, a, b
@@ -24,7 +24,7 @@ def build_chain():
 
 def build_diamond():
     """A and B both approve genesis, C approves [A, B]."""
-    ledger = TangleLedger()
+    ledger = TangleLedger(8)
     a = ledger.add_transaction([ledger.genesis], 1.0)
     b = ledger.add_transaction([ledger.genesis], 2.0)
     c = ledger.add_transaction([a, b], 3.0)
@@ -33,23 +33,23 @@ def build_diamond():
 
 class TestGenesis:
     def test_fresh_ledger_has_only_genesis_tip(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         assert ledger.tips() == {ledger.genesis}
         assert len(ledger) == 1
 
     def test_genesis_weight_is_one(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         assert ledger.cumulative_weight(ledger.genesis) == 1
 
     def test_no_confirmation_below_threshold(self):
-        ledger = TangleLedger()
-        assert ledger.confirmation_sweep(8, 0.0) == set()
+        ledger = TangleLedger(8)
+        assert ledger.confirmation_sweep(0.0) == set()
         assert ledger.confirmed_set == set()
 
 
 class TestAddTransaction:
     def test_first_approval_moves_tip(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         new = ledger.add_transaction([ledger.genesis], 1.0)
         assert ledger.tips() == {new}
 
@@ -67,25 +67,25 @@ class TestAddTransaction:
         assert ledger.cumulative_weight(c) == 1
 
     def test_duplicate_parents_deduplicated(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
         assert ledger.transaction(new).parents == (ledger.genesis,)
         assert ledger.future_cone(ledger.genesis) == {new}
         assert ledger.cumulative_weight(ledger.genesis) == 2
 
     def test_unknown_parent(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         with pytest.raises(UnknownParent):
             ledger.add_transaction([99], 1.0)
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_parent_arity(self, count):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         with pytest.raises(ParentArity):
             ledger.add_transaction([ledger.genesis] * count, 1.0)
 
     def test_time_regression(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         ledger.add_transaction([ledger.genesis], 5.0)
         with pytest.raises(TimeRegression):
             ledger.add_transaction([ledger.genesis], 4.0)
@@ -94,7 +94,7 @@ class TestAddTransaction:
     def test_non_finite_issue_time(self, bad):
         # a stored NaN would let the next insertion go back in time and break
         # the time-ordered prefix that visible_count bisects
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         ledger.add_transaction([ledger.genesis], 5.0)
         with pytest.raises(TimeRegression):
             ledger.add_transaction([ledger.genesis], bad)
@@ -110,7 +110,7 @@ class TestTips:
         assert ledger.tips() == {b}
 
     def test_two_independent_children(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         a = ledger.add_transaction([ledger.genesis], 1.0)
         b = ledger.add_transaction([ledger.genesis], 2.0)
         assert ledger.tips() == {a, b}
@@ -122,27 +122,36 @@ class TestCumulativeWeight:
         assert ledger.cumulative_weight(c) == 1
 
     def test_unknown_transaction(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         with pytest.raises(UnknownTransaction):
             ledger.cumulative_weight(123)
 
 
 class TestConfirmationSweep:
     def test_theta_one_confirms_everything(self):
-        ledger, a, b = build_chain()
-        newly = ledger.confirmation_sweep(1, 2.0)
+        ledger, a, b = build_chain(theta=1)
+        newly = ledger.confirmation_sweep(2.0)
         assert newly == {ledger.genesis, a, b}
         for tx_id in newly:
             assert ledger.transaction(tx_id).confirmed_at == 2.0
 
+    def test_theta_one_confirms_each_arrival(self):
+        # genesis weighs theta from construction, and each new id from insertion
+        ledger = TangleLedger(1)
+        assert ledger.confirmation_sweep(0.0) == {ledger.genesis}
+        new = ledger.add_transaction([ledger.genesis], 1.0)
+        assert ledger.confirmation_sweep(1.0) == {new}
+        assert ledger.transaction(ledger.genesis).confirmed_at == 0.0
+        assert ledger.transaction(new).confirmed_at == 1.0
+
     def test_chain_theta_three(self):
-        ledger, a, b = build_chain()
-        assert ledger.confirmation_sweep(3, 2.0) == {ledger.genesis}
+        ledger, a, b = build_chain(theta=3)
+        assert ledger.confirmation_sweep(2.0) == {ledger.genesis}
 
     def test_idempotent(self):
-        ledger, a, b = build_chain()
-        ledger.confirmation_sweep(3, 2.0)
-        assert ledger.confirmation_sweep(3, 2.0) == set()
+        ledger, a, b = build_chain(theta=3)
+        ledger.confirmation_sweep(2.0)
+        assert ledger.confirmation_sweep(2.0) == set()
 
 
 class TestCones:
@@ -151,7 +160,7 @@ class TestCones:
         assert ledger.future_cone(b) == set()
 
     def test_genesis_has_empty_past(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         assert ledger.past_cone(ledger.genesis) == set()
 
     def test_diamond_past_cone(self):
@@ -163,15 +172,15 @@ class TestCones:
         assert ledger.future_cone(ledger.genesis) == {a, b}
 
     def test_unknown(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         with pytest.raises(UnknownTransaction):
             ledger.future_cone(5)
         with pytest.raises(UnknownTransaction):
             ledger.past_cone(5)
 
 
-def replay(parents):
-    ledger = TangleLedger()
+def replay(parents, theta=8):
+    ledger = TangleLedger(theta)
     for ps in parents[1:]:
         ledger.add_transaction(list(ps), float(len(ledger)))
     return ledger
@@ -215,7 +224,7 @@ class TestRandomizedInvariants:
     def test_weights_monotone_under_insertion(self):
         rng = random.Random(21)
         parents = random_dag(rng, 80)
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         previous = {0: 1}
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
@@ -242,9 +251,9 @@ class TestRandomizedInvariants:
     def test_confirmed_set_equals_threshold_cut(self):
         rng = random.Random(51)
         parents = random_dag(rng, 150)
-        ledger = replay(parents)
         theta = 10
-        ledger.confirmation_sweep(theta, 200.0)
+        ledger = replay(parents, theta)
+        ledger.confirmation_sweep(200.0)
         expected = {
             i for i in range(len(parents)) if ledger.cumulative_weight(i) >= theta
         }
@@ -263,27 +272,30 @@ def reachable(start, edges):
 
 
 class TestInterleavedSweeps:
-    """A sweep after every insertion, at a threshold that rises and falls, so
-    the insertion walk runs against a partly confirmed DAG."""
+    """One threshold per DAG and a sweep after about half the insertions, so
+    ids ripen over several insertions before a sweep and the insertion walk
+    runs against a partly confirmed DAG."""
 
     def test_oracle_after_every_step(self):
         rng = random.Random(4242)
         for _ in range(40):
             parents = random_dag(rng, rng.randint(2, 60))
             approvers = [[] for _ in parents]
-            ledger = TangleLedger()
+            theta = rng.randint(1, 12)
+            ledger = TangleLedger(theta)
             for new, ps in enumerate(parents[1:], start=1):
                 for p in ps:
                     approvers[p].append(new)
                 ledger.add_transaction(list(ps), float(new))
-                before = set(ledger.confirmed_set)
-                theta = rng.randint(1, 12)
-                newly = ledger.confirmation_sweep(theta, float(new))
-
                 expected = brute_force_cumulative_weights(parents[: new + 1])
-                assert newly == {
-                    i for i, w in expected.items() if w >= theta and i not in before
-                }
+                if rng.random() < 0.5:
+                    before = set(ledger.confirmed_set)
+                    newly = ledger.confirmation_sweep(float(new))
+                    assert newly == {
+                        i for i, w in expected.items() if w >= theta and i not in before
+                    }
+                    for i in newly:
+                        assert ledger.transaction(i).confirmed_at == float(new)
                 for i in range(new + 1):
                     assert ledger.cumulative_weight(i) == expected[i]
                     assert ledger.past_cone(i) == reachable(i, parents)

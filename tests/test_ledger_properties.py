@@ -1,10 +1,10 @@
 """Property tests: the ledger's incremental indexes against brute-force
 recomputation from the stored parents, flags and issue times.
 
-Each example grows a random DAG with random flags and issue times (ties
-included), sweeps after some insertions at a threshold that rises and falls,
-and after every insertion queries the candidate snapshots for random
-visibility and aging cutoffs.
+Each example draws one threshold, grows a random DAG with random flags and
+issue times (ties included), sweeps after some insertions, so ids ripen over
+several insertions before a sweep, and after every insertion queries the
+candidate snapshots for random visibility and aging cutoffs.
 """
 
 from hypothesis import given, settings
@@ -20,7 +20,8 @@ MAX_THETA = 12
 
 @st.composite
 def histories(draw):
-    """(parents, flag, time step, sweep threshold or None) per insertion."""
+    """A threshold, and (parents, flag, time step, sweep) per insertion."""
+    theta = draw(st.integers(1, MAX_THETA))
     steps = []
     for new in range(1, draw(st.integers(1, MAX_SIZE)) + 1):
         # duplicate parent ids are drawn on purpose: the ledger de-duplicates
@@ -28,9 +29,8 @@ def histories(draw):
         parents = draw(st.lists(st.integers(0, new - 1), min_size=arity, max_size=arity))
         flag = draw(st.booleans())
         step = draw(st.sampled_from((0.0, 0.5, 1.0, 2.5)))
-        theta = draw(st.none() | st.integers(1, MAX_THETA))
-        steps.append((parents, flag, step, theta))
-    return steps
+        steps.append((parents, flag, step, draw(st.booleans())))
+    return theta, steps
 
 
 def check_candidates(ledger, queries, parents, issued, flags, confirmed):
@@ -76,20 +76,22 @@ def check_candidates(ledger, queries, parents, issued, flags, confirmed):
     ),
 )
 def test_indexes_match_brute_force(history, queries):
-    ledger = TangleLedger()
+    theta, steps = history
+    ledger = TangleLedger(theta)
     parents, flags, issued = [()], [False], [0.0]
     confirmed: set[int] = set()
     now = 0.0
-    for ps, flag, step, theta in history:
+    for ps, flag, step, sweep in steps:
         now += step
         ledger.add_transaction(ps, now, flag)
         parents.append(tuple(sorted(set(ps))))
         flags.append(flag)
         issued.append(now)
         weights = brute_force_cumulative_weights(parents)
-        if theta is not None:
-            newly = ledger.confirmation_sweep(theta, now)
+        if sweep:
+            newly = ledger.confirmation_sweep(now)
             assert newly == {i for i, w in weights.items() if w >= theta} - confirmed
+            assert all(ledger.transaction(i).confirmed_at == now for i in newly)
             confirmed |= newly
         assert ledger.confirmed_set == confirmed
         assert all(ledger.cumulative_weight(i) == w for i, w in weights.items())

@@ -37,7 +37,7 @@ def make_candidates(priority=(), common=(), tips=None, newest_non_tip=None):
 
 def is_priority(flag, now, policy):
     """Whether a transaction issued at 0 is a priority candidate at `now`."""
-    ledger = TangleLedger()
+    ledger = TangleLedger(8)
     tx = ledger.add_transaction([ledger.genesis], 0.0, priority_flag=flag)
     return tx in build_candidates(ledger, now, 0.0, policy).priority
 
@@ -65,20 +65,20 @@ class TestEffectivePriority:
 
 class TestBuildCandidates:
     def test_genesis_only(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         c = build_candidates(ledger, 0.0, 0.0, POLICY)
         assert c.priority == []
         assert c.common == [ledger.genesis]
 
     def test_raises_before_anything_visible(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         with pytest.raises(EmptyCandidates):
             build_candidates(ledger, 0.5, 1.0, POLICY)
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
         # remain in the priority list
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
@@ -87,15 +87,15 @@ class TestBuildCandidates:
         assert c.common == sorted([t1, t2])
 
     def test_confirmed_priority_excluded(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(2)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.add_transaction([hp], 2.0)
-        ledger.confirmation_sweep(2, 2.0)  # hp now confirmed
+        ledger.confirmation_sweep(2.0)  # hp now confirmed
         c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
         assert hp not in c.priority
 
     def test_partition_disjoint_and_sorted(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         for i in range(6):
             ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
         c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
@@ -104,7 +104,7 @@ class TestBuildCandidates:
         assert c.common == sorted(c.common)
 
     def test_aging_promotes_old_common(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         old = ledger.add_transaction([ledger.genesis], 1.0)
         c = build_candidates(ledger, 40.0, 0.0, POLICY)
         assert old in c.priority  # age 39 >= 30
@@ -112,7 +112,7 @@ class TestBuildCandidates:
         assert ledger.genesis in c.priority
 
     def test_visibility_delay_hides_recent(self):
-        ledger = TangleLedger()
+        ledger = TangleLedger(8)
         recent = ledger.add_transaction([ledger.genesis], 5.0)
         c = build_candidates(ledger, 5.5, 1.0, NO_AGING)
         # the only visible transaction (genesis) is no longer a tip, so the
