@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
@@ -239,8 +240,11 @@ def run_simulation(config: SimConfig) -> SimTrace:
             candidates = build_candidates(
                 ledger, now, config.visibility_delay, config.aging
             )
-            for tx in map(ledger.transaction, range(aged, candidates.aged)):
-                if not tx.priority_flag and tx.confirmed_at is None:
+            # the newly aged unconfirmed ids are a slice of the priority list
+            priority = candidates.priority
+            lo, hi = bisect_left(priority, aged), bisect_left(priority, candidates.aged)
+            for tx in map(ledger.transaction, priority[lo:hi]):
+                if not tx.priority_flag:
                     promoted_at[tx.id] = now
             aged = candidates.aged
             parents = select(candidates, attach_rng).parents

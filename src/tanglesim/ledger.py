@@ -13,11 +13,17 @@ ancestors only: an insertion walks parent edges from the new transaction and
 stops at confirmed ones. A stored weight is exact while its transaction is
 unconfirmed.
 
-Three id-sorted lists index what every arrival asks about: the unconfirmed
-ids, the unconfirmed flagged ids and the tips. A new id is the largest, so it
-is appended; a confirmation or an approval removes an id by bisection. Since
-ids are issued in time order, a time cutoff is an id prefix, and the priority
-candidates and the visible tips are slices of these lists.
+Five id-sorted lists index what every arrival asks about: the unconfirmed
+ids, the unconfirmed flagged ids, the tips, the tips that are confirmed or
+unflagged, and the confirmed tips. A new id is the largest, so it is
+appended; a confirmation or an approval removes an id by bisection, and a
+sweep inserts a tip it confirms (a tip weighs 1, so only at θ=1). Since ids
+are issued in time order, a time cutoff is an id prefix, and every
+candidate list is a slice of these lists.
+
+Each id is stamped with the last insertion walk to reach it, or with a
+sentinel above every id once it confirms, so a walk enters an ancestor only
+while its stamp is below the new id: once, and never a confirmed one.
 
 A stored weight starts at 1 and grows by one per insertion walk, so it
 equals θ at exactly one moment (θ is the config's validated integer >= 1).
@@ -32,11 +38,15 @@ insertion.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import sys
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import compress, count
 
 MAX_PARENTS = 8
+
+# the stamp of a confirmed id: above every id, so no insertion walk enters it
+_CONFIRMED = sys.maxsize
 
 # bin() digits to the 0/1 bytes itertools.compress selects with
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -90,10 +100,14 @@ class TangleLedger:
         self._first_approver: list[int] = [0]  # 0 until approved; genesis approves nothing
         # cumulative weight per id, kept exact until the id confirms
         self._weight: list[int] = [1]
+        # the last insertion walk to reach each id, or _CONFIRMED
+        self._stamp: list[int] = [0]
         # id-sorted indexes over the state above
         self._unconfirmed: list[int] = [0]
         self._flagged: list[int] = []  # unconfirmed and flagged
         self._tips: list[int] = [0]
+        self._common_tips: list[int] = [0]  # tips confirmed or unflagged
+        self._confirmed_tips: list[int] = []
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -137,8 +151,9 @@ class TangleLedger:
         """
         if not 1 <= len(parents) <= MAX_PARENTS:
             raise ParentArity(f"got {len(parents)} parents, need 1..{MAX_PARENTS}")
+        new_id = len(self._parents)
         for p in parents:
-            if p not in self:
+            if not 0 <= p < new_id:
                 raise UnknownParent(f"parent {p} does not exist")
         if not math.isfinite(issued_at):
             raise TimeRegression(f"issued_at {issued_at} is not finite")
@@ -149,36 +164,42 @@ class TangleLedger:
             )
 
         distinct = tuple(sorted(set(parents)))
-        new_id = len(self._parents)
         self._parents.append(distinct)
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
         self._first_approver.append(0)
         self._weight.append(0)  # the walk below raises it to 1
+        self._stamp.append(new_id)
         self._unconfirmed.append(new_id)
         if priority_flag:
             self._flagged.append(new_id)
+        else:
+            self._common_tips.append(new_id)
         self._cones = None
-        tips, first = self._tips, self._first_approver
+        tips, common, confirmed = self._tips, self._common_tips, self._confirmed_tips
+        first, stamp = self._first_approver, self._stamp
         for p in distinct:
             if not first[p]:
                 first[p] = new_id
                 del tips[bisect_left(tips, p)]
+                if stamp[p] == _CONFIRMED:
+                    del confirmed[bisect_left(confirmed, p)]
+                if stamp[p] == _CONFIRMED or not self._flag[p]:
+                    del common[bisect_left(common, p)]
         tips.append(new_id)
 
         # the new id and every distinct unconfirmed ancestor gain one; confirmed
         # ancestors have only confirmed ancestors, so the walk stops there
-        confirmed, weight, theta = self._confirmed_at, self._weight, self._theta
+        parents, weight, theta = self._parents, self._weight, self._theta
         stack = [new_id]
-        seen = {new_id}
         while stack:
             i = stack.pop()
             weight[i] += 1
             if weight[i] == theta:
                 self._ripe.append(i)
-            for p in self._parents[i]:
-                if p not in confirmed and p not in seen:
-                    seen.add(p)
+            for p in parents[i]:
+                if stamp[p] < new_id:
+                    stamp[p] = new_id
                     stack.append(p)
         return new_id
 
@@ -195,6 +216,11 @@ class TangleLedger:
             if self._flag[i]:
                 del flagged[bisect_left(flagged, i)]
             self._confirmed_at[i] = now
+            self._stamp[i] = _CONFIRMED
+            if not self._first_approver[i]:  # a confirmed tip is common
+                insort(self._confirmed_tips, i)
+                if self._flag[i]:
+                    insort(self._common_tips, i)
         return newly
 
     # -- queries ----------------------------------------------------------
@@ -259,9 +285,11 @@ class TangleLedger:
     def tip_candidates(self, visible: int, aged: int) -> tuple[list[int], list[int]]:
         """The tips among the first `visible` transactions, and those of them
         that are not priority candidates (see `priority_candidates`)."""
-        tips = self._tips[: bisect_left(self._tips, visible)]
-        confirmed, flag = self._confirmed_at, self._flag
-        return tips, [t for t in tips if t in confirmed or (t >= aged and not flag[t])]
+        common, confirmed = self._common_tips, self._confirmed_tips
+        return self._tips[: bisect_left(self._tips, visible)], (
+            confirmed[: bisect_left(confirmed, aged)]
+            + common[bisect_left(common, aged) : bisect_left(common, visible)]
+        )
 
     def newest_non_tip(self, visible: int) -> int | None:
         """Most recently issued non-tip among the first `visible`, if any."""

@@ -105,6 +105,8 @@ COMPARE_GOLDEN = {
 # sha256 of every record's promoted_at and the tip-pool series, which no
 # output file holds, for the ptsa-backlog config
 IN_MEMORY_GOLDEN = "2a0e49959ddc2c4b42ecebaacc285bce4ecd5f59cfaaaa3337683dc3ae0b4317"
+# the same for the ptsa-backlog config under the uniform strategy
+UNIFORM_IN_MEMORY_GOLDEN = "e521b15768f6976585a4a115b8ab06fd8b3af84e8c032665067fa916849c8a23"
 
 
 def _sha256(path) -> str:
@@ -134,11 +136,19 @@ def test_compare_outputs_match_golden_digests(tmp_path):
     assert {name: _sha256(out / name) for name in COMPARE_GOLDEN} == COMPARE_GOLDEN
 
 
-def test_promotions_and_tip_pool_match_golden_digest():
-    trace = run_simulation(SimConfig.from_dict(CONFIGS["ptsa-backlog-seed42"]))
+def in_memory_digest(config: dict) -> str:
+    trace = run_simulation(SimConfig.from_dict(config))
     pinned = {
         "promoted_at": [[r.id, r.promoted_at] for r in trace.records],
         "tip_pool_sizes": trace.tip_pool_sizes,
     }
-    digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
-    assert digest == IN_MEMORY_GOLDEN
+    return hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+
+
+def test_promotions_and_tip_pool_match_golden_digest():
+    assert in_memory_digest(CONFIGS["ptsa-backlog-seed42"]) == IN_MEMORY_GOLDEN
+
+
+def test_uniform_promotions_and_tip_pool_match_golden_digest():
+    config = {**CONFIGS["ptsa-backlog-seed42"], "strategy": "uniform"}
+    assert in_memory_digest(config) == UNIFORM_IN_MEMORY_GOLDEN

@@ -94,6 +94,24 @@ class TestBuildCandidates:
         c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
         assert hp not in c.priority
 
+    def test_theta_one_confirmed_tip_is_common(self):
+        # a tip weighs 1, so only at theta=1 can a sweep confirm a tip; every
+        # id below is old enough for aging to promote it
+        ledger = TangleLedger(1)
+        hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        assert hp in c.priority and hp not in c.common  # ripe, not yet swept
+        ledger.confirmation_sweep(1.0)
+        fresh = ledger.add_transaction([ledger.genesis], 2.0)  # unswept
+        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        assert c.aged == 3
+        assert hp in c.common and hp not in c.priority
+        assert fresh in c.priority and fresh not in c.common
+        ledger.confirmation_sweep(2.0)
+        ledger.add_transaction([hp], 3.0)  # approving the confirmed tip drops it
+        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        assert hp not in c.tips and hp not in c.common
+
     def test_partition_disjoint_and_sorted(self):
         ledger = TangleLedger(8)
         for i in range(6):
