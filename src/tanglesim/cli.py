@@ -15,14 +15,13 @@ from pathlib import Path
 import yaml
 
 from tanglesim.engine import (
-    CLASS_PRIORITY,
     ConfigInvalid,
     SimConfig,
     paired_runs,
     reference_config_text,
     run_simulation,
 )
-from tanglesim.metrics import compare, export_csv, export_json, trace_summary
+from tanglesim.metrics import aggregate, compare, export_csv, export_json, trace_summary
 from tanglesim.selfcheck import run_self_check
 
 EXIT_OK = 0
@@ -70,33 +69,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         report = compare(*paired_runs(run_config))
         export_json(report.to_dict(), out / f"compare_seed{run_config.seed}.json")
         reports.append(report)
-    export_json(_aggregate(config, reports), out / "aggregate.json")
+    export_json(aggregate(config, reports), out / "aggregate.json")
     return EXIT_OK
-
-
-def _aggregate(config: SimConfig, reports: list) -> dict:
-    wins = 0
-    means_u, means_p = [], []
-    for report in reports:
-        mu = report.uniform[CLASS_PRIORITY].mean_latency
-        mp = report.ptsa[CLASS_PRIORITY].mean_latency
-        if mu is not None and mp is not None:
-            means_u.append(mu)
-            means_p.append(mp)
-            if mp < mu:
-                wins += 1
-    if means_u and sum(means_u) > 0:
-        avg_u = sum(means_u) / len(means_u)
-        avg_p = sum(means_p) / len(means_p)
-        reduction = round((avg_u - avg_p) / avg_u, 6)
-    else:
-        reduction = None
-    return {
-        "base_seed": config.seed,
-        "seeds": len(reports),
-        "ptsa_wins": wins,
-        "mean_latency_reduction": reduction,
-    }
 
 
 def cmd_gen_config(args: argparse.Namespace) -> int:

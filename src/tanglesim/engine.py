@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
-from tanglesim.ledger import TangleLedger
+from tanglesim.ledger import CLASS_COMMON, TangleLedger, TxRecord
 from tanglesim.selection import (
     EmptyCandidates,
     PriorityPolicy,
@@ -27,9 +27,6 @@ from tanglesim.selection import (
 )
 
 STRATEGIES = ("uniform", "ptsa")
-
-CLASS_PRIORITY = "priority"
-CLASS_COMMON = "common"
 
 
 class ConfigInvalid(ValueError):
@@ -181,18 +178,6 @@ def reference_config_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(slots=True)
-class TxRecord:
-    """Lifecycle of one simulated transaction (genesis excluded)."""
-
-    id: int
-    tx_class: str
-    issued_at: float
-    parents: tuple[int, ...]
-    confirmed_at: float | None = None
-    promoted_at: float | None = None
-
-
 @dataclass
 class SimTrace:
     config: SimConfig
@@ -229,9 +214,9 @@ def run_simulation(config: SimConfig) -> SimTrace:
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
     ledger = TangleLedger(config.theta)
-    # common id -> when aging promoted it: the first arrival whose aged
-    # prefix reached it while it was unconfirmed
-    promoted_at: dict[int, float] = {}
+    # id -> the first arrival whose aged prefix reached it while it was
+    # unconfirmed: when aging promoted it, if it is common
+    aged_at: dict[int, float] = {}
     aged = 0  # the aged prefix scanned so far; it only grows
     tip_pool_sizes: list[tuple[float, int]] = []
 
@@ -243,9 +228,7 @@ def run_simulation(config: SimConfig) -> SimTrace:
             # the newly aged unconfirmed ids are a slice of the priority list
             priority = candidates.priority
             lo, hi = bisect_left(priority, aged), bisect_left(priority, candidates.aged)
-            for tx in map(ledger.transaction, priority[lo:hi]):
-                if not tx.priority_flag:
-                    promoted_at[tx.id] = now
+            aged_at.update(dict.fromkeys(priority[lo:hi], now))
             aged = candidates.aged
             parents = select(candidates, attach_rng).parents
         except EmptyCandidates:
@@ -255,17 +238,10 @@ def run_simulation(config: SimConfig) -> SimTrace:
         ledger.confirmation_sweep(now)
         tip_pool_sizes.append((now, ledger.tip_count()))
 
-    records = [
-        TxRecord(
-            id=tx.id,
-            tx_class=CLASS_PRIORITY if tx.priority_flag else CLASS_COMMON,
-            issued_at=tx.issued_at,
-            parents=tx.parents,
-            confirmed_at=tx.confirmed_at,
-            promoted_at=promoted_at.get(tx.id),
-        )
-        for tx in map(ledger.transaction, range(1, len(ledger)))
-    ]
+    records = list(map(ledger.transaction, range(1, len(ledger))))
+    for record in records:
+        if record.tx_class == CLASS_COMMON:
+            record.promoted_at = aged_at.get(record.id)
     return SimTrace(config, records, tip_pool_sizes, ledger)
 
 

@@ -2,7 +2,8 @@
 
 Transaction ids are insertion ordinals starting at 0 (the genesis), so id
 order equals issue-time order. Each transaction's state is stored once, in
-per-field lists indexed by id.
+per-field lists indexed by id; `TangleLedger.transaction` reads it out as a
+`TxRecord`, the one type that describes a transaction's lifecycle.
 
 A transaction confirms once its cumulative weight reaches the threshold θ,
 which the ledger takes once, at construction. Every ancestor of a
@@ -72,15 +73,22 @@ class TimeRegression(TangleError):
     """Issue time not finite, or earlier than an already-stored transaction."""
 
 
-@dataclass
-class Transaction:
-    """One ledger vertex, as `TangleLedger.transaction` returns it."""
+CLASS_PRIORITY = "priority"
+CLASS_COMMON = "common"
+
+
+@dataclass(slots=True)
+class TxRecord:
+    """Lifecycle of one transaction: `tx_class` is CLASS_PRIORITY for a
+    flagged one, else CLASS_COMMON. The ledger leaves `promoted_at` None;
+    only the engine, which applies the aging rule, sets it."""
 
     id: int
-    parents: tuple[int, ...]
+    tx_class: str
     issued_at: float
-    priority_flag: bool
+    parents: tuple[int, ...]
     confirmed_at: float | None = None
+    promoted_at: float | None = None
 
 
 def _bit_ids(bits: int) -> set[int]:
@@ -128,14 +136,14 @@ class TangleLedger:
         if tx_id not in self:
             raise UnknownTransaction(f"transaction {tx_id} does not exist")
 
-    def transaction(self, tx_id: int) -> Transaction:
-        """A snapshot of one transaction's stored state."""
+    def transaction(self, tx_id: int) -> TxRecord:
+        """A snapshot of one transaction's stored state; `promoted_at` is None."""
         self._check_known(tx_id)
-        return Transaction(
+        return TxRecord(
             tx_id,
-            self._parents[tx_id],
+            CLASS_PRIORITY if self._flag[tx_id] else CLASS_COMMON,
             self._issued[tx_id],
-            self._flag[tx_id],
+            self._parents[tx_id],
             self._confirmed_at.get(tx_id),
         )
 

@@ -9,7 +9,8 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from tanglesim.engine import CLASS_COMMON, CLASS_PRIORITY, SimConfig, SimTrace
+from tanglesim.engine import SimConfig, SimTrace
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
 
@@ -98,17 +99,43 @@ def compare(uniform_trace: SimTrace, ptsa_trace: SimTrace) -> ComparisonReport:
     uniform = {c: class_stats(uniform_trace, c) for c in (CLASS_PRIORITY, CLASS_COMMON)}
     ptsa = {c: class_stats(ptsa_trace, c) for c in (CLASS_PRIORITY, CLASS_COMMON)}
 
-    mean_u = uniform[CLASS_PRIORITY].mean_latency
-    mean_p = ptsa[CLASS_PRIORITY].mean_latency
-    if mean_u is not None and mean_u > 0 and mean_p is not None:
-        reduction = (mean_u - mean_p) / mean_u
-    else:
-        reduction = None
+    reduction = _reduction(
+        uniform[CLASS_PRIORITY].mean_latency, ptsa[CLASS_PRIORITY].mean_latency
+    )
     starvation_delta = (
         ptsa[CLASS_COMMON].unconfirmed_fraction
         - uniform[CLASS_COMMON].unconfirmed_fraction
     )
     return ComparisonReport(ptsa_trace.config, uniform, ptsa, reduction, starvation_delta)
+
+
+def _reduction(mean_u: float | None, mean_p: float | None) -> float | None:
+    """PTSA's relative cut in mean latency, (uniform - ptsa) / uniform; None
+    when a mean is missing or uniform's is not positive."""
+    if mean_u is None or mean_p is None or mean_u <= 0:
+        return None
+    return (mean_u - mean_p) / mean_u
+
+
+def aggregate(config: SimConfig, reports: list[ComparisonReport]) -> dict:
+    """The batch summary of `compare` reports for consecutive seeds from
+    `config.seed`; the wins and the reduction of the mean latencies count
+    the seeds where both strategies confirmed a priority transaction."""
+    means = [
+        (r.uniform[CLASS_PRIORITY].mean_latency, r.ptsa[CLASS_PRIORITY].mean_latency)
+        for r in reports
+    ]
+    means = [(u, p) for u, p in means if u is not None and p is not None]
+    reduction = None
+    if means:
+        means_u, means_p = zip(*means)
+        reduction = _reduction(sum(means_u) / len(means), sum(means_p) / len(means))
+    return {
+        "base_seed": config.seed,
+        "seeds": len(reports),
+        "ptsa_wins": sum(p < u for u, p in means),
+        "mean_latency_reduction": _round6(reduction),
+    }
 
 
 def _fmt(value: float) -> str:

@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglesim.engine import (
     ConfigInvalid,
@@ -10,6 +12,7 @@ from tanglesim.engine import (
     paired_runs,
     run_simulation,
 )
+from tanglesim.ledger import CLASS_COMMON
 from tanglesim.oracle import brute_force_tips
 from tanglesim.selection import PriorityPolicy
 
@@ -93,6 +96,72 @@ class TestConfigValidation:
         assert excinfo.value.field_name == field
 
 
+YAML_KEYS = (
+    "lambda",
+    "rho",
+    "horizon_seconds",
+    "visibility_delay_seconds",
+    "theta",
+    "strategy",
+    "aging.enabled",
+    "aging.threshold_seconds",
+    "seed",
+    "pinned_priority",
+)
+NAN, INF = float("nan"), float("inf")
+# values no number field accepts
+NOT_A_NUMBER = [NAN, INF, -INF, True, False, "abc", None]
+
+
+def _value(valid, invalid):
+    """(value, in range): from `valid`, or one draw in ten from the list `invalid`."""
+    out_of_range = st.sampled_from(invalid).map(lambda v: (v, False))
+    in_range = valid.map(lambda v: (v, True))
+    return st.integers(0, 9).flatmap(lambda k: out_of_range if k == 0 else in_range)
+
+
+# In-range values keep lambda * horizon_seconds <= 600 and theta <= 64, so an
+# accepted config runs in milliseconds.
+CONFIG_VALUES = st.fixed_dictionaries(
+    {
+        "lambda": _value(
+            st.floats(0.1, 30.0) | st.integers(1, 30), [*NOT_A_NUMBER, 0.0, -1.0, 1.0e12]
+        ),
+        "rho": _value(st.floats(0.0, 1.0), [*NOT_A_NUMBER, -0.1, 1.5]),
+        "horizon_seconds": _value(st.floats(0.5, 20.0), [*NOT_A_NUMBER, 0.0, -5.0]),
+        "visibility_delay_seconds": _value(st.floats(0.0, 5.0), [*NOT_A_NUMBER, -1.0]),
+        "theta": _value(st.integers(1, 64), [NAN, INF, True, 0, -3, 2.0, "8"]),
+        "strategy": _value(st.sampled_from(["uniform", "ptsa"]), ["mcmc", "", 1, None]),
+        "aging.enabled": _value(st.booleans(), ["false", 0, 1, None]),
+        "aging.threshold_seconds": _value(st.floats(0.1, 30.0), [*NOT_A_NUMBER, -1.0]),
+        "seed": _value(st.integers(0, 2**64 - 1), [NAN, True, -1, 2**64, 1.5, "42"]),
+        "pinned_priority": _value(
+            st.lists(st.integers(1, 50), max_size=4), [[0], [-1], [True], [1.5], "1", 3]
+        ),
+    }
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(CONFIG_VALUES)
+def test_random_config_rejected_naming_key_or_runs(values):
+    data: dict = {}
+    for key, (value, _) in values.items():
+        section, _, name = key.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = value
+    try:
+        config = SimConfig.from_dict(data)
+    except ConfigInvalid as exc:
+        assert exc.field_name in YAML_KEYS
+        assert not all(in_range for _, in_range in values.values())
+        return
+    trace = run_simulation(config)
+    assert len(trace.records) == len(generate_workload(config))
+    for r in trace.records:
+        assert all(p < r.id for p in r.parents)
+        assert r.confirmed_at is None or r.confirmed_at >= r.issued_at
+
+
 class TestWorkload:
     def test_reference_arrival_count_pinned(self):
         config = dataclasses.replace(SimConfig(), horizon=100.0)
@@ -174,14 +243,23 @@ class TestRunSimulation:
             assert r.promoted_at - r.issued_at >= config.aging.aging_threshold
 
     def test_final_ledger_consistent_with_trace(self):
-        trace = run_simulation(SMALL)
+        # the `ptsa-backlog` shape cut to 60 s, where aging promotes
+        config = SimConfig(
+            arrival_rate=20.0,
+            priority_fraction=0.5,
+            horizon=60.0,
+            visibility_delay=3.0,
+            theta=32,
+            seed=1,
+        )
+        trace = run_simulation(config)
         ledger = trace.ledger
         assert len(ledger) == len(trace.records) + 1
+        promoted = [r for r in trace.records if r.promoted_at is not None]
+        assert promoted
+        assert all(r.tx_class == CLASS_COMMON for r in promoted)
         for r in trace.records:
-            tx = ledger.transaction(r.id)
-            assert tx.issued_at == r.issued_at
-            assert tx.confirmed_at == r.confirmed_at
-            assert tx.parents == r.parents
+            assert r == dataclasses.replace(ledger.transaction(r.id), promoted_at=r.promoted_at)
 
 
 class TestPairedRuns:

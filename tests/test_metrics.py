@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from tanglesim.engine import SimConfig, SimTrace, TxRecord, paired_runs, run_simulation
-from tanglesim.ledger import TangleLedger
+from tanglesim.engine import SimConfig, SimTrace, paired_runs, run_simulation
+from tanglesim.ledger import TangleLedger, TxRecord
 from tanglesim.metrics import (
     WorkloadMismatch,
     class_stats,
