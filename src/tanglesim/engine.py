@@ -225,10 +225,13 @@ def run_simulation(config: SimConfig) -> SimTrace:
             candidates = build_candidates(
                 ledger, now, config.visibility_delay, config.aging
             )
-            # the newly aged unconfirmed ids are a slice of the priority list
-            priority = candidates.priority
-            lo, hi = bisect_left(priority, aged), bisect_left(priority, candidates.aged)
-            aged_at.update(dict.fromkeys(priority[lo:hi], now))
+            # the newly aged unconfirmed ids are the priority view's head
+            # segment from the previous aged prefix on; bisect its list in C
+            # (most arrivals age none)
+            head, split = candidates.priority.head, candidates.priority.split
+            lo = bisect_left(head, aged, 0, split)
+            if lo < split:
+                aged_at.update(dict.fromkeys(head[lo:split], now))
             aged = candidates.aged
             parents = select(candidates, attach_rng).parents
         except EmptyCandidates:

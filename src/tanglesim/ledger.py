@@ -20,7 +20,9 @@ unflagged, and the confirmed tips. A new id is the largest, so it is
 appended; a confirmation or an approval removes an id by bisection, and a
 sweep inserts a tip it confirms (a tip weighs 1, so only at θ=1). Since ids
 are issued in time order, a time cutoff is an id prefix, and every
-candidate list is a slice of these lists.
+candidate list is a slice of these lists. The priority candidates, which
+grow with the unconfirmed backlog, are read in place through a
+`PriorityView` over two such slices instead of being copied per arrival.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -41,8 +43,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count, islice
 
 MAX_PARENTS = 8
 
@@ -89,6 +92,46 @@ class TxRecord:
     parents: tuple[int, ...]
     confirmed_at: float | None = None
     promoted_at: float | None = None
+
+
+class PriorityView(Sequence[int]):
+    """A read-only id sequence, `head[:split] + tail[lo:hi]`, over two of the
+    ledger's id-sorted lists; it copies neither and is valid until the next
+    ledger mutation. Construction, `len` and integer indexing are O(1), and
+    it compares equal to the list it stands for."""
+
+    __slots__ = ("head", "split", "_tail", "_lo", "_len")
+
+    def __init__(self, head: list[int], split: int, tail: list[int], lo: int, hi: int) -> None:
+        self.head = head
+        self.split = split
+        self._tail = tail
+        self._lo = lo
+        self._len = split + hi - lo
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> int:
+        if i < 0:
+            i += self._len
+        if 0 <= i < self.split:
+            return self.head[i]
+        if self.split <= i < self._len:
+            return self._tail[self._lo + i - self.split]
+        raise IndexError("priority view index out of range")
+
+    def __iter__(self) -> Iterator[int]:
+        head = islice(self.head, self.split)
+        if self._len == self.split:
+            return head
+        tail = islice(self._tail, self._lo, self._lo + self._len - self.split)
+        return chain(head, tail) if self.split else tail
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, PriorityView)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _bit_ids(bits: int) -> set[int]:
@@ -281,13 +324,18 @@ class TangleLedger:
         insertion order is time order)."""
         return bisect_right(self._issued, cutoff)
 
-    def priority_candidates(self, visible: int, aged: int) -> list[int]:
+    def priority_candidates(self, visible: int, aged: int) -> PriorityView:
         """Unconfirmed transactions among the first `visible` that are flagged
-        or among the first `aged` (at most `visible`), in id order."""
+        or among the first `aged` (at most `visible`), in id order: the
+        unconfirmed ids below `aged` (the view's head segment), then the
+        flagged ones from `aged` up to `visible`."""
         unconfirmed, flagged = self._unconfirmed, self._flagged
-        return (
-            unconfirmed[: bisect_left(unconfirmed, aged)]
-            + flagged[bisect_left(flagged, aged) : bisect_left(flagged, visible)]
+        return PriorityView(
+            unconfirmed,
+            bisect_left(unconfirmed, aged),
+            flagged,
+            bisect_left(flagged, aged),
+            bisect_left(flagged, visible),
         )
 
     def tip_candidates(self, visible: int, aged: int) -> tuple[list[int], list[int]]:

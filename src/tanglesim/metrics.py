@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
 from tanglesim.engine import SimConfig, SimTrace
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, TxRecord
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
 
@@ -80,8 +78,12 @@ def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
     issued = len(recs)
     confirmed = len(latencies)
     if latencies:
-        mean = statistics.fmean(latencies)
-        median = statistics.median(latencies)
+        # statistics.fmean and statistics.median, without a second sort
+        mean = math.fsum(latencies) / confirmed
+        half = confirmed // 2
+        median = (
+            latencies[half] if confirmed % 2 else (latencies[half - 1] + latencies[half]) / 2
+        )
         p95 = _nearest_rank_p95(latencies)
     else:
         mean = median = p95 = None
@@ -138,28 +140,24 @@ def aggregate(config: SimConfig, reports: list[ComparisonReport]) -> dict:
     }
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def _csv_row(r: TxRecord) -> str:
+    parents = ";".join(map(str, r.parents))
+    if r.confirmed_at is None:
+        return f"{r.id},{r.tx_class},{r.issued_at:.6f},,,{parents}\n"
+    return (
+        f"{r.id},{r.tx_class},{r.issued_at:.6f},{r.confirmed_at:.6f},"
+        f"{r.confirmed_at - r.issued_at:.6f},{parents}\n"
+    )
 
 
 def export_csv(trace: SimTrace, destination: str | Path) -> None:
-    """Write the per-transaction trace, one row per record in issue order."""
+    """Write the per-transaction trace, one row per record in issue order.
+
+    Rows are streamed as plain text: no field holds a comma, quote or line
+    break, so none needs CSV quoting."""
     with open(destination, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in trace.records:
-            latency = "" if r.confirmed_at is None else _fmt(r.confirmed_at - r.issued_at)
-            confirmed = "" if r.confirmed_at is None else _fmt(r.confirmed_at)
-            writer.writerow(
-                [
-                    r.id,
-                    r.tx_class,
-                    _fmt(r.issued_at),
-                    confirmed,
-                    latency,
-                    ";".join(str(p) for p in r.parents),
-                ]
-            )
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(map(_csv_row, trace.records))
 
 
 def export_json(payload: dict, destination: str | Path) -> None:

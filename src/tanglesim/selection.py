@@ -8,6 +8,7 @@ id so a given seed yields one result regardless of set iteration order.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from tanglesim.ledger import TangleLedger
@@ -41,9 +42,14 @@ class SelectionCandidates:
     regardless of class, and `newest_non_tip` backs the single-tip fallback;
     both exist so strategies need no ledger access. Ids below `aged` are
     old enough for aging to promote them while unconfirmed.
+
+    `priority` grows with the unconfirmed backlog, so the ledger hands it
+    out as a read-only view of its own lists (`PriorityView`), valid until
+    the next ledger mutation. `common` and `tips` are bounded by the tip
+    pool, which does not grow with the backlog, and are lists.
     """
 
-    priority: list[int]
+    priority: Sequence[int]
     common: list[int]
     tips: list[int]
     newest_non_tip: int | None

@@ -1,7 +1,8 @@
 """The benchmark's traced runs keep working: `tsbench/traced_cli.py` wraps
 program functions by name, counts the ids each confirmation sweep returns and
-reads `records[].promoted_at`, so renaming either, or changing the sweep's
-signature, fails here rather than only under `tsbench/run.py --trace 1`. And
+reads `records[].promoted_at` and `len()` of the priority candidates, so
+renaming any of them, or changing the sweep's signature or the priority pool's
+type, fails here rather than only under `tsbench/run.py --trace 1`. And
 `BENCHMARK.json` stays what `tsbench/write_manifest.py` renders from its spec."""
 
 import importlib
@@ -51,8 +52,10 @@ def test_traced_cli_runs_and_counts(command, tmp_path):
     header = json.loads(prefix.with_suffix(".json").read_text())
     assert "engine.run_simulation" in header["names"]
     assert "ledger.confirmation_sweep" in header["names"]
+    assert "ledger.priority_candidates" in header["names"]
     counters = header["counters"]
     assert counters["promoted"] > 0
+    assert counters["priority_len_sum"] > 0  # the wrapper takes len() of the pool
     assert counters["sweeps"] == counters["inserts"]  # one sweep per arrival
     assert counters["confirmed"] > 0
 

@@ -4,9 +4,14 @@ recomputation from the stored parents, flags and issue times.
 Each example draws one threshold, grows a random DAG with random flags and
 issue times (ties included), sweeps after some insertions, so ids ripen over
 several insertions before a sweep, and after every insertion queries the
-candidate snapshots for random visibility and aging cutoffs.
+candidate snapshots for random visibility and aging cutoffs. The priority
+candidates are a view of the ledger's lists; it must read as the list it
+stands for, and draw the same random parents from the same seed.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +38,21 @@ def histories(draw):
     return theta, steps
 
 
+def check_view(view, expected):
+    """The view against the list it stands for: length, every index (negative
+    ones too), both ends, iteration and equality."""
+    n = len(expected)
+    assert len(view) == n
+    assert [view[i] for i in range(n)] == expected
+    assert [view[i] for i in range(-n, 0)] == expected
+    for past_end in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[past_end]
+    assert list(view) == expected
+    assert view == expected and expected == view
+    assert view != expected + [-1]
+
+
 def check_candidates(ledger, queries, parents, issued, flags, confirmed):
     tips = brute_force_tips(parents)
     assert ledger.tips() == tips
@@ -53,7 +73,7 @@ def check_candidates(ledger, queries, parents, issued, flags, confirmed):
         ]
         visible_tips = sorted(t for t in tips if t < visible)
         non_tips = [i for i in range(visible) if i not in tips]
-        assert c.priority == priority
+        check_view(c.priority, priority)
         assert c.tips == visible_tips
         assert c.common == [t for t in visible_tips if t not in priority]
         assert c.newest_non_tip == (non_tips[-1] if non_tips else None)
@@ -96,3 +116,22 @@ def test_indexes_match_brute_force(history, queries):
         assert ledger.confirmed_set == confirmed
         assert all(ledger.cumulative_weight(i) == w for i, w in weights.items())
         check_candidates(ledger, queries, parents, issued, flags, confirmed)
+
+
+# random.sample copies a population of at most 21 and indexes a larger one;
+# (visible, aged) -> pool size, with an empty head, an empty tail, or both parts
+@pytest.mark.parametrize(
+    "visible, aged, size",
+    [(3, 1, 3), (5, 5, 5), (30, 3, 21), (32, 0, 21), (33, 0, 22), (33, 2, 23), (200, 80, 160)],
+)
+def test_view_draws_like_its_list(visible, aged, size):
+    ledger = TangleLedger(10**6)  # nothing confirms
+    for i in range(1, 200):
+        ledger.add_transaction([i - 1], float(i), priority_flag=i % 3 != 0)
+    view = ledger.priority_candidates(visible, aged)
+    pool = list(view)
+    assert pool == [i for i in range(visible) if i < aged or i % 3]
+    assert len(pool) == size
+    for seed in range(20):
+        assert random.Random(seed).sample(view, 2) == random.Random(seed).sample(pool, 2)
+        assert random.Random(seed).choice(view) == random.Random(seed).choice(pool)
