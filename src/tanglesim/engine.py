@@ -116,7 +116,7 @@ class _Field(NamedTuple):
 
 
 # The most transactions a config may expect (lambda * horizon_seconds); a run
-# holds every one in memory until it ends (about 0.8 GB of peak RSS at 1M).
+# holds every one in memory until it ends (493 MB of peak RSS at 1M).
 MAX_EXPECTED_TX = 2_000_000
 
 

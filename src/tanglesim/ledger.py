@@ -32,10 +32,6 @@ A stored weight starts at 1 and grows by one per insertion walk, so it
 equals θ at exactly one moment (θ is the config's validated integer >= 1).
 Then the id joins the ripe list (genesis at construction, when θ is 1), and
 a sweep confirms exactly that list.
-
-Past and future cones, and the weight of a confirmed transaction, are audit
-queries answered from int bitsets built on first use and dropped by the next
-insertion.
 """
 
 from __future__ import annotations
@@ -45,15 +41,12 @@ import sys
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import chain, islice
 
 MAX_PARENTS = 8
 
 # the stamp of a confirmed id: above every id, so no insertion walk enters it
 _CONFIRMED = sys.maxsize
-
-# bin() digits to the 0/1 bytes itertools.compress selects with
-_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class TangleError(Exception):
@@ -134,11 +127,6 @@ class PriorityView(Sequence[int]):
         return NotImplemented
 
 
-def _bit_ids(bits: int) -> set[int]:
-    """Positions of the set bits of `bits`."""
-    return set(compress(count(), bin(bits)[:1:-1].encode().translate(_BIT_DIGITS)))
-
-
 class TangleLedger:
     """The DAG store: transactions, first approvers, tips, confirmation."""
 
@@ -166,8 +154,6 @@ class TangleLedger:
         # confirmed id -> confirmation time
         self._confirmed_at: dict[int, float] = {}
         self.confirmed_set = self._confirmed_at.keys()
-        # (past, future) bitsets per id for the audit queries, or None
-        self._cones: tuple[list[int], list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -226,7 +212,6 @@ class TangleLedger:
             self._flagged.append(new_id)
         else:
             self._common_tips.append(new_id)
-        self._cones = None
         tips, common, confirmed = self._tips, self._common_tips, self._confirmed_tips
         first, stamp = self._first_approver, self._stamp
         for p in distinct:
@@ -276,46 +261,16 @@ class TangleLedger:
 
     # -- queries ----------------------------------------------------------
 
-    def tips(self) -> set[int]:
-        """Transactions not yet approved by any other transaction."""
-        return set(self._tips)
-
     def tip_count(self) -> int:
         """Number of transactions not yet approved by any other transaction."""
         return len(self._tips)
 
-    def _cone_bits(self) -> tuple[list[int], list[int]]:
-        """Bit j of past[i] (future[i]) is set iff j is an ancestor
-        (descendant) of i."""
-        if self._cones is None:
-            n = len(self)
-            past = [0] * n
-            for i, ps in enumerate(self._parents):
-                for p in ps:
-                    past[i] |= past[p] | (1 << p)
-            future = [0] * n
-            for i in range(n - 1, -1, -1):
-                for p in self._parents[i]:
-                    future[p] |= future[i] | (1 << i)
-            self._cones = past, future
-        return self._cones
-
-    def cumulative_weight(self, tx_id: int) -> int:
-        """1 + number of distinct transactions approving `tx_id` transitively."""
+    def weight(self, tx_id: int) -> int:
+        """The stored cumulative weight of `tx_id`: 1 + the number of distinct
+        transactions approving it transitively. Exact while `tx_id` is
+        unconfirmed; once it confirms, the value stops growing."""
         self._check_known(tx_id)
-        if tx_id in self._confirmed_at:
-            return 1 + self._cone_bits()[1][tx_id].bit_count()
         return self._weight[tx_id]
-
-    def past_cone(self, tx_id: int) -> set[int]:
-        """All distinct ancestors of `tx_id`, excluding itself."""
-        self._check_known(tx_id)
-        return _bit_ids(self._cone_bits()[0][tx_id])
-
-    def future_cone(self, tx_id: int) -> set[int]:
-        """All distinct transactions that reach `tx_id` via parent edges."""
-        self._check_known(tx_id)
-        return _bit_ids(self._cone_bits()[1][tx_id])
 
     # -- selection support -------------------------------------------------
 

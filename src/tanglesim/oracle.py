@@ -1,7 +1,10 @@
 """Brute-force cross-checks for the incremental ledger bookkeeping.
 
-Deliberately naive and independent of the ledger internals: plain-dict
-adjacency, one reverse BFS per node.
+Independent of the ledger internals: each check reads only a parents
+list. `brute_force_cumulative_weights` is the reference, deliberately naive:
+plain-dict adjacency, one reverse BFS per node. `future_cones` is the fast
+cone oracle, one reverse pass over int bitsets, for checks of ledgers too
+large for per-node BFS; the tests check it against BFS.
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ def brute_force_cumulative_weights(
                     queue.append(nxt)
         weights[node] = len(seen)
     return weights
+
+
+def future_cones(parents: list[tuple[int, ...]]) -> list[int]:
+    """Bit j of entry i is set iff j reaches i along parent edges (j != i).
+    Every parent must precede its child, as in a ledger's id order."""
+    future = [0] * len(parents)
+    for i in range(len(parents) - 1, -1, -1):
+        for p in parents[i]:
+            future[p] |= future[i] | (1 << i)
+    return future
 
 
 def brute_force_tips(parents: list[tuple[int, ...]]) -> set[int]:

@@ -14,7 +14,12 @@ from tanglesim.cli import main
 from tanglesim.engine import SimConfig, run_simulation
 from tanglesim.ledger import TangleLedger
 from tanglesim.metrics import class_stats, compare
-from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
+from tanglesim.oracle import (
+    brute_force_cumulative_weights,
+    brute_force_tips,
+    future_cones,
+    random_dag,
+)
 from tanglesim.selfcheck import check_branch_table
 
 REFERENCE = SimConfig()  # the defaults are the reference experiment
@@ -56,7 +61,7 @@ def test_criterion_2_cumulative_weight_oracle():
             ledger.add_transaction(list(ps), float(len(ledger)))
         expected = brute_force_cumulative_weights(parents)
         ok &= all(
-            ledger.cumulative_weight(i) == expected[i] for i in range(len(parents))
+            ledger.weight(i) == expected[i] for i in range(len(parents))
         )
     ok &= time.monotonic() - start < 10.0
     report("criterion 2 (cumulative-weight oracle equivalence)", ok)
@@ -120,11 +125,11 @@ def test_criterion_7_ledger_invariants(reference_runs):
         for ledger in (u_ledger, p_ledger):
             n = len(ledger)
             parents = [ledger.transaction(i).parents for i in range(n)]
-            ok &= ledger.tips() == brute_force_tips(parents)
-            ok &= ledger.confirmed_set == {
-                i for i in range(n) if ledger.cumulative_weight(i) >= theta
-            }
-            total_cw = sum(ledger.cumulative_weight(i) for i in range(n))
-            total_cones = sum(1 + len(ledger.past_cone(i)) for i in range(n))
-            ok &= total_cw == total_cones
+            w = [1 + f.bit_count() for f in future_cones(parents)]
+            tips = ledger.tip_candidates(n, 0)[0]
+            ok &= tips == sorted(brute_force_tips(parents))
+            ok &= ledger.tip_count() == len(tips)
+            confirmed = ledger.confirmed_set
+            ok &= confirmed == {i for i in range(n) if w[i] >= theta}
+            ok &= all(ledger.weight(i) == w[i] for i in range(n) if i not in confirmed)
     report("criterion 7 (ledger invariants after simulation)", ok)

@@ -13,7 +13,7 @@ from tanglesim.engine import (
     run_simulation,
 )
 from tanglesim.ledger import CLASS_COMMON
-from tanglesim.oracle import brute_force_tips
+from tanglesim.oracle import brute_force_tips, future_cones
 from tanglesim.selection import PriorityPolicy
 
 SMALL = SimConfig(horizon=60.0)
@@ -293,13 +293,14 @@ class TestLedgerInvariantsAfterRun:
             ledger = run_simulation(config).ledger
             n = len(ledger)
             parents = [ledger.transaction(i).parents for i in range(n)]
-            assert ledger.tips() == brute_force_tips(parents)
-            assert ledger.confirmed_set == {
-                i for i in range(n) if ledger.cumulative_weight(i) >= config.theta
-            }
-            total_cw = sum(ledger.cumulative_weight(i) for i in range(n))
-            total_cones = sum(1 + len(ledger.past_cone(i)) for i in range(n))
-            assert total_cw == total_cones
+            w = [1 + f.bit_count() for f in future_cones(parents)]
+            tips = ledger.tip_candidates(n, 0)[0]
+            assert tips == sorted(brute_force_tips(parents))
+            assert ledger.tip_count() == len(tips)
+            confirmed = ledger.confirmed_set
+            assert confirmed == {i for i in range(n) if w[i] >= config.theta}
+            for i in range(n):
+                assert i in confirmed or ledger.weight(i) == w[i]
 
 
 class TestMetamorphic:

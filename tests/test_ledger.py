@@ -11,7 +11,12 @@ from tanglesim.ledger import (
     TangleLedger,
     UnknownTransaction,
 )
-from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
+from tanglesim.oracle import (
+    brute_force_cumulative_weights,
+    brute_force_tips,
+    future_cones,
+    random_dag,
+)
 
 
 def build_chain(theta=8):
@@ -31,15 +36,25 @@ def build_diamond():
     return ledger, a, b, c
 
 
+def tips(ledger):
+    """Every tip, in id order: the tip candidates with all ids visible."""
+    return ledger.tip_candidates(len(ledger), 0)[0]
+
+
+def parents_of(ledger):
+    return [ledger.transaction(i).parents for i in range(len(ledger))]
+
+
 class TestGenesis:
     def test_fresh_ledger_has_only_genesis_tip(self):
         ledger = TangleLedger(8)
-        assert ledger.tips() == {ledger.genesis}
+        assert tips(ledger) == [ledger.genesis]
+        assert ledger.tip_count() == 1
         assert len(ledger) == 1
 
     def test_genesis_weight_is_one(self):
         ledger = TangleLedger(8)
-        assert ledger.cumulative_weight(ledger.genesis) == 1
+        assert ledger.weight(ledger.genesis) == 1
 
     def test_no_confirmation_below_threshold(self):
         ledger = TangleLedger(8)
@@ -51,27 +66,27 @@ class TestAddTransaction:
     def test_first_approval_moves_tip(self):
         ledger = TangleLedger(8)
         new = ledger.add_transaction([ledger.genesis], 1.0)
-        assert ledger.tips() == {new}
+        assert tips(ledger) == [new]
 
     def test_chain_weights(self):
         ledger, a, b = build_chain()
-        assert ledger.cumulative_weight(ledger.genesis) == 3
-        assert ledger.cumulative_weight(a) == 2
-        assert ledger.cumulative_weight(b) == 1
+        assert ledger.weight(ledger.genesis) == 3
+        assert ledger.weight(a) == 2
+        assert ledger.weight(b) == 1
 
     def test_diamond_counts_shared_ancestor_once(self):
         ledger, a, b, c = build_diamond()
-        assert ledger.cumulative_weight(ledger.genesis) == 4
-        assert ledger.cumulative_weight(a) == 2
-        assert ledger.cumulative_weight(b) == 2
-        assert ledger.cumulative_weight(c) == 1
+        assert ledger.weight(ledger.genesis) == 4
+        assert ledger.weight(a) == 2
+        assert ledger.weight(b) == 2
+        assert ledger.weight(c) == 1
 
     def test_duplicate_parents_deduplicated(self):
         ledger = TangleLedger(8)
         new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
         assert ledger.transaction(new).parents == (ledger.genesis,)
-        assert ledger.future_cone(ledger.genesis) == {new}
-        assert ledger.cumulative_weight(ledger.genesis) == 2
+        assert tips(ledger) == [new]
+        assert ledger.weight(ledger.genesis) == 2
 
     def test_unknown_parent(self):
         ledger = TangleLedger(8)
@@ -107,24 +122,28 @@ class TestAddTransaction:
 class TestTips:
     def test_chain_head_only(self):
         ledger, a, b = build_chain()
-        assert ledger.tips() == {b}
+        assert tips(ledger) == [b]
 
     def test_two_independent_children(self):
         ledger = TangleLedger(8)
         a = ledger.add_transaction([ledger.genesis], 1.0)
         b = ledger.add_transaction([ledger.genesis], 2.0)
-        assert ledger.tips() == {a, b}
+        assert tips(ledger) == [a, b]
+        assert ledger.tip_count() == 2
 
 
 class TestCumulativeWeight:
     def test_tip_weight_is_one(self):
         ledger, a, b, c = build_diamond()
-        assert ledger.cumulative_weight(c) == 1
+        assert ledger.weight(c) == 1
 
     def test_unknown_transaction(self):
         ledger = TangleLedger(8)
-        with pytest.raises(UnknownTransaction):
-            ledger.cumulative_weight(123)
+        for unknown in (123, 1, -1):
+            with pytest.raises(UnknownTransaction):
+                ledger.weight(unknown)
+            with pytest.raises(UnknownTransaction):
+                ledger.transaction(unknown)
 
 
 class TestConfirmationSweep:
@@ -154,29 +173,44 @@ class TestConfirmationSweep:
         assert ledger.confirmation_sweep(2.0) == set()
 
 
+def bits(ids):
+    return sum(1 << i for i in ids)
+
+
 class TestCones:
+    """`oracle.future_cones` on the fixtures; `TestInterleavedSweeps` checks it
+    against plain BFS on random DAGs."""
+
     def test_tip_has_empty_future(self):
         ledger, a, b = build_chain()
-        assert ledger.future_cone(b) == set()
+        assert future_cones(parents_of(ledger))[b] == 0
 
     def test_genesis_has_empty_past(self):
-        ledger = TangleLedger(8)
-        assert ledger.past_cone(ledger.genesis) == set()
-
-    def test_diamond_past_cone(self):
+        # genesis approves nothing, so it lies in no transaction's future cone
+        assert future_cones([()]) == [0]
         ledger, a, b, c = build_diamond()
-        assert ledger.past_cone(c) == {a, b, ledger.genesis}
+        parents = parents_of(ledger)
+        assert parents[ledger.genesis] == ()
+        assert reachable(ledger.genesis, parents) == set()
+        assert all(not cone & bits({ledger.genesis}) for cone in future_cones(parents))
+
+    def test_diamond_future_cones(self):
+        ledger, a, b, c = build_diamond()
+        assert future_cones(parents_of(ledger)) == [bits({a, b, c}), bits({c}), bits({c}), 0]
 
     def test_chain_future_cone(self):
         ledger, a, b = build_chain()
-        assert ledger.future_cone(ledger.genesis) == {a, b}
+        assert future_cones(parents_of(ledger))[ledger.genesis] == bits({a, b})
 
     def test_unknown(self):
-        ledger = TangleLedger(8)
-        with pytest.raises(UnknownTransaction):
-            ledger.future_cone(5)
-        with pytest.raises(UnknownTransaction):
-            ledger.past_cone(5)
+        # the cone oracle has one entry per known id; the next id is unknown
+        ledger, a, b, c = build_diamond()
+        assert len(future_cones(parents_of(ledger))) == len(ledger) == c + 1
+        for unknown in (c + 1, -1):
+            with pytest.raises(UnknownTransaction):
+                ledger.weight(unknown)
+            with pytest.raises(UnknownTransaction):
+                ledger.transaction(unknown)
 
 
 def replay(parents, theta=8):
@@ -196,30 +230,30 @@ class TestRandomizedInvariants:
             ledger = replay(parents)
             expected = brute_force_cumulative_weights(parents)
             for i in range(len(parents)):
-                assert ledger.cumulative_weight(i) == expected[i]
+                assert ledger.weight(i) == expected[i]
 
     def test_tip_set_matches_recomputation(self):
         rng = random.Random(99)
         for _ in range(25):
             parents = random_dag(rng, rng.randint(2, 120))
             ledger = replay(parents)
-            assert ledger.tips() == brute_force_tips(parents)
+            assert tips(ledger) == sorted(brute_force_tips(parents))
 
     def test_weight_conservation(self):
         # each transaction contributes 1 to itself and 1 to each ancestor
         rng = random.Random(7)
         parents = random_dag(rng, 150)
         ledger = replay(parents)
-        total_cw = sum(ledger.cumulative_weight(i) for i in range(len(parents)))
-        total_cones = sum(1 + len(ledger.past_cone(i)) for i in range(len(parents)))
+        total_cw = sum(ledger.weight(i) for i in range(len(parents)))
+        total_cones = sum(1 + len(reachable(i, parents)) for i in range(len(parents)))
         assert total_cw == total_cones
 
     def test_tips_have_weight_one(self):
         rng = random.Random(11)
         parents = random_dag(rng, 150)
         ledger = replay(parents)
-        for tip in ledger.tips():
-            assert ledger.cumulative_weight(tip) == 1
+        for tip in tips(ledger):
+            assert ledger.weight(tip) == 1
 
     def test_weights_monotone_under_insertion(self):
         rng = random.Random(21)
@@ -228,7 +262,7 @@ class TestRandomizedInvariants:
         previous = {0: 1}
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
-            current = {i: ledger.cumulative_weight(i) for i in range(len(ledger))}
+            current = {i: ledger.weight(i) for i in range(len(ledger))}
             for i, w in previous.items():
                 assert current[i] >= w
             previous = current
@@ -245,8 +279,9 @@ class TestRandomizedInvariants:
         rng = random.Random(41)
         parents = random_dag(rng, 100)
         ledger = replay(parents)
+        stored = parents_of(ledger)
         for i in range(1, len(parents)):
-            assert ledger.genesis in ledger.past_cone(i)
+            assert ledger.genesis in reachable(i, stored)
 
     def test_confirmed_set_equals_threshold_cut(self):
         rng = random.Random(51)
@@ -254,10 +289,10 @@ class TestRandomizedInvariants:
         theta = 10
         ledger = replay(parents, theta)
         ledger.confirmation_sweep(200.0)
-        expected = {
-            i for i in range(len(parents)) if ledger.cumulative_weight(i) >= theta
-        }
-        assert ledger.confirmed_set == expected
+        weights = [1 + f.bit_count() for f in future_cones(parents)]
+        assert ledger.confirmed_set == {i for i, w in enumerate(weights) if w >= theta}
+        for i, w in enumerate(weights):
+            assert i in ledger.confirmed_set or ledger.weight(i) == w
 
 
 def reachable(start, edges):
@@ -283,22 +318,28 @@ class TestInterleavedSweeps:
             approvers = [[] for _ in parents]
             theta = rng.randint(1, 12)
             ledger = TangleLedger(theta)
+            cut: set[int] = set()  # the theta-cut at the last sweep
+            frozen: dict[int, int] = {}  # confirmed id -> weight at confirmation
             for new, ps in enumerate(parents[1:], start=1):
                 for p in ps:
                     approvers[p].append(new)
                 ledger.add_transaction(list(ps), float(new))
                 expected = brute_force_cumulative_weights(parents[: new + 1])
                 if rng.random() < 0.5:
-                    before = set(ledger.confirmed_set)
                     newly = ledger.confirmation_sweep(float(new))
-                    assert newly == {
-                        i for i, w in expected.items() if w >= theta and i not in before
-                    }
+                    before, cut = cut, {i for i, w in expected.items() if w >= theta}
+                    assert newly == cut - before
                     for i in newly:
                         assert ledger.transaction(i).confirmed_at == float(new)
-                for i in range(new + 1):
-                    assert ledger.cumulative_weight(i) == expected[i]
-                    assert ledger.past_cone(i) == reachable(i, parents)
-                    assert ledger.future_cone(i) == reachable(i, approvers)
+                        frozen[i] = ledger.weight(i)
+                        assert frozen[i] >= theta
                 confirmed = ledger.confirmed_set
+                assert confirmed == cut
+                cones = future_cones(parents[: new + 1])
+                for i in range(new + 1):
+                    assert cones[i] == bits(reachable(i, approvers))
+                    if i in confirmed:
+                        assert ledger.weight(i) == frozen[i] <= expected[i]
+                    else:
+                        assert ledger.weight(i) == expected[i]
                 assert all(set(parents[i]) <= confirmed for i in confirmed)
