@@ -29,8 +29,6 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_ORACLE = 3
 
-REFERENCE_CONFIG_TEXT = reference_config_text()
-
 
 def _load_config(path: str) -> SimConfig:
     try:
@@ -75,7 +73,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_gen_config(args: argparse.Namespace) -> int:
     with open(args.out, "w") as fh:
-        fh.write(REFERENCE_CONFIG_TEXT)
+        fh.write(reference_config_text())
     return EXIT_OK
 
 

@@ -12,15 +12,12 @@ import dataclasses
 import json
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from tanglesim.ledger import CLASS_COMMON, TangleLedger, TxRecord
 from tanglesim.selection import (
     EmptyCandidates,
-    PriorityPolicy,
     build_candidates,
     select_ptsa,
     select_uniform,
@@ -51,8 +48,10 @@ class SimConfig:
     """Full experiment parameterization; the defaults are the reference experiment.
 
     `pinned_priority` lists 1-based arrival ordinals forced to high
-    priority, mirroring a hand-picked set of marked transactions. Building
-    one, by any route, checks every field against `_FIELDS`.
+    priority, mirroring a hand-picked set of marked transactions. With
+    aging enabled, a transaction unconfirmed for `aging_threshold` seconds
+    is treated as high-priority. Building one, by any route, checks every
+    field against `_FIELDS`.
     """
 
     arrival_rate: float = 10.0
@@ -61,46 +60,44 @@ class SimConfig:
     visibility_delay: float = 1.0
     theta: int = 8
     strategy: str = "ptsa"
-    aging: PriorityPolicy = field(default_factory=PriorityPolicy)
+    aging_enabled: bool = True
+    aging_threshold: float = 30.0
     seed: int = 42
     pinned_priority: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for key, spec in _FIELDS.items():
-            if not spec.bound(attrgetter(spec.attr)(self), self):
+            if not spec.bound(getattr(self, spec.attr), self):
                 raise ConfigInvalid(key, spec.message)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         if not isinstance(data, dict):
             raise ConfigInvalid("<root>", "config must be a mapping")
-        aging_data = data.get("aging", {})
-        if not isinstance(aging_data, dict):
+        aging = data.get("aging", {})
+        if not isinstance(aging, dict):
             raise ConfigInvalid("aging", "must be a mapping")
         flat = {key: value for key, value in data.items() if key != "aging"}
         for key in flat:  # an `aging.*` key is valid only inside `aging:`
             if key not in _FIELDS or "." in key:
                 raise ConfigInvalid(key, "unknown key")
-        flat.update((f"aging.{key}", value) for key, value in aging_data.items())
-        defaults = cls()
-        top: dict = {}
-        aging: dict = {}
+        flat.update((f"aging.{key}", value) for key, value in aging.items())
+        fields: dict = {}
         for key, value in flat.items():
             if key not in _FIELDS:
                 raise ConfigInvalid(key, "unknown key")
             attr = _FIELDS[key].attr
             if isinstance(value, list):
                 value = tuple(value)
-            elif _is_number(value) and isinstance(attrgetter(attr)(defaults), float):
-                value = float(value)  # a YAML int in a float field
-            owner, _, name = attr.rpartition(".")
-            (aging if owner else top)[name] = value
-        return cls(**top, aging=PriorityPolicy(**aging))
+            elif _is_number(value) and isinstance(getattr(cls, attr), float):
+                value = float(value)  # a YAML int in a field whose default is a float
+            fields[attr] = value
+        return cls(**fields)
 
     def to_dict(self) -> dict:
         out: dict = {}
         for key, spec in _FIELDS.items():
-            value = attrgetter(spec.attr)(self)
+            value = getattr(self, spec.attr)
             section, _, name = key.rpartition(".")
             (out.setdefault(section, {}) if section else out)[name] = (
                 list(value) if isinstance(value, tuple) else value
@@ -109,7 +106,7 @@ class SimConfig:
 
 
 class _Field(NamedTuple):
-    attr: str  # dotted path below SimConfig
+    attr: str  # the SimConfig field
     bound: Callable[[Any, SimConfig], bool]  # (value, whole config) -> valid
     message: str
     comment: str  # gen-config's comment on the key's line
@@ -125,7 +122,7 @@ def _finite(v: object) -> bool:
 
 
 # One entry per YAML key, the `aging.*` keys inside the `aging` mapping.
-# The defaults are SimConfig's and PriorityPolicy's field defaults.
+# The defaults are SimConfig's field defaults.
 _FIELDS = {
     "lambda": _Field("arrival_rate", lambda v, _: _finite(v) and v > 0,
                      "must be finite and > 0", "arrival rate, transactions per second"),
@@ -143,11 +140,11 @@ _FIELDS = {
                     "must be a positive integer", "cumulative-weight confirmation threshold"),
     "strategy": _Field("strategy", lambda v, _: v in STRATEGIES,
                        f"must be one of {STRATEGIES}", '"uniform" or "ptsa"'),
-    "aging.enabled": _Field("aging.enabled", lambda v, _: isinstance(v, bool),
+    "aging.enabled": _Field("aging_enabled", lambda v, _: isinstance(v, bool),
                             "must be true or false", ""),
     "aging.threshold_seconds": _Field(
-        "aging.aging_threshold",
-        lambda v, config: _finite(v) and (v > 0 or not config.aging.enabled),
+        "aging_threshold",
+        lambda v, config: _finite(v) and (v > 0 or not config.aging_enabled),
         "must be finite, and > 0 when enabled",
         "unconfirmed age at which a transaction is promoted"),
     "seed": _Field("seed", lambda v, _: _is_int(v) and 0 <= v < 2**64,
@@ -218,20 +215,15 @@ def run_simulation(config: SimConfig) -> SimTrace:
     # unconfirmed: when aging promoted it, if it is common
     aged_at: dict[int, float] = {}
     aged = 0  # the aged prefix scanned so far; it only grows
+    confirmed = ledger.confirmed_set
     tip_pool_sizes: list[tuple[float, int]] = []
 
     for now, flag in arrivals:
         try:
-            candidates = build_candidates(
-                ledger, now, config.visibility_delay, config.aging
-            )
-            # the newly aged unconfirmed ids are the priority view's head
-            # segment from the previous aged prefix on; bisect its list in C
-            # (most arrivals age none)
-            head, split = candidates.priority.head, candidates.priority.split
-            lo = bisect_left(head, aged, 0, split)
-            if lo < split:
-                aged_at.update(dict.fromkeys(head[lo:split], now))
+            candidates = build_candidates(ledger, now, config)
+            for i in range(aged, candidates.aged):  # most arrivals age none
+                if i not in confirmed:
+                    aged_at[i] = now
             aged = candidates.aged
             parents = select(candidates, attach_rng).parents
         except EmptyCandidates:

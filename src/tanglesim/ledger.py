@@ -88,16 +88,16 @@ class TxRecord:
 
 
 class PriorityView(Sequence[int]):
-    """A read-only id sequence, `head[:split] + tail[lo:hi]`, over two of the
-    ledger's id-sorted lists; it copies neither and is valid until the next
-    ledger mutation. Construction, `len` and integer indexing are O(1), and
-    it compares equal to the list it stands for."""
+    """A read-only id sequence over two of the ledger's id-sorted lists (see
+    `TangleLedger.priority_candidates`); it copies neither and is valid until
+    the next ledger mutation. Construction, `len` and integer indexing are
+    O(1), and it compares equal to the list it stands for."""
 
-    __slots__ = ("head", "split", "_tail", "_lo", "_len")
+    __slots__ = ("_head", "_split", "_tail", "_lo", "_len")
 
     def __init__(self, head: list[int], split: int, tail: list[int], lo: int, hi: int) -> None:
-        self.head = head
-        self.split = split
+        self._head = head
+        self._split = split
         self._tail = tail
         self._lo = lo
         self._len = split + hi - lo
@@ -108,18 +108,18 @@ class PriorityView(Sequence[int]):
     def __getitem__(self, i: int) -> int:
         if i < 0:
             i += self._len
-        if 0 <= i < self.split:
-            return self.head[i]
-        if self.split <= i < self._len:
-            return self._tail[self._lo + i - self.split]
+        if 0 <= i < self._split:
+            return self._head[i]
+        if self._split <= i < self._len:
+            return self._tail[self._lo + i - self._split]
         raise IndexError("priority view index out of range")
 
     def __iter__(self) -> Iterator[int]:
-        head = islice(self.head, self.split)
-        if self._len == self.split:
+        head = islice(self._head, self._split)
+        if self._len == self._split:
             return head
-        tail = islice(self._tail, self._lo, self._lo + self._len - self.split)
-        return chain(head, tail) if self.split else tail
+        tail = islice(self._tail, self._lo, self._lo + self._len - self._split)
+        return chain(head, tail) if self._split else tail
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, PriorityView)):

@@ -10,8 +10,12 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from tanglesim.ledger import TangleLedger
+
+if TYPE_CHECKING:  # the engine imports this module
+    from tanglesim.engine import SimConfig
 
 BRANCH_P0 = "p=0"
 BRANCH_P1 = "p=1"
@@ -23,15 +27,6 @@ class EmptyCandidates(Exception):
     """No selectable transaction exists in the snapshot."""
 
 
-@dataclass(frozen=True)
-class PriorityPolicy:
-    """Anti-starvation aging: unconfirmed transactions older than the
-    threshold are treated as high-priority."""
-
-    enabled: bool = True
-    aging_threshold: float = 30.0
-
-
 @dataclass
 class SelectionCandidates:
     """Snapshot of selectable transactions, partitioned by effective priority.
@@ -40,8 +35,9 @@ class SelectionCandidates:
     necessarily tips: they stay selectable until confirmed). `common` holds
     the remaining selectable tips. `tips` is the full selectable tip pool
     regardless of class, and `newest_non_tip` backs the single-tip fallback;
-    both exist so strategies need no ledger access. Ids below `aged` are
-    old enough for aging to promote them while unconfirmed.
+    both exist so strategies need no ledger access. `aged` is the aged
+    cutoff: the ids below it are visible and at least the aging threshold
+    old, so they are priority candidates while unconfirmed (0 with aging off).
 
     `priority` grows with the unconfirmed backlog, so the ledger hands it
     out as a read-only view of its own lists (`PriorityView`), valid until
@@ -62,23 +58,21 @@ class SelectionResult:
     branch: str
 
 
-def build_candidates(
-    ledger: TangleLedger,
-    now: float,
-    visibility_delay: float,
-    policy: PriorityPolicy,
-) -> SelectionCandidates:
+def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> SelectionCandidates:
     """Partition the transactions visible at `now` into selection candidates.
 
-    A transaction is visible once its age reaches the visibility delay.
+    A transaction is visible once its age reaches the visibility delay, and
+    aged once it is visible and its age reaches the aging threshold.
     Raises EmptyCandidates when nothing is visible yet (right after genesis);
     the caller should attach to genesis or retry later.
     """
-    k = ledger.visible_count(now - visibility_delay)
+    k = ledger.visible_count(now - config.visibility_delay)
     if k == 0:
         raise EmptyCandidates(f"no transaction visible at t={now}")
     aged = (
-        min(k, ledger.visible_count(now - policy.aging_threshold)) if policy.enabled else 0
+        ledger.visible_count(now - max(config.visibility_delay, config.aging_threshold))
+        if config.aging_enabled
+        else 0
     )
     tips, common = ledger.tip_candidates(k, aged)
     return SelectionCandidates(

@@ -11,10 +11,9 @@ from tanglesim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_ORACLE,
-    REFERENCE_CONFIG_TEXT,
     main,
 )
-from tanglesim.engine import SimConfig
+from tanglesim.engine import SimConfig, reference_config_text
 
 SMALL_CONFIG = """\
 lambda: 10.0
@@ -201,7 +200,7 @@ class TestGenConfig:
         main(["gen-config", "--out", str(a)])
         main(["gen-config", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-        assert a.read_text() == REFERENCE_CONFIG_TEXT == REFERENCE_YAML
+        assert a.read_text() == reference_config_text() == REFERENCE_YAML
 
     def test_unwritable_destination(self, tmp_path):
         code = main(["gen-config", "--out", str(tmp_path / "missing" / "ref.yaml")])

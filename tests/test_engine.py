@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglesim.engine import (
+    _FIELDS,
     ConfigInvalid,
     SimConfig,
     generate_workload,
@@ -14,9 +15,12 @@ from tanglesim.engine import (
 )
 from tanglesim.ledger import CLASS_COMMON
 from tanglesim.oracle import brute_force_tips, future_cones
-from tanglesim.selection import PriorityPolicy
 
 SMALL = SimConfig(horizon=60.0)
+# the `ptsa-backlog` shape cut to 60 s, where aging promotes
+BACKLOG = SimConfig(
+    arrival_rate=20.0, priority_fraction=0.5, horizon=60.0, visibility_delay=3.0, theta=32
+)
 
 
 class TestConfigValidation:
@@ -43,6 +47,11 @@ class TestConfigValidation:
 
     def test_default_config_valid(self):
         SimConfig()
+
+    def test_every_field_has_a_key(self):
+        # so no field can skip validation, `from_dict`, `to_dict` or gen-config
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        assert fields == {spec.attr for spec in _FIELDS.values()}
 
     def test_dict_round_trip(self):
         config = SimConfig(seed=7, pinned_priority=(1, 2, 3))
@@ -233,26 +242,18 @@ class TestRunSimulation:
         config = dataclasses.replace(
             SMALL,
             priority_fraction=0.5,
-            aging=PriorityPolicy(enabled=True, aging_threshold=5.0),
+            aging_enabled=True,
+            aging_threshold=5.0,
         )
         trace = run_simulation(config)
         promoted = [r for r in trace.records if r.promoted_at is not None]
         assert promoted
         for r in promoted:
             assert r.tx_class == "common"
-            assert r.promoted_at - r.issued_at >= config.aging.aging_threshold
+            assert r.promoted_at - r.issued_at >= config.aging_threshold
 
     def test_final_ledger_consistent_with_trace(self):
-        # the `ptsa-backlog` shape cut to 60 s, where aging promotes
-        config = SimConfig(
-            arrival_rate=20.0,
-            priority_fraction=0.5,
-            horizon=60.0,
-            visibility_delay=3.0,
-            theta=32,
-            seed=1,
-        )
-        trace = run_simulation(config)
+        trace = run_simulation(dataclasses.replace(BACKLOG, seed=1))
         ledger = trace.ledger
         assert len(ledger) == len(trace.records) + 1
         promoted = [r for r in trace.records if r.promoted_at is not None]
@@ -311,7 +312,7 @@ class TestMetamorphic:
         # nothing is flagged or aged, so ptsa takes its p=0 branch throughout
         config = SimConfig(
             priority_fraction=0.0,
-            aging=PriorityPolicy(enabled=False, aging_threshold=30.0),
+            aging_enabled=False,
             seed=seed,
         )
         uniform_trace, ptsa_trace = paired_runs(config)
@@ -330,3 +331,30 @@ class TestMetamorphic:
         assert [r.confirmed_at for r in trace.records] == [
             first_approval.get(r.id) for r in trace.records
         ]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("strategy", ["uniform", "ptsa"])
+    def test_time_rescaling(self, strategy, seed):
+        # the model has one clock: multiplying lambda by c and dividing every
+        # duration by c divides every time by c, exactly when c is a power of
+        # two (IEEE scaling by 2^k commutes with rounding)
+        config = dataclasses.replace(BACKLOG, strategy=strategy, seed=seed)
+        original = run_simulation(config)
+        assert any(r.promoted_at is not None for r in original.records)
+        for c in (2.0, 4.0, 0.5):
+            scaled = run_simulation(
+                dataclasses.replace(
+                    config,
+                    arrival_rate=config.arrival_rate * c,
+                    horizon=config.horizon / c,
+                    visibility_delay=config.visibility_delay / c,
+                    aging_threshold=config.aging_threshold / c,
+                )
+            )
+            assert [(r.parents, r.tx_class) for r in scaled.records] == [
+                (r.parents, r.tx_class) for r in original.records
+            ]
+            times = [(r.issued_at, r.confirmed_at, r.promoted_at) for r in original.records]
+            assert [(r.issued_at, r.confirmed_at, r.promoted_at) for r in scaled.records] == [
+                tuple(None if t is None else t / c for t in row) for row in times
+            ]

@@ -44,12 +44,23 @@ CONFIGS = {
         "aging": {"enabled": False, "threshold_seconds": 30.0},
     },
 }
+# the aging threshold lies below the visibility delay, so every visible id is
+# aged: the one regime where the aged cutoff is set by the delay, not the
+# threshold
+CONFIGS["aging-below-delay-backlog-seed42"] = {
+    **CONFIGS["ptsa-backlog-seed42"],
+    "aging": {"enabled": True, "threshold_seconds": 2.0},
+}
 
 # name -> (sha256 of trace.csv, sha256 of summary.json)
 GOLDEN = {
     "aging-before-visible-ptsa-seed42": (
         "86bcdebcd0b3e2bef61564d8f177fb156a2c25c455530d8ee87834905fc49683",
         "3628ee0ebe21a548d4b48995048b5e00293e2b3185ddb4bb664e828e6c133455",
+    ),
+    "aging-below-delay-backlog-seed42": (
+        "3076febdaab37d2433a07dec338e333e96f281b6c8940ebfdd690fd28a871633",
+        "7e3068aa336cb4eeb2c82c67d079061de2255178450af496a53f13b98cbb83f7",
     ),
     "aging-off-ptsa-seed42": (
         "68479875327e9b5f886c38c13b4b79c5fad866b182acac1c25d442c63921d4cc",
@@ -107,6 +118,10 @@ COMPARE_GOLDEN = {
 IN_MEMORY_GOLDEN = "2a0e49959ddc2c4b42ecebaacc285bce4ecd5f59cfaaaa3337683dc3ae0b4317"
 # the same for the ptsa-backlog config under the uniform strategy
 UNIFORM_IN_MEMORY_GOLDEN = "e521b15768f6976585a4a115b8ab06fd8b3af84e8c032665067fa916849c8a23"
+# the same for the aging-below-delay-backlog config
+AGING_BELOW_DELAY_IN_MEMORY_GOLDEN = (
+    "99fab56c369bbc79a7b30e66fe576eea000ff0d71af9804fd0c862298bfe2340"
+)
 
 
 def _sha256(path) -> str:
@@ -152,3 +167,8 @@ def test_promotions_and_tip_pool_match_golden_digest():
 def test_uniform_promotions_and_tip_pool_match_golden_digest():
     config = {**CONFIGS["ptsa-backlog-seed42"], "strategy": "uniform"}
     assert in_memory_digest(config) == UNIFORM_IN_MEMORY_GOLDEN
+
+
+def test_aging_below_delay_promotions_and_tip_pool_match_golden_digest():
+    config = CONFIGS["aging-below-delay-backlog-seed42"]
+    assert in_memory_digest(config) == AGING_BELOW_DELAY_IN_MEMORY_GOLDEN

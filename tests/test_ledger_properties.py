@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tanglesim.engine import SimConfig
 from tanglesim.ledger import MAX_PARENTS, TangleLedger
-from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips
-from tanglesim.selection import PriorityPolicy, build_candidates
+from tanglesim.oracle import brute_force_tips, future_cones
+from tanglesim.selection import build_candidates
 
 MAX_SIZE = 40
 MAX_THETA = 12
@@ -61,9 +62,13 @@ def check_candidates(ledger, queries, parents, issued, flags, confirmed):
         visible = sum(t <= now - delay for t in issued)
         if visible == 0:
             continue
-        policy = PriorityPolicy(enabled=threshold is not None, aging_threshold=threshold or 30.0)
+        config = SimConfig(
+            visibility_delay=delay,
+            aging_enabled=threshold is not None,
+            aging_threshold=threshold or 30.0,
+        )
         promote_before = None if threshold is None else now - threshold
-        c = build_candidates(ledger, now, delay, policy)
+        c = build_candidates(ledger, now, config)
 
         priority = [
             i
@@ -107,14 +112,15 @@ def test_indexes_match_brute_force(history, queries):
         parents.append(tuple(sorted(set(ps))))
         flags.append(flag)
         issued.append(now)
-        weights = brute_force_cumulative_weights(parents)
+        # test_ledger.py's TestInterleavedSweeps checks the cone oracle against BFS
+        weights = [1 + f.bit_count() for f in future_cones(parents)]
         if sweep:
             newly = ledger.confirmation_sweep(now)
-            assert newly == {i for i, w in weights.items() if w >= theta} - confirmed
+            assert newly == {i for i, w in enumerate(weights) if w >= theta} - confirmed
             assert all(ledger.transaction(i).confirmed_at == now for i in newly)
             confirmed |= newly
         assert ledger.confirmed_set == confirmed
-        assert all(ledger.weight(i) == w for i, w in weights.items() if i not in confirmed)
+        assert all(ledger.weight(i) == w for i, w in enumerate(weights) if i not in confirmed)
         check_candidates(ledger, queries, parents, issued, flags, confirmed)
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -13,7 +14,6 @@ from tanglesim.selection import (
     BRANCH_P1,
     BRANCH_P2,
     EmptyCandidates,
-    PriorityPolicy,
     SelectionCandidates,
     build_candidates,
     select_ptsa,
@@ -21,8 +21,8 @@ from tanglesim.selection import (
 )
 from tanglesim.selfcheck import BRANCH_TABLE_COMMON, BRANCH_TABLE_P, branch_case_error
 
-POLICY = PriorityPolicy(enabled=True, aging_threshold=30.0)
-NO_AGING = PriorityPolicy(enabled=False)
+AGING = SimConfig(visibility_delay=0.0, aging_enabled=True, aging_threshold=30.0)
+NO_AGING = SimConfig(visibility_delay=0.0, aging_enabled=False)
 
 
 def make_candidates(priority=(), common=(), tips=None, newest_non_tip=None):
@@ -35,45 +35,45 @@ def make_candidates(priority=(), common=(), tips=None, newest_non_tip=None):
     )
 
 
-def is_priority(flag, now, policy):
+def is_priority(flag, now, config):
     """Whether a transaction issued at 0 is a priority candidate at `now`."""
     ledger = TangleLedger(8)
     tx = ledger.add_transaction([ledger.genesis], 0.0, priority_flag=flag)
-    return tx in build_candidates(ledger, now, 0.0, policy).priority
+    return tx in build_candidates(ledger, now, config).priority
 
 
 class TestEffectivePriority:
     def test_flag_dominates(self):
-        assert is_priority(True, 0.0, POLICY)
+        assert is_priority(True, 0.0, AGING)
         assert is_priority(True, 1000.0, NO_AGING)
 
     def test_fresh_common_not_promoted(self):
-        assert not is_priority(False, 0.0, POLICY)
+        assert not is_priority(False, 0.0, AGING)
 
     def test_aged_common_promoted(self):
-        assert is_priority(False, 30.0, POLICY)  # age exactly the threshold
-        assert is_priority(False, 31.0, POLICY)
+        assert is_priority(False, 30.0, AGING)  # age exactly the threshold
+        assert is_priority(False, 31.0, AGING)
 
     def test_aging_disabled_never_promotes(self):
         assert not is_priority(False, 1000.0, NO_AGING)
 
     def test_policy_requires_positive_threshold(self):
         with pytest.raises(ValueError) as excinfo:
-            SimConfig(aging=PriorityPolicy(enabled=True, aging_threshold=0.0))
+            SimConfig(aging_enabled=True, aging_threshold=0.0)
         assert excinfo.value.field_name == "aging.threshold_seconds"
 
 
 class TestBuildCandidates:
     def test_genesis_only(self):
         ledger = TangleLedger(8)
-        c = build_candidates(ledger, 0.0, 0.0, POLICY)
+        c = build_candidates(ledger, 0.0, AGING)
         assert c.priority == []
         assert c.common == [ledger.genesis]
 
     def test_raises_before_anything_visible(self):
         ledger = TangleLedger(8)
         with pytest.raises(EmptyCandidates):
-            build_candidates(ledger, 0.5, 1.0, POLICY)
+            build_candidates(ledger, 0.5, dataclasses.replace(AGING, visibility_delay=1.0))
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
@@ -82,7 +82,7 @@ class TestBuildCandidates:
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
-        c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
+        c = build_candidates(ledger, 10.0, NO_AGING)
         assert c.priority == [hp]
         assert c.common == sorted([t1, t2])
 
@@ -91,7 +91,7 @@ class TestBuildCandidates:
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.add_transaction([hp], 2.0)
         ledger.confirmation_sweep(2.0)  # hp now confirmed
-        c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
+        c = build_candidates(ledger, 10.0, NO_AGING)
         assert hp not in c.priority
 
     def test_theta_one_confirmed_tip_is_common(self):
@@ -99,24 +99,24 @@ class TestBuildCandidates:
         # id below is old enough for aging to promote it
         ledger = TangleLedger(1)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
-        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        c = build_candidates(ledger, 40.0, AGING)
         assert hp in c.priority and hp not in c.common  # ripe, not yet swept
         ledger.confirmation_sweep(1.0)
         fresh = ledger.add_transaction([ledger.genesis], 2.0)  # unswept
-        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        c = build_candidates(ledger, 40.0, AGING)
         assert c.aged == 3
         assert hp in c.common and hp not in c.priority
         assert fresh in c.priority and fresh not in c.common
         ledger.confirmation_sweep(2.0)
         ledger.add_transaction([hp], 3.0)  # approving the confirmed tip drops it
-        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        c = build_candidates(ledger, 40.0, AGING)
         assert hp not in c.tips and hp not in c.common
 
     def test_partition_disjoint_and_sorted(self):
         ledger = TangleLedger(8)
         for i in range(6):
             ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
-        c = build_candidates(ledger, 10.0, 0.0, NO_AGING)
+        c = build_candidates(ledger, 10.0, NO_AGING)
         assert not set(c.priority) & set(c.common)
         assert c.priority == sorted(c.priority)
         assert c.common == sorted(c.common)
@@ -124,7 +124,7 @@ class TestBuildCandidates:
     def test_aging_promotes_old_common(self):
         ledger = TangleLedger(8)
         old = ledger.add_transaction([ledger.genesis], 1.0)
-        c = build_candidates(ledger, 40.0, 0.0, POLICY)
+        c = build_candidates(ledger, 40.0, AGING)
         assert old in c.priority  # age 39 >= 30
         # genesis is also old and unconfirmed, hence promoted too
         assert ledger.genesis in c.priority
@@ -132,7 +132,7 @@ class TestBuildCandidates:
     def test_visibility_delay_hides_recent(self):
         ledger = TangleLedger(8)
         recent = ledger.add_transaction([ledger.genesis], 5.0)
-        c = build_candidates(ledger, 5.5, 1.0, NO_AGING)
+        c = build_candidates(ledger, 5.5, dataclasses.replace(NO_AGING, visibility_delay=1.0))
         # the only visible transaction (genesis) is no longer a tip, so the
         # visible tip pool is empty and genesis is the fallback parent
         assert recent not in c.tips
