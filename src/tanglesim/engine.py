@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from tanglesim.ledger import CLASS_COMMON, TangleLedger, TxRecord
+from tanglesim.ledger import TangleLedger, TxRecord
 from tanglesim.selection import (
     EmptyCandidates,
     build_candidates,
@@ -211,21 +211,11 @@ def run_simulation(config: SimConfig) -> SimTrace:
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
     ledger = TangleLedger(config.theta)
-    # id -> the first arrival whose aged prefix reached it while it was
-    # unconfirmed: when aging promoted it, if it is common
-    aged_at: dict[int, float] = {}
-    aged = 0  # the aged prefix scanned so far; it only grows
-    confirmed = ledger.confirmed_set
     tip_pool_sizes: list[tuple[float, int]] = []
 
     for now, flag in arrivals:
         try:
-            candidates = build_candidates(ledger, now, config)
-            for i in range(aged, candidates.aged):  # most arrivals age none
-                if i not in confirmed:
-                    aged_at[i] = now
-            aged = candidates.aged
-            parents = select(candidates, attach_rng).parents
+            parents = select(build_candidates(ledger, now, config), attach_rng).parents
         except EmptyCandidates:
             parents = [ledger.genesis]
 
@@ -234,9 +224,6 @@ def run_simulation(config: SimConfig) -> SimTrace:
         tip_pool_sizes.append((now, ledger.tip_count()))
 
     records = list(map(ledger.transaction, range(1, len(ledger))))
-    for record in records:
-        if record.tx_class == CLASS_COMMON:
-            record.promoted_at = aged_at.get(record.id)
     return SimTrace(config, records, tip_pool_sizes, ledger)
 
 

@@ -14,15 +14,18 @@ ancestors only: an insertion walks parent edges from the new transaction and
 stops at confirmed ones. A stored weight is exact while its transaction is
 unconfirmed.
 
-Five id-sorted lists index what every arrival asks about: the unconfirmed
-ids, the unconfirmed flagged ids, the tips, the tips that are confirmed or
-unflagged, and the confirmed tips. A new id is the largest, so it is
-appended; a confirmation or an approval removes an id by bisection, and a
-sweep inserts a tip it confirms (a tip weighs 1, so only at θ=1). Since ids
-are issued in time order, a time cutoff is an id prefix, and every
-candidate list is a slice of these lists. The priority candidates, which
-grow with the unconfirmed backlog, are read in place through a
-`PriorityView` over two such slices instead of being copied per arrival.
+Aging promotes a transaction: `promote` walks a cursor over the aged id
+prefix, which only grows, and stamps each id it passes that is unconfirmed
+and unflagged with the time. Three id-sorted lists index what every arrival
+asks about: the priority ids (unconfirmed, and flagged or promoted), the
+tips, and the common tips (the tips that are not priority ids). A new id is
+the largest, so it is appended; an approval removes a tip by bisection. A
+promotion inserts an id into the priority list and takes it out of the
+common tips; a confirmation takes a priority id out of the priority list
+and inserts it into the common tips if it is a tip. Since ids are issued in
+time order, a time cutoff is an id prefix, and every candidate pool is a
+prefix of one of these lists. The priority candidates, which grow with the unconfirmed backlog, are
+read in place through a `PriorityView` instead of being copied per arrival.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -41,7 +44,7 @@ import sys
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 MAX_PARENTS = 8
 
@@ -76,8 +79,8 @@ CLASS_COMMON = "common"
 @dataclass(slots=True)
 class TxRecord:
     """Lifecycle of one transaction: `tx_class` is CLASS_PRIORITY for a
-    flagged one, else CLASS_COMMON. The ledger leaves `promoted_at` None;
-    only the engine, which applies the aging rule, sets it."""
+    flagged one, else CLASS_COMMON. `promoted_at` is when aging promoted a
+    common one (see `TangleLedger.promote`), else None."""
 
     id: int
     tx_class: str
@@ -88,19 +91,16 @@ class TxRecord:
 
 
 class PriorityView(Sequence[int]):
-    """A read-only id sequence over two of the ledger's id-sorted lists (see
-    `TangleLedger.priority_candidates`); it copies neither and is valid until
-    the next ledger mutation. Construction, `len` and integer indexing are
-    O(1), and it compares equal to the list it stands for."""
+    """A read-only id sequence over a prefix of one of the ledger's id-sorted
+    lists (see `TangleLedger.priority_candidates`); it copies nothing and is
+    valid until the next ledger mutation. Construction, `len` and integer
+    indexing are O(1)."""
 
-    __slots__ = ("_head", "_split", "_tail", "_lo", "_len")
+    __slots__ = ("_ids", "_len")
 
-    def __init__(self, head: list[int], split: int, tail: list[int], lo: int, hi: int) -> None:
-        self._head = head
-        self._split = split
-        self._tail = tail
-        self._lo = lo
-        self._len = split + hi - lo
+    def __init__(self, ids: list[int], n: int) -> None:
+        self._ids = ids
+        self._len = n
 
     def __len__(self) -> int:
         return self._len
@@ -108,23 +108,12 @@ class PriorityView(Sequence[int]):
     def __getitem__(self, i: int) -> int:
         if i < 0:
             i += self._len
-        if 0 <= i < self._split:
-            return self._head[i]
-        if self._split <= i < self._len:
-            return self._tail[self._lo + i - self._split]
+        if 0 <= i < self._len:
+            return self._ids[i]
         raise IndexError("priority view index out of range")
 
     def __iter__(self) -> Iterator[int]:
-        head = islice(self._head, self._split)
-        if self._len == self._split:
-            return head
-        tail = islice(self._tail, self._lo, self._lo + self._len - self._split)
-        return chain(head, tail) if self._split else tail
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, PriorityView)):
-            return list(self) == list(other)
-        return NotImplemented
+        return islice(self._ids, self._len)
 
 
 class TangleLedger:
@@ -141,12 +130,12 @@ class TangleLedger:
         self._weight: list[int] = [1]
         # the last insertion walk to reach each id, or _CONFIRMED
         self._stamp: list[int] = [0]
+        self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
+        self._aged = 0  # promote's cursor: it has passed every id below
         # id-sorted indexes over the state above
-        self._unconfirmed: list[int] = [0]
-        self._flagged: list[int] = []  # unconfirmed and flagged
+        self._priority: list[int] = []  # unconfirmed, and flagged or promoted
         self._tips: list[int] = [0]
-        self._common_tips: list[int] = [0]  # tips confirmed or unflagged
-        self._confirmed_tips: list[int] = []
+        self._common_tips: list[int] = [0]  # tips not in _priority
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -166,7 +155,7 @@ class TangleLedger:
             raise UnknownTransaction(f"transaction {tx_id} does not exist")
 
     def transaction(self, tx_id: int) -> TxRecord:
-        """A snapshot of one transaction's stored state; `promoted_at` is None."""
+        """A snapshot of one transaction's stored state."""
         self._check_known(tx_id)
         return TxRecord(
             tx_id,
@@ -174,6 +163,7 @@ class TangleLedger:
             self._issued[tx_id],
             self._parents[tx_id],
             self._confirmed_at.get(tx_id),
+            self._promoted_at[tx_id],
         )
 
     # -- mutation ---------------------------------------------------------
@@ -207,20 +197,15 @@ class TangleLedger:
         self._first_approver.append(0)
         self._weight.append(0)  # the walk below raises it to 1
         self._stamp.append(new_id)
-        self._unconfirmed.append(new_id)
-        if priority_flag:
-            self._flagged.append(new_id)
-        else:
-            self._common_tips.append(new_id)
-        tips, common, confirmed = self._tips, self._common_tips, self._confirmed_tips
+        self._promoted_at.append(None)
+        (self._priority if priority_flag else self._common_tips).append(new_id)
+        tips, common = self._tips, self._common_tips
         first, stamp = self._first_approver, self._stamp
         for p in distinct:
             if not first[p]:
                 first[p] = new_id
                 del tips[bisect_left(tips, p)]
-                if stamp[p] == _CONFIRMED:
-                    del confirmed[bisect_left(confirmed, p)]
-                if stamp[p] == _CONFIRMED or not self._flag[p]:
+                if stamp[p] == _CONFIRMED or not self._is_priority(p):
                     del common[bisect_left(common, p)]
         tips.append(new_id)
 
@@ -246,18 +231,32 @@ class TangleLedger:
         """
         newly = set(self._ripe)
         self._ripe = []
-        unconfirmed, flagged = self._unconfirmed, self._flagged
+        priority = self._priority
         for i in newly:
-            del unconfirmed[bisect_left(unconfirmed, i)]
-            if self._flag[i]:
-                del flagged[bisect_left(flagged, i)]
             self._confirmed_at[i] = now
             self._stamp[i] = _CONFIRMED
-            if not self._first_approver[i]:  # a confirmed tip is common
-                insort(self._confirmed_tips, i)
-                if self._flag[i]:
+            if self._is_priority(i):
+                del priority[bisect_left(priority, i)]
+                if not self._first_approver[i]:  # a confirmed tip is common
                     insort(self._common_tips, i)
         return newly
+
+    def promote(self, aged: int, now: float) -> None:
+        """Apply aging up to the first `aged` ids: stamp each id in that
+        prefix not reached by an earlier call, if it is unconfirmed and
+        unflagged, as promoted at `now`, which makes it a priority id until
+        it confirms. A smaller prefix than an earlier call's promotes nothing."""
+        for i in range(self._aged, aged):  # most calls promote none
+            if self._stamp[i] != _CONFIRMED and not self._flag[i]:
+                self._promoted_at[i] = now
+                insort(self._priority, i)
+                if not self._first_approver[i]:
+                    del self._common_tips[bisect_left(self._common_tips, i)]
+        self._aged = max(self._aged, aged)
+
+    def _is_priority(self, i: int) -> bool:
+        """Whether `i` is flagged or promoted: a priority id while unconfirmed."""
+        return self._flag[i] or self._promoted_at[i] is not None
 
     # -- queries ----------------------------------------------------------
 
@@ -279,28 +278,16 @@ class TangleLedger:
         insertion order is time order)."""
         return bisect_right(self._issued, cutoff)
 
-    def priority_candidates(self, visible: int, aged: int) -> PriorityView:
-        """Unconfirmed transactions among the first `visible` that are flagged
-        or among the first `aged` (at most `visible`), in id order: the
-        unconfirmed ids below `aged` (the view's head segment), then the
-        flagged ones from `aged` up to `visible`."""
-        unconfirmed, flagged = self._unconfirmed, self._flagged
-        return PriorityView(
-            unconfirmed,
-            bisect_left(unconfirmed, aged),
-            flagged,
-            bisect_left(flagged, aged),
-            bisect_left(flagged, visible),
-        )
+    def priority_candidates(self, visible: int) -> PriorityView:
+        """The priority ids among the first `visible` transactions: the
+        unconfirmed ones that are flagged or promoted, in id order."""
+        return PriorityView(self._priority, bisect_left(self._priority, visible))
 
-    def tip_candidates(self, visible: int, aged: int) -> tuple[list[int], list[int]]:
+    def tip_candidates(self, visible: int) -> tuple[list[int], list[int]]:
         """The tips among the first `visible` transactions, and those of them
-        that are not priority candidates (see `priority_candidates`)."""
-        common, confirmed = self._common_tips, self._confirmed_tips
-        return self._tips[: bisect_left(self._tips, visible)], (
-            confirmed[: bisect_left(confirmed, aged)]
-            + common[bisect_left(common, aged) : bisect_left(common, visible)]
-        )
+        that are not priority ids."""
+        tips, common = self._tips, self._common_tips
+        return tips[: bisect_left(tips, visible)], common[: bisect_left(common, visible)]
 
     def newest_non_tip(self, visible: int) -> int | None:
         """Most recently issued non-tip among the first `visible`, if any."""

@@ -31,16 +31,14 @@ class EmptyCandidates(Exception):
 class SelectionCandidates:
     """Snapshot of selectable transactions, partitioned by effective priority.
 
-    `priority` holds unconfirmed effective-priority transactions (not
-    necessarily tips: they stay selectable until confirmed). `common` holds
-    the remaining selectable tips. `tips` is the full selectable tip pool
-    regardless of class, and `newest_non_tip` backs the single-tip fallback;
-    both exist so strategies need no ledger access. `aged` is the aged
-    cutoff: the ids below it are visible and at least the aging threshold
-    old, so they are priority candidates while unconfirmed (0 with aging off).
+    `priority` holds unconfirmed effective-priority transactions, flagged or
+    promoted by aging (not necessarily tips: they stay selectable until
+    confirmed). `common` holds the remaining selectable tips. `tips` is the
+    full selectable tip pool regardless of class, and `newest_non_tip` backs
+    the single-tip fallback; both exist so strategies need no ledger access.
 
     `priority` grows with the unconfirmed backlog, so the ledger hands it
-    out as a read-only view of its own lists (`PriorityView`), valid until
+    out as a read-only view of its own list (`PriorityView`), valid until
     the next ledger mutation. `common` and `tips` are bounded by the tip
     pool, which does not grow with the backlog, and are lists.
     """
@@ -49,7 +47,6 @@ class SelectionCandidates:
     common: list[int]
     tips: list[int]
     newest_non_tip: int | None
-    aged: int = 0
 
 
 @dataclass
@@ -59,28 +56,28 @@ class SelectionResult:
 
 
 def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> SelectionCandidates:
-    """Partition the transactions visible at `now` into selection candidates.
+    """Apply aging up to `now`, then partition the transactions visible at
+    `now` into selection candidates.
 
     A transaction is visible once its age reaches the visibility delay, and
-    aged once it is visible and its age reaches the aging threshold.
-    Raises EmptyCandidates when nothing is visible yet (right after genesis);
-    the caller should attach to genesis or retry later.
+    aged once it is visible and its age reaches the aging threshold; the
+    ledger promotes an aged one while it is unconfirmed and unflagged (see
+    `TangleLedger.promote`). So `now` must not decrease between calls on
+    one ledger. Raises EmptyCandidates when nothing is visible yet (right
+    after genesis); the caller should attach to genesis or retry later.
     """
     k = ledger.visible_count(now - config.visibility_delay)
     if k == 0:
         raise EmptyCandidates(f"no transaction visible at t={now}")
-    aged = (
-        ledger.visible_count(now - max(config.visibility_delay, config.aging_threshold))
-        if config.aging_enabled
-        else 0
-    )
-    tips, common = ledger.tip_candidates(k, aged)
+    if config.aging_enabled:
+        aged = ledger.visible_count(now - max(config.visibility_delay, config.aging_threshold))
+        ledger.promote(aged, now)
+    tips, common = ledger.tip_candidates(k)
     return SelectionCandidates(
-        priority=ledger.priority_candidates(k, aged),
+        priority=ledger.priority_candidates(k),
         common=common,
         tips=tips,
         newest_non_tip=ledger.newest_non_tip(k),
-        aged=aged,
     )
 
 

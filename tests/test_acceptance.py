@@ -126,7 +126,7 @@ def test_criterion_7_ledger_invariants(reference_runs):
             n = len(ledger)
             parents = [ledger.transaction(i).parents for i in range(n)]
             w = [1 + f.bit_count() for f in future_cones(parents)]
-            tips = ledger.tip_candidates(n, 0)[0]
+            tips = ledger.tip_candidates(n)[0]
             ok &= tips == sorted(brute_force_tips(parents))
             ok &= ledger.tip_count() == len(tips)
             confirmed = ledger.confirmed_set

@@ -260,7 +260,7 @@ class TestRunSimulation:
         assert promoted
         assert all(r.tx_class == CLASS_COMMON for r in promoted)
         for r in trace.records:
-            assert r == dataclasses.replace(ledger.transaction(r.id), promoted_at=r.promoted_at)
+            assert r == ledger.transaction(r.id)
 
 
 class TestPairedRuns:
@@ -295,7 +295,7 @@ class TestLedgerInvariantsAfterRun:
             n = len(ledger)
             parents = [ledger.transaction(i).parents for i in range(n)]
             w = [1 + f.bit_count() for f in future_cones(parents)]
-            tips = ledger.tip_candidates(n, 0)[0]
+            tips = ledger.tip_candidates(n)[0]
             assert tips == sorted(brute_force_tips(parents))
             assert ledger.tip_count() == len(tips)
             confirmed = ledger.confirmed_set

@@ -38,7 +38,7 @@ def build_diamond():
 
 def tips(ledger):
     """Every tip, in id order: the tip candidates with all ids visible."""
-    return ledger.tip_candidates(len(ledger), 0)[0]
+    return ledger.tip_candidates(len(ledger))[0]
 
 
 def parents_of(ledger):

@@ -67,7 +67,7 @@ class TestBuildCandidates:
     def test_genesis_only(self):
         ledger = TangleLedger(8)
         c = build_candidates(ledger, 0.0, AGING)
-        assert c.priority == []
+        assert list(c.priority) == []
         assert c.common == [ledger.genesis]
 
     def test_raises_before_anything_visible(self):
@@ -83,16 +83,21 @@ class TestBuildCandidates:
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
         c = build_candidates(ledger, 10.0, NO_AGING)
-        assert c.priority == [hp]
+        assert list(c.priority) == [hp]
         assert c.common == sorted([t1, t2])
 
     def test_confirmed_priority_excluded(self):
         ledger = TangleLedger(2)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
-        ledger.add_transaction([hp], 2.0)
-        ledger.confirmation_sweep(2.0)  # hp now confirmed
+        child = ledger.add_transaction([hp], 2.0)
+        ledger.confirmation_sweep(2.0)  # genesis and hp now confirmed
         c = build_candidates(ledger, 10.0, NO_AGING)
         assert hp not in c.priority
+        # aging stamps no confirmed id, only the unconfirmed common child
+        c = build_candidates(ledger, 40.0, AGING)
+        assert list(c.priority) == [child]
+        promoted = [ledger.transaction(i).promoted_at for i in (ledger.genesis, hp, child)]
+        assert promoted == [None, None, 40.0]
 
     def test_theta_one_confirmed_tip_is_common(self):
         # a tip weighs 1, so only at theta=1 can a sweep confirm a tip; every
@@ -101,16 +106,24 @@ class TestBuildCandidates:
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         c = build_candidates(ledger, 40.0, AGING)
         assert hp in c.priority and hp not in c.common  # ripe, not yet swept
+        # aging stamps the unconfirmed genesis, but never the flagged hp
+        assert ledger.transaction(ledger.genesis).promoted_at == 40.0
+        assert ledger.transaction(hp).promoted_at is None
         ledger.confirmation_sweep(1.0)
         fresh = ledger.add_transaction([ledger.genesis], 2.0)  # unswept
         c = build_candidates(ledger, 40.0, AGING)
-        assert c.aged == 3
+        assert ledger.transaction(fresh).promoted_at == 40.0
         assert hp in c.common and hp not in c.priority
-        assert fresh in c.priority and fresh not in c.common
+        # the promoted tip leaves the common tips
+        assert fresh in c.tips and fresh in c.priority and fresh not in c.common
         ledger.confirmation_sweep(2.0)
+        c = build_candidates(ledger, 40.0, AGING)
+        # and comes back once it confirms
+        assert fresh in c.common and fresh not in c.priority
         ledger.add_transaction([hp], 3.0)  # approving the confirmed tip drops it
         c = build_candidates(ledger, 40.0, AGING)
         assert hp not in c.tips and hp not in c.common
+        assert fresh in c.common
 
     def test_partition_disjoint_and_sorted(self):
         ledger = TangleLedger(8)
@@ -118,16 +131,25 @@ class TestBuildCandidates:
             ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
         c = build_candidates(ledger, 10.0, NO_AGING)
         assert not set(c.priority) & set(c.common)
-        assert c.priority == sorted(c.priority)
+        assert list(c.priority) == sorted(c.priority)
         assert c.common == sorted(c.common)
 
     def test_aging_promotes_old_common(self):
         ledger = TangleLedger(8)
         old = ledger.add_transaction([ledger.genesis], 1.0)
+        young = ledger.add_transaction([old], 20.0)
         c = build_candidates(ledger, 40.0, AGING)
         assert old in c.priority  # age 39 >= 30
+        assert young not in c.priority  # age 20
         # genesis is also old and unconfirmed, hence promoted too
         assert ledger.genesis in c.priority
+        ledger.promote(0, 45.0)  # a smaller prefix promotes nothing
+        ledger.promote(2, 46.0)  # nor does it rewind the cursor
+        promoted = [ledger.transaction(i).promoted_at for i in (ledger.genesis, old, young)]
+        assert promoted == [40.0, 40.0, None]
+        c = build_candidates(ledger, 50.0, AGING)
+        assert young in c.priority  # age 30
+        assert ledger.transaction(young).promoted_at == 50.0
 
     def test_visibility_delay_hides_recent(self):
         ledger = TangleLedger(8)
