@@ -260,10 +260,6 @@ class TangleLedger:
 
     # -- queries ----------------------------------------------------------
 
-    def tip_count(self) -> int:
-        """Number of transactions not yet approved by any other transaction."""
-        return len(self._tips)
-
     def weight(self, tx_id: int) -> int:
         """The stored cumulative weight of `tx_id`: 1 + the number of distinct
         transactions approving it transitively. Exact while `tx_id` is

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 import yaml
@@ -15,6 +16,7 @@ from tanglesim.engine import (
 )
 from tanglesim.ledger import CLASS_COMMON
 from tanglesim.oracle import brute_force_tips, future_cones
+from test_golden import tip_pool_series
 
 SMALL = SimConfig(horizon=60.0)
 # the `ptsa-backlog` shape cut to 60 s, where aging promotes
@@ -56,6 +58,12 @@ class TestConfigValidation:
     def test_dict_round_trip(self):
         config = SimConfig(seed=7, pinned_priority=(1, 2, 3))
         assert SimConfig.from_dict(config.to_dict()) == config
+
+    def test_readme_config_reference_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config reference", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block) == SimConfig().to_dict()
 
     def test_yaml_int_in_number_field_stored_as_float(self):
         config = SimConfig.from_dict(yaml.safe_load("lambda: 10\nhorizon_seconds: 60"))
@@ -234,8 +242,13 @@ class TestRunSimulation:
 
     def test_tip_pool_series_matches_records(self):
         trace = run_simulation(SMALL)
-        assert len(trace.tip_pool_sizes) == len(trace.records)
-        assert all(n >= 1 for _, n in trace.tip_pool_sizes)
+        series = tip_pool_series(trace.records)
+        assert [t for t, _ in series] == [r.issued_at for r in trace.records]
+        assert all(n >= 1 for _, n in series)
+        ledger = trace.ledger
+        parents = [ledger.transaction(i).parents for i in range(len(ledger))]
+        assert series[-1][1] == len(ledger.tip_candidates(len(ledger))[0])
+        assert series[-1][1] == len(brute_force_tips(parents))
 
     def test_aging_promotion_recorded(self):
         # starve common transactions so the aging path must fire
@@ -297,7 +310,6 @@ class TestLedgerInvariantsAfterRun:
             w = [1 + f.bit_count() for f in future_cones(parents)]
             tips = ledger.tip_candidates(n)[0]
             assert tips == sorted(brute_force_tips(parents))
-            assert ledger.tip_count() == len(tips)
             confirmed = ledger.confirmed_set
             assert confirmed == {i for i in range(n) if w[i] >= config.theta}
             for i in range(n):

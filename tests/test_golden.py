@@ -113,8 +113,9 @@ COMPARE_GOLDEN = {
 }
 
 
-# sha256 of every record's promoted_at and the tip-pool series, which no
-# output file holds, for the ptsa-backlog config
+# sha256 of every record's promoted_at and the tip-pool series derived from
+# the records (`tip_pool_series`), neither of which an output file holds, for
+# the ptsa-backlog config
 IN_MEMORY_GOLDEN = "2a0e49959ddc2c4b42ecebaacc285bce4ecd5f59cfaaaa3337683dc3ae0b4317"
 # the same for the ptsa-backlog config under the uniform strategy
 UNIFORM_IN_MEMORY_GOLDEN = "e521b15768f6976585a4a115b8ab06fd8b3af84e8c032665067fa916849c8a23"
@@ -151,11 +152,26 @@ def test_compare_outputs_match_golden_digests(tmp_path):
     assert {name: _sha256(out / name) for name in COMPARE_GOLDEN} == COMPARE_GOLDEN
 
 
+def tip_pool_series(records) -> list[tuple[float, int]]:
+    """(issue time, number of tips) after each record, in id order: genesis
+    starts as the one tip, and each record adds itself and removes each of its
+    parents that no earlier record approved."""
+    approved: set[int] = set()
+    tips = 1
+    series = []
+    for r in records:
+        fresh = set(r.parents) - approved
+        approved |= fresh
+        tips += 1 - len(fresh)
+        series.append((r.issued_at, tips))
+    return series
+
+
 def in_memory_digest(config: dict) -> str:
     trace = run_simulation(SimConfig.from_dict(config))
     pinned = {
         "promoted_at": [[r.id, r.promoted_at] for r in trace.records],
-        "tip_pool_sizes": trace.tip_pool_sizes,
+        "tip_pool_sizes": tip_pool_series(trace.records),
     }
     return hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
 

@@ -49,7 +49,7 @@ class TestGenesis:
     def test_fresh_ledger_has_only_genesis_tip(self):
         ledger = TangleLedger(8)
         assert tips(ledger) == [ledger.genesis]
-        assert ledger.tip_count() == 1
+        assert len(tips(ledger)) == 1
         assert len(ledger) == 1
 
     def test_genesis_weight_is_one(self):
@@ -129,7 +129,7 @@ class TestTips:
         a = ledger.add_transaction([ledger.genesis], 1.0)
         b = ledger.add_transaction([ledger.genesis], 2.0)
         assert tips(ledger) == [a, b]
-        assert ledger.tip_count() == 2
+        assert len(tips(ledger)) == 2
 
 
 class TestCumulativeWeight:

@@ -127,7 +127,6 @@ def test_indexes_match_brute_force(history, delay, threshold):
         assert all(ledger.weight(i) == w for i, w in enumerate(weights) if i not in confirmed)
         tips = brute_force_tips(parents)
         assert ledger.tip_candidates(len(ledger))[0] == sorted(tips)
-        assert ledger.tip_count() == len(tips)
         for query_step in query_steps:
             query_now += query_step
             check_candidates(ledger, query_now, config, issued, flags, tips, confirmed, promoted)

@@ -26,7 +26,7 @@ def fixture_trace():
         TxRecord(4, "priority", 3.0, (2, 3), confirmed_at=7.0),     # latency 4.0
         TxRecord(5, "common", 4.0, (3, 4)),                         # unconfirmed
     ]
-    return SimTrace(CONFIG, records, [(r.issued_at, 1) for r in records], TangleLedger(8))
+    return SimTrace(CONFIG, records, TangleLedger(8))
 
 
 GOLDEN_CSV = """\
@@ -41,7 +41,7 @@ id,class,issued_at,confirmed_at,latency,parents
 
 class TestClassStats:
     def test_empty_class(self):
-        trace = SimTrace(CONFIG, [], [], TangleLedger(8))
+        trace = SimTrace(CONFIG, [], TangleLedger(8))
         stats = class_stats(trace, "priority")
         assert stats.issued == 0
         assert stats.confirmed == 0
@@ -107,7 +107,7 @@ class TestCompare:
 
 class TestCsvExport:
     def test_genesis_only_trace_is_header_only(self, tmp_path):
-        trace = SimTrace(CONFIG, [], [], TangleLedger(8))
+        trace = SimTrace(CONFIG, [], TangleLedger(8))
         path = tmp_path / "trace.csv"
         export_csv(trace, path)
         assert path.read_text() == "id,class,issued_at,confirmed_at,latency,parents\n"
