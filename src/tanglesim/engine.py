@@ -74,7 +74,8 @@ class SimConfig:
     def from_dict(cls, data: dict) -> "SimConfig":
         if not isinstance(data, dict):
             raise ConfigInvalid("<root>", "config must be a mapping")
-        aging = data.get("aging", {})
+        # an `aging:` section whose keys are all commented out reads as null
+        aging = {} if data.get("aging") is None else data["aging"]
         if not isinstance(aging, dict):
             raise ConfigInvalid("aging", "must be a mapping")
         flat = {key: value for key, value in data.items() if key != "aging"}
@@ -219,7 +220,8 @@ def run_simulation(config: SimConfig) -> SimTrace:
         ledger.add_transaction(parents, now, flag)
         ledger.confirmation_sweep(now)
 
-    records = list(map(ledger.transaction, range(1, len(ledger))))
+    records = ledger.records()
+    del records[0]  # genesis
     return SimTrace(config, records, ledger)
 
 

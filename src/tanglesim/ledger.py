@@ -2,8 +2,8 @@
 
 Transaction ids are insertion ordinals starting at 0 (the genesis), so id
 order equals issue-time order. Each transaction's state is stored once, in
-per-field lists indexed by id; `TangleLedger.transaction` reads it out as a
-`TxRecord`, the one type that describes a transaction's lifecycle.
+per-field lists indexed by id; `TangleLedger.records` reads it all out as
+`TxRecord`s, the one type that describes a transaction's lifecycle.
 
 A transaction confirms once its cumulative weight reaches the threshold θ,
 which the ledger takes once, at construction. Every ancestor of a
@@ -60,10 +60,6 @@ class UnknownParent(TangleError):
     """A parent id does not exist in the ledger."""
 
 
-class UnknownTransaction(TangleError):
-    """A queried transaction id does not exist in the ledger."""
-
-
 class ParentArity(TangleError):
     """Parent count outside the allowed 1..8 range."""
 
@@ -74,6 +70,7 @@ class TimeRegression(TangleError):
 
 CLASS_PRIORITY = "priority"
 CLASS_COMMON = "common"
+_CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # indexed by the flag
 
 
 @dataclass(slots=True)
@@ -146,25 +143,6 @@ class TangleLedger:
 
     def __len__(self) -> int:
         return len(self._parents)
-
-    def __contains__(self, tx_id: int) -> bool:
-        return 0 <= tx_id < len(self._parents)
-
-    def _check_known(self, tx_id: int) -> None:
-        if tx_id not in self:
-            raise UnknownTransaction(f"transaction {tx_id} does not exist")
-
-    def transaction(self, tx_id: int) -> TxRecord:
-        """A snapshot of one transaction's stored state."""
-        self._check_known(tx_id)
-        return TxRecord(
-            tx_id,
-            CLASS_PRIORITY if self._flag[tx_id] else CLASS_COMMON,
-            self._issued[tx_id],
-            self._parents[tx_id],
-            self._confirmed_at.get(tx_id),
-            self._promoted_at[tx_id],
-        )
 
     # -- mutation ---------------------------------------------------------
 
@@ -260,12 +238,20 @@ class TangleLedger:
 
     # -- queries ----------------------------------------------------------
 
-    def weight(self, tx_id: int) -> int:
-        """The stored cumulative weight of `tx_id`: 1 + the number of distinct
-        transactions approving it transitively. Exact while `tx_id` is
-        unconfirmed; once it confirms, the value stops growing."""
-        self._check_known(tx_id)
-        return self._weight[tx_id]
+    def records(self) -> list[TxRecord]:
+        """A snapshot of every transaction's stored state, in id order
+        (genesis first, so `records()[i].id == i`)."""
+        ids = range(len(self._parents))
+        return list(map(
+            TxRecord, ids, map(_CLASSES.__getitem__, self._flag), self._issued,
+            self._parents, map(self._confirmed_at.get, ids), self._promoted_at,
+        ))
+
+    def weights(self) -> list[int]:
+        """The stored cumulative weight of every id, in id order: 1 + the
+        number of distinct transactions approving it transitively. Exact
+        while the id is unconfirmed; once it confirms, the value stops growing."""
+        return self._weight.copy()
 
     # -- selection support -------------------------------------------------
 

@@ -48,7 +48,7 @@ def check_cumulative_weights(fault_inject: bool = False) -> bool:
             # so every stored weight is still maintained)
             ledger._weight[rng.randrange(size)] += 1
         expected = brute_force_cumulative_weights(parents)
-        actual = {i: ledger.weight(i) for i in range(size)}
+        actual = dict(enumerate(ledger.weights()))
         if actual != expected:
             bad = sorted(i for i in expected if actual[i] != expected[i])
             print(f"FAIL cumulative-weight oracle: trial {trial}, nodes {bad}")

@@ -60,9 +60,7 @@ def test_criterion_2_cumulative_weight_oracle():
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
         expected = brute_force_cumulative_weights(parents)
-        ok &= all(
-            ledger.weight(i) == expected[i] for i in range(len(parents))
-        )
+        ok &= dict(enumerate(ledger.weights())) == expected
     ok &= time.monotonic() - start < 10.0
     report("criterion 2 (cumulative-weight oracle equivalence)", ok)
 
@@ -124,11 +122,12 @@ def test_criterion_7_ledger_invariants(reference_runs):
     for _, u_ledger, _, p_ledger in reference_runs:
         for ledger in (u_ledger, p_ledger):
             n = len(ledger)
-            parents = [ledger.transaction(i).parents for i in range(n)]
+            parents = [r.parents for r in ledger.records()]
             w = [1 + f.bit_count() for f in future_cones(parents)]
             tips = ledger.tip_candidates(n)[0]
             ok &= tips == sorted(brute_force_tips(parents))
             confirmed = ledger.confirmed_set
             ok &= confirmed == {i for i in range(n) if w[i] >= theta}
-            ok &= all(ledger.weight(i) == w[i] for i in range(n) if i not in confirmed)
+            stored = ledger.weights()
+            ok &= all(stored[i] == w[i] for i in range(n) if i not in confirmed)
     report("criterion 7 (ledger invariants after simulation)", ok)

@@ -78,6 +78,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             SimConfig.from_dict({"lambda": 1.0, "mu": 2.0})
 
+    def test_aging_section_with_every_key_commented_out(self):
+        text = "lambda: 10.0\naging:\n  # enabled: false\n"
+        assert SimConfig.from_dict(yaml.safe_load(text)) == SimConfig()
+
     def test_unknown_aging_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             SimConfig.from_dict({"aging": {"enabled": True, "rate": 2}})
@@ -105,6 +109,10 @@ class TestConfigValidation:
             # the `aging.*` keys belong inside `aging:`, not at the top level
             ("aging.enabled: false\naging.threshold_seconds: 0.0", "aging.enabled"),
             ("aging: {enabled: true}\naging.enabled: false", "aging.enabled"),
+            # only a null `aging:` section means the defaults
+            ("aging: false", "aging"),
+            ("aging: 0", "aging"),
+            ("aging: []", "aging"),
         ],
     )
     def test_non_finite_and_mistyped_values_rejected(self, text, field):
@@ -209,6 +217,26 @@ class TestWorkload:
         assert flags[0] and flags[1] and flags[4]
         assert sum(flags) == 3
 
+    def test_pinning_adds_flags_and_moves_no_arrival(self):
+        # on the reference config: pinning only sets the named ordinals' flags,
+        # ignores ordinals past the last arrival, and draws nothing
+        def run(rho, pinned):
+            config = dataclasses.replace(SimConfig(), priority_fraction=rho, pinned_priority=pinned)
+            arrivals = generate_workload(config)
+            return [t for t, _ in arrivals], [flag for _, flag in arrivals]
+
+        times, flags = run(0.0, ())
+        pinned_times, pinned_flags = run(0.0, (1, 3, 1000000))
+        assert pinned_times == times
+        assert [i for i, flag in enumerate(pinned_flags, start=1) if flag] == [1, 3]
+
+        times, flags = run(0.05, ())
+        pinned_times, pinned_flags = run(0.05, (2,))
+        assert pinned_times == times
+        assert not flags[1] and sum(flags) == 160
+        assert pinned_flags == [flag or ordinal == 2 for ordinal, flag in enumerate(flags, start=1)]
+        assert sum(pinned_flags) == 161
+
 
 class TestRunSimulation:
     def test_deterministic_replay(self):
@@ -246,7 +274,7 @@ class TestRunSimulation:
         assert [t for t, _ in series] == [r.issued_at for r in trace.records]
         assert all(n >= 1 for _, n in series)
         ledger = trace.ledger
-        parents = [ledger.transaction(i).parents for i in range(len(ledger))]
+        parents = [r.parents for r in ledger.records()]
         assert series[-1][1] == len(ledger.tip_candidates(len(ledger))[0])
         assert series[-1][1] == len(brute_force_tips(parents))
 
@@ -272,8 +300,7 @@ class TestRunSimulation:
         promoted = [r for r in trace.records if r.promoted_at is not None]
         assert promoted
         assert all(r.tx_class == CLASS_COMMON for r in promoted)
-        for r in trace.records:
-            assert r == ledger.transaction(r.id)
+        assert trace.records == ledger.records()[1:]
 
 
 class TestPairedRuns:
@@ -306,14 +333,15 @@ class TestLedgerInvariantsAfterRun:
             config = dataclasses.replace(SMALL, strategy=strategy)
             ledger = run_simulation(config).ledger
             n = len(ledger)
-            parents = [ledger.transaction(i).parents for i in range(n)]
+            parents = [r.parents for r in ledger.records()]
             w = [1 + f.bit_count() for f in future_cones(parents)]
             tips = ledger.tip_candidates(n)[0]
             assert tips == sorted(brute_force_tips(parents))
             confirmed = ledger.confirmed_set
             assert confirmed == {i for i in range(n) if w[i] >= config.theta}
+            stored = ledger.weights()
             for i in range(n):
-                assert i in confirmed or ledger.weight(i) == w[i]
+                assert i in confirmed or stored[i] == w[i]
 
 
 class TestMetamorphic:

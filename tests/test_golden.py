@@ -3,10 +3,16 @@
 Reruns of one build are compared elsewhere (criterion 5); these digests pin
 the outputs across refactors. A change that is meant to alter the model's
 outputs updates them and says why in CHANGES.md.
+
+`PYTHONPATH=src python tests/test_golden.py` prints the checkout's digests in
+the shape of the constants below, so new digests can be computed at any
+commit and compared with the pinned ones.
 """
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
@@ -142,14 +148,19 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert simulate_digests(CONFIGS[name], tmp_path) == GOLDEN[name]
 
 
-def test_compare_outputs_match_golden_digests(tmp_path):
+def compare_digests(tmp_path) -> dict[str, str]:
+    """File name -> sha256 of every file `compare --seeds 2` writes on the
+    reference config."""
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(REFERENCE))
     out = tmp_path / "out"
     args = ["compare", "--config", str(config_path), "--seeds", "2", "--out", str(out)]
     assert main(args) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == sorted(COMPARE_GOLDEN)
-    assert {name: _sha256(out / name) for name in COMPARE_GOLDEN} == COMPARE_GOLDEN
+    return {p.name: _sha256(p) for p in sorted(out.iterdir())}
+
+
+def test_compare_outputs_match_golden_digests(tmp_path):
+    assert compare_digests(tmp_path) == COMPARE_GOLDEN
 
 
 def tip_pool_series(records) -> list[tuple[float, int]]:
@@ -176,15 +187,47 @@ def in_memory_digest(config: dict) -> str:
     return hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
 
 
+# in-memory digest constant -> its config
+IN_MEMORY_CONFIGS = {
+    "IN_MEMORY_GOLDEN": CONFIGS["ptsa-backlog-seed42"],
+    "UNIFORM_IN_MEMORY_GOLDEN": {**CONFIGS["ptsa-backlog-seed42"], "strategy": "uniform"},
+    "AGING_BELOW_DELAY_IN_MEMORY_GOLDEN": CONFIGS["aging-below-delay-backlog-seed42"],
+}
+
+
 def test_promotions_and_tip_pool_match_golden_digest():
-    assert in_memory_digest(CONFIGS["ptsa-backlog-seed42"]) == IN_MEMORY_GOLDEN
+    assert in_memory_digest(IN_MEMORY_CONFIGS["IN_MEMORY_GOLDEN"]) == IN_MEMORY_GOLDEN
 
 
 def test_uniform_promotions_and_tip_pool_match_golden_digest():
-    config = {**CONFIGS["ptsa-backlog-seed42"], "strategy": "uniform"}
+    config = IN_MEMORY_CONFIGS["UNIFORM_IN_MEMORY_GOLDEN"]
     assert in_memory_digest(config) == UNIFORM_IN_MEMORY_GOLDEN
 
 
 def test_aging_below_delay_promotions_and_tip_pool_match_golden_digest():
-    config = CONFIGS["aging-below-delay-backlog-seed42"]
+    config = IN_MEMORY_CONFIGS["AGING_BELOW_DELAY_IN_MEMORY_GOLDEN"]
     assert in_memory_digest(config) == AGING_BELOW_DELAY_IN_MEMORY_GOLDEN
+
+
+def print_digests() -> None:
+    """Print this checkout's digests as the constants above are written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name in sorted(CONFIGS):
+            run_dir = Path(tmp, name)
+            run_dir.mkdir()
+            trace_digest, summary_digest = simulate_digests(CONFIGS[name], run_dir)
+            print(f'    "{name}": (\n        "{trace_digest}",\n        "{summary_digest}",\n    ),')
+        print("}")
+        compare_dir = Path(tmp, "compare")
+        compare_dir.mkdir()
+        print("COMPARE_GOLDEN = {")
+        for name, digest in compare_digests(compare_dir).items():
+            print(f'    "{name}": "{digest}",')
+        print("}")
+    for constant, config in IN_MEMORY_CONFIGS.items():
+        print(f'{constant} = "{in_memory_digest(config)}"')
+
+
+if __name__ == "__main__":
+    print_digests()

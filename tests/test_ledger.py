@@ -9,7 +9,6 @@ from tanglesim.ledger import (
     TimeRegression,
     UnknownParent,
     TangleLedger,
-    UnknownTransaction,
 )
 from tanglesim.oracle import (
     brute_force_cumulative_weights,
@@ -42,7 +41,7 @@ def tips(ledger):
 
 
 def parents_of(ledger):
-    return [ledger.transaction(i).parents for i in range(len(ledger))]
+    return [r.parents for r in ledger.records()]
 
 
 class TestGenesis:
@@ -54,7 +53,7 @@ class TestGenesis:
 
     def test_genesis_weight_is_one(self):
         ledger = TangleLedger(8)
-        assert ledger.weight(ledger.genesis) == 1
+        assert ledger.weights() == [1]
 
     def test_no_confirmation_below_threshold(self):
         ledger = TangleLedger(8)
@@ -70,23 +69,18 @@ class TestAddTransaction:
 
     def test_chain_weights(self):
         ledger, a, b = build_chain()
-        assert ledger.weight(ledger.genesis) == 3
-        assert ledger.weight(a) == 2
-        assert ledger.weight(b) == 1
+        assert ledger.weights() == [3, 2, 1]
 
     def test_diamond_counts_shared_ancestor_once(self):
         ledger, a, b, c = build_diamond()
-        assert ledger.weight(ledger.genesis) == 4
-        assert ledger.weight(a) == 2
-        assert ledger.weight(b) == 2
-        assert ledger.weight(c) == 1
+        assert ledger.weights() == [4, 2, 2, 1]
 
     def test_duplicate_parents_deduplicated(self):
         ledger = TangleLedger(8)
         new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
-        assert ledger.transaction(new).parents == (ledger.genesis,)
+        assert parents_of(ledger) == [(), (ledger.genesis,)]
         assert tips(ledger) == [new]
-        assert ledger.weight(ledger.genesis) == 2
+        assert ledger.weights() == [2, 1]
 
     def test_unknown_parent(self):
         ledger = TangleLedger(8)
@@ -135,15 +129,12 @@ class TestTips:
 class TestCumulativeWeight:
     def test_tip_weight_is_one(self):
         ledger, a, b, c = build_diamond()
-        assert ledger.weight(c) == 1
+        assert ledger.weights()[c] == 1
 
-    def test_unknown_transaction(self):
-        ledger = TangleLedger(8)
-        for unknown in (123, 1, -1):
-            with pytest.raises(UnknownTransaction):
-                ledger.weight(unknown)
-            with pytest.raises(UnknownTransaction):
-                ledger.transaction(unknown)
+    def test_weights_is_a_copy(self):
+        ledger, a, b = build_chain()
+        ledger.weights()[0] = 99
+        assert ledger.weights() == [3, 2, 1]
 
 
 class TestConfirmationSweep:
@@ -151,8 +142,7 @@ class TestConfirmationSweep:
         ledger, a, b = build_chain(theta=1)
         newly = ledger.confirmation_sweep(2.0)
         assert newly == {ledger.genesis, a, b}
-        for tx_id in newly:
-            assert ledger.transaction(tx_id).confirmed_at == 2.0
+        assert [r.confirmed_at for r in ledger.records()] == [2.0, 2.0, 2.0]
 
     def test_theta_one_confirms_each_arrival(self):
         # genesis weighs theta from construction, and each new id from insertion
@@ -160,8 +150,7 @@ class TestConfirmationSweep:
         assert ledger.confirmation_sweep(0.0) == {ledger.genesis}
         new = ledger.add_transaction([ledger.genesis], 1.0)
         assert ledger.confirmation_sweep(1.0) == {new}
-        assert ledger.transaction(ledger.genesis).confirmed_at == 0.0
-        assert ledger.transaction(new).confirmed_at == 1.0
+        assert [r.confirmed_at for r in ledger.records()] == [0.0, 1.0]
 
     def test_chain_theta_three(self):
         ledger, a, b = build_chain(theta=3)
@@ -203,14 +192,10 @@ class TestCones:
         assert future_cones(parents_of(ledger))[ledger.genesis] == bits({a, b})
 
     def test_unknown(self):
-        # the cone oracle has one entry per known id; the next id is unknown
+        # the cone oracle and the ledger's readers have one entry per known id
         ledger, a, b, c = build_diamond()
         assert len(future_cones(parents_of(ledger))) == len(ledger) == c + 1
-        for unknown in (c + 1, -1):
-            with pytest.raises(UnknownTransaction):
-                ledger.weight(unknown)
-            with pytest.raises(UnknownTransaction):
-                ledger.transaction(unknown)
+        assert len(ledger.records()) == len(ledger.weights()) == len(ledger)
 
 
 def replay(parents, theta=8):
@@ -229,8 +214,7 @@ class TestRandomizedInvariants:
             parents = random_dag(rng, rng.randint(2, 200))
             ledger = replay(parents)
             expected = brute_force_cumulative_weights(parents)
-            for i in range(len(parents)):
-                assert ledger.weight(i) == expected[i]
+            assert dict(enumerate(ledger.weights())) == expected
 
     def test_tip_set_matches_recomputation(self):
         rng = random.Random(99)
@@ -244,7 +228,7 @@ class TestRandomizedInvariants:
         rng = random.Random(7)
         parents = random_dag(rng, 150)
         ledger = replay(parents)
-        total_cw = sum(ledger.weight(i) for i in range(len(parents)))
+        total_cw = sum(ledger.weights())
         total_cones = sum(1 + len(reachable(i, parents)) for i in range(len(parents)))
         assert total_cw == total_cones
 
@@ -252,18 +236,19 @@ class TestRandomizedInvariants:
         rng = random.Random(11)
         parents = random_dag(rng, 150)
         ledger = replay(parents)
+        weights = ledger.weights()
         for tip in tips(ledger):
-            assert ledger.weight(tip) == 1
+            assert weights[tip] == 1
 
     def test_weights_monotone_under_insertion(self):
         rng = random.Random(21)
         parents = random_dag(rng, 80)
         ledger = TangleLedger(8)
-        previous = {0: 1}
+        previous = [1]
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
-            current = {i: ledger.weight(i) for i in range(len(ledger))}
-            for i, w in previous.items():
+            current = ledger.weights()
+            for i, w in enumerate(previous):
                 assert current[i] >= w
             previous = current
 
@@ -271,8 +256,8 @@ class TestRandomizedInvariants:
         rng = random.Random(31)
         parents = random_dag(rng, 200)
         ledger = replay(parents)
-        for i in range(len(parents)):
-            for p in ledger.transaction(i).parents:
+        for i, ps in enumerate(parents_of(ledger)):
+            for p in ps:
                 assert p < i
 
     def test_genesis_in_every_past_cone(self):
@@ -291,8 +276,9 @@ class TestRandomizedInvariants:
         ledger.confirmation_sweep(200.0)
         weights = [1 + f.bit_count() for f in future_cones(parents)]
         assert ledger.confirmed_set == {i for i, w in enumerate(weights) if w >= theta}
+        stored = ledger.weights()
         for i, w in enumerate(weights):
-            assert i in ledger.confirmed_set or ledger.weight(i) == w
+            assert i in ledger.confirmed_set or stored[i] == w
 
 
 def reachable(start, edges):
@@ -329,17 +315,19 @@ class TestInterleavedSweeps:
                     newly = ledger.confirmation_sweep(float(new))
                     before, cut = cut, {i for i, w in expected.items() if w >= theta}
                     assert newly == cut - before
+                    records, weights = ledger.records(), ledger.weights()
                     for i in newly:
-                        assert ledger.transaction(i).confirmed_at == float(new)
-                        frozen[i] = ledger.weight(i)
+                        assert records[i].confirmed_at == float(new)
+                        frozen[i] = weights[i]
                         assert frozen[i] >= theta
                 confirmed = ledger.confirmed_set
                 assert confirmed == cut
                 cones = future_cones(parents[: new + 1])
+                weights = ledger.weights()
                 for i in range(new + 1):
                     assert cones[i] == bits(reachable(i, approvers))
                     if i in confirmed:
-                        assert ledger.weight(i) == frozen[i] <= expected[i]
+                        assert weights[i] == frozen[i] <= expected[i]
                     else:
-                        assert ledger.weight(i) == expected[i]
+                        assert weights[i] == expected[i]
                 assert all(set(parents[i]) <= confirmed for i in confirmed)

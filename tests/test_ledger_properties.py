@@ -86,7 +86,7 @@ def check_candidates(ledger, now, config, issued, flags, tips, confirmed, promot
     assert c.tips == visible_tips
     assert c.common == [t for t in visible_tips if t not in priority]
     assert c.newest_non_tip == (non_tips[-1] if non_tips else None)
-    assert [ledger.transaction(i).promoted_at for i in range(len(ledger))] == [
+    assert [r.promoted_at for r in ledger.records()] == [
         promoted.get(i) for i in range(len(ledger))
     ]
 
@@ -106,7 +106,7 @@ def test_indexes_match_brute_force(history, delay, threshold):
     )
     ledger = TangleLedger(theta)
     parents, flags, issued = [()], [False], [0.0]
-    confirmed: set[int] = set()
+    confirmed: dict[int, float] = {}  # id -> the sweep that confirmed it
     promoted: dict[int, float] = {}  # id -> the query that promoted it
     now = 0.0
     query_now = -1.0  # the first queries see nothing
@@ -120,11 +120,14 @@ def test_indexes_match_brute_force(history, delay, threshold):
         weights = [1 + f.bit_count() for f in future_cones(parents)]
         if sweep:
             newly = ledger.confirmation_sweep(now)
-            assert newly == {i for i, w in enumerate(weights) if w >= theta} - confirmed
-            assert all(ledger.transaction(i).confirmed_at == now for i in newly)
-            confirmed |= newly
-        assert ledger.confirmed_set == confirmed
-        assert all(ledger.weight(i) == w for i, w in enumerate(weights) if i not in confirmed)
+            assert newly == {i for i, w in enumerate(weights) if w >= theta} - confirmed.keys()
+            confirmed.update(dict.fromkeys(newly, now))
+        assert ledger.confirmed_set == confirmed.keys()
+        assert [r.confirmed_at for r in ledger.records()] == [
+            confirmed.get(i) for i in range(len(ledger))
+        ]
+        stored = ledger.weights()
+        assert all(stored[i] == w for i, w in enumerate(weights) if i not in confirmed)
         tips = brute_force_tips(parents)
         assert ledger.tip_candidates(len(ledger))[0] == sorted(tips)
         for query_step in query_steps:

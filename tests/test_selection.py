@@ -25,6 +25,11 @@ AGING = SimConfig(visibility_delay=0.0, aging_enabled=True, aging_threshold=30.0
 NO_AGING = SimConfig(visibility_delay=0.0, aging_enabled=False)
 
 
+def promoted_at(ledger):
+    """Every id's promotion time, in id order."""
+    return [r.promoted_at for r in ledger.records()]
+
+
 def make_candidates(priority=(), common=(), tips=None, newest_non_tip=None):
     common = list(common)
     return SelectionCandidates(
@@ -96,8 +101,7 @@ class TestBuildCandidates:
         # aging stamps no confirmed id, only the unconfirmed common child
         c = build_candidates(ledger, 40.0, AGING)
         assert list(c.priority) == [child]
-        promoted = [ledger.transaction(i).promoted_at for i in (ledger.genesis, hp, child)]
-        assert promoted == [None, None, 40.0]
+        assert promoted_at(ledger) == [None, None, 40.0]  # genesis, hp, child
 
     def test_theta_one_confirmed_tip_is_common(self):
         # a tip weighs 1, so only at theta=1 can a sweep confirm a tip; every
@@ -107,12 +111,11 @@ class TestBuildCandidates:
         c = build_candidates(ledger, 40.0, AGING)
         assert hp in c.priority and hp not in c.common  # ripe, not yet swept
         # aging stamps the unconfirmed genesis, but never the flagged hp
-        assert ledger.transaction(ledger.genesis).promoted_at == 40.0
-        assert ledger.transaction(hp).promoted_at is None
+        assert promoted_at(ledger) == [40.0, None]  # genesis, hp
         ledger.confirmation_sweep(1.0)
         fresh = ledger.add_transaction([ledger.genesis], 2.0)  # unswept
         c = build_candidates(ledger, 40.0, AGING)
-        assert ledger.transaction(fresh).promoted_at == 40.0
+        assert promoted_at(ledger) == [40.0, None, 40.0]  # genesis, hp, fresh
         assert hp in c.common and hp not in c.priority
         # the promoted tip leaves the common tips
         assert fresh in c.tips and fresh in c.priority and fresh not in c.common
@@ -145,11 +148,10 @@ class TestBuildCandidates:
         assert ledger.genesis in c.priority
         ledger.promote(0, 45.0)  # a smaller prefix promotes nothing
         ledger.promote(2, 46.0)  # nor does it rewind the cursor
-        promoted = [ledger.transaction(i).promoted_at for i in (ledger.genesis, old, young)]
-        assert promoted == [40.0, 40.0, None]
+        assert promoted_at(ledger) == [40.0, 40.0, None]  # genesis, old, young
         c = build_candidates(ledger, 50.0, AGING)
         assert young in c.priority  # age 30
-        assert ledger.transaction(young).promoted_at == 50.0
+        assert promoted_at(ledger) == [40.0, 40.0, 50.0]
 
     def test_visibility_delay_hides_recent(self):
         ledger = TangleLedger(8)
