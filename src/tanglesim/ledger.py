@@ -14,18 +14,19 @@ ancestors only: an insertion walks parent edges from the new transaction and
 stops at confirmed ones. A stored weight is exact while its transaction is
 unconfirmed.
 
-Aging promotes a transaction: `promote` walks a cursor over the aged id
-prefix, which only grows, and stamps each id it passes that is unconfirmed
-and unflagged with the time. Three id-sorted lists index what every arrival
-asks about: the priority ids (unconfirmed, and flagged or promoted), the
-tips, and the common tips (the tips that are not priority ids). A new id is
-the largest, so it is appended; an approval removes a tip by bisection. A
-promotion inserts an id into the priority list and takes it out of the
-common tips; a confirmation takes a priority id out of the priority list
-and inserts it into the common tips if it is a tip. Since ids are issued in
-time order, a time cutoff is an id prefix, and every candidate pool is a
-prefix of one of these lists. The priority candidates, which grow with the unconfirmed backlog, are
-read in place through a `PriorityView` instead of being copied per arrival.
+Since ids are issued in time order, a time cutoff is an id prefix. `reveal`
+walks a cursor over the visible prefix, which only grows. Three id-sorted
+lists index what every arrival asks about, and hold revealed ids only: the
+priority ids (unconfirmed, and flagged or promoted), the tips, and the common
+tips (the tips that are not priority ids). Each newly revealed id is appended
+to those it belongs to, so every candidate pool is one of these lists, used
+whole and never copied. An id approved before it is revealed never becomes a
+tip. Aging promotes a transaction: `promote` walks a cursor over the aged
+prefix, which lies within the revealed one, and stamps each id it passes that
+is unconfirmed and unflagged with the time. A promotion inserts an id into
+the priority list and takes it out of the common tips; a confirmation takes a
+revealed priority id out of the priority list and inserts it into the common
+tips if it is a tip; an approval removes a revealed tip by bisection.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -42,9 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 MAX_PARENTS = 8
 
@@ -87,32 +86,6 @@ class TxRecord:
     promoted_at: float | None = None
 
 
-class PriorityView(Sequence[int]):
-    """A read-only id sequence over a prefix of one of the ledger's id-sorted
-    lists (see `TangleLedger.priority_candidates`); it copies nothing and is
-    valid until the next ledger mutation. Construction, `len` and integer
-    indexing are O(1)."""
-
-    __slots__ = ("_ids", "_len")
-
-    def __init__(self, ids: list[int], n: int) -> None:
-        self._ids = ids
-        self._len = n
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            i += self._len
-        if 0 <= i < self._len:
-            return self._ids[i]
-        raise IndexError("priority view index out of range")
-
-    def __iter__(self) -> Iterator[int]:
-        return islice(self._ids, self._len)
-
-
 class TangleLedger:
     """The DAG store: transactions, first approvers, tips, confirmation."""
 
@@ -128,11 +101,12 @@ class TangleLedger:
         # the last insertion walk to reach each id, or _CONFIRMED
         self._stamp: list[int] = [0]
         self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
-        self._aged = 0  # promote's cursor: it has passed every id below
-        # id-sorted indexes over the state above
+        self._visible = 0  # reveal's cursor: it has passed every id below
+        self._aged = 0  # promote's cursor, never past reveal's
+        # id-sorted indexes over the state above, of the revealed ids only
         self._priority: list[int] = []  # unconfirmed, and flagged or promoted
-        self._tips: list[int] = [0]
-        self._common_tips: list[int] = [0]  # tips not in _priority
+        self._tips: list[int] = []
+        self._common_tips: list[int] = []  # tips not in _priority
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -176,16 +150,15 @@ class TangleLedger:
         self._weight.append(0)  # the walk below raises it to 1
         self._stamp.append(new_id)
         self._promoted_at.append(None)
-        (self._priority if priority_flag else self._common_tips).append(new_id)
         tips, common = self._tips, self._common_tips
         first, stamp = self._first_approver, self._stamp
         for p in distinct:
             if not first[p]:
                 first[p] = new_id
-                del tips[bisect_left(tips, p)]
-                if stamp[p] == _CONFIRMED or not self._is_priority(p):
-                    del common[bisect_left(common, p)]
-        tips.append(new_id)
+                if p < self._visible:  # an unrevealed id never becomes a tip
+                    del tips[bisect_left(tips, p)]
+                    if stamp[p] == _CONFIRMED or not self._is_priority(p):
+                        del common[bisect_left(common, p)]
 
         # the new id and every distinct unconfirmed ancestor gain one; confirmed
         # ancestors have only confirmed ancestors, so the walk stops there
@@ -213,17 +186,34 @@ class TangleLedger:
         for i in newly:
             self._confirmed_at[i] = now
             self._stamp[i] = _CONFIRMED
-            if self._is_priority(i):
+            if i < self._visible and self._is_priority(i):
                 del priority[bisect_left(priority, i)]
                 if not self._first_approver[i]:  # a confirmed tip is common
                     insort(self._common_tips, i)
         return newly
 
+    def reveal(self, visible: int) -> None:
+        """Make the first `visible` ids visible: enter each id in that prefix
+        not reached by an earlier call into the lists it belongs to. A
+        smaller prefix than an earlier call's reveals nothing."""
+        first, stamp, flag = self._first_approver, self._stamp, self._flag
+        for j in range(self._visible, visible):
+            if stamp[j] != _CONFIRMED and flag[j]:
+                self._priority.append(j)
+            elif not first[j]:
+                self._common_tips.append(j)
+            if not first[j]:
+                self._tips.append(j)
+        self._visible = max(self._visible, visible)
+
     def promote(self, aged: int, now: float) -> None:
-        """Apply aging up to the first `aged` ids: stamp each id in that
-        prefix not reached by an earlier call, if it is unconfirmed and
-        unflagged, as promoted at `now`, which makes it a priority id until
-        it confirms. A smaller prefix than an earlier call's promotes nothing."""
+        """Apply aging up to the first `aged` ids, which must be revealed:
+        stamp each id in that prefix not reached by an earlier call, if it is
+        unconfirmed and unflagged, as promoted at `now`, which makes it a
+        priority id until it confirms. A smaller prefix than an earlier
+        call's promotes nothing."""
+        if aged > self._visible:
+            raise ValueError(f"promote({aged}) past the {self._visible} revealed ids")
         for i in range(self._aged, aged):  # most calls promote none
             if self._stamp[i] != _CONFIRMED and not self._flag[i]:
                 self._promoted_at[i] = now
@@ -260,16 +250,16 @@ class TangleLedger:
         insertion order is time order)."""
         return bisect_right(self._issued, cutoff)
 
-    def priority_candidates(self, visible: int) -> PriorityView:
-        """The priority ids among the first `visible` transactions: the
-        unconfirmed ones that are flagged or promoted, in id order."""
-        return PriorityView(self._priority, bisect_left(self._priority, visible))
+    def priority_candidates(self) -> list[int]:
+        """The revealed priority ids: the unconfirmed ones that are flagged
+        or promoted, in id order. The ledger's own list, valid until the next
+        mutation."""
+        return self._priority
 
-    def tip_candidates(self, visible: int) -> tuple[list[int], list[int]]:
-        """The tips among the first `visible` transactions, and those of them
-        that are not priority ids."""
-        tips, common = self._tips, self._common_tips
-        return tips[: bisect_left(tips, visible)], common[: bisect_left(common, visible)]
+    def tip_candidates(self) -> tuple[list[int], list[int]]:
+        """The revealed tips, and those of them that are not priority ids, in
+        id order. The ledger's own lists, valid until the next mutation."""
+        return self._tips, self._common_tips
 
     def newest_non_tip(self, visible: int) -> int | None:
         """Most recently issued non-tip among the first `visible`, if any."""

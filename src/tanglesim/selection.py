@@ -8,7 +8,6 @@ id so a given seed yields one result regardless of set iteration order.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,14 +35,10 @@ class SelectionCandidates:
     confirmed). `common` holds the remaining selectable tips. `tips` is the
     full selectable tip pool regardless of class, and `newest_non_tip` backs
     the single-tip fallback; both exist so strategies need no ledger access.
-
-    `priority` grows with the unconfirmed backlog, so the ledger hands it
-    out as a read-only view of its own list (`PriorityView`), valid until
-    the next ledger mutation. `common` and `tips` are bounded by the tip
-    pool, which does not grow with the backlog, and are lists.
+    The pools are the ledger's own lists, valid until its next mutation.
     """
 
-    priority: Sequence[int]
+    priority: list[int]
     common: list[int]
     tips: list[int]
     newest_non_tip: int | None
@@ -56,8 +51,8 @@ class SelectionResult:
 
 
 def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> SelectionCandidates:
-    """Apply aging up to `now`, then partition the transactions visible at
-    `now` into selection candidates.
+    """Reveal the transactions visible at `now` and apply aging up to `now`,
+    then hand out the ledger's pools as selection candidates.
 
     A transaction is visible once its age reaches the visibility delay, and
     aged once it is visible and its age reaches the aging threshold; the
@@ -69,12 +64,13 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
     k = ledger.visible_count(now - config.visibility_delay)
     if k == 0:
         raise EmptyCandidates(f"no transaction visible at t={now}")
+    ledger.reveal(k)
     if config.aging_enabled:
         aged = ledger.visible_count(now - max(config.visibility_delay, config.aging_threshold))
         ledger.promote(aged, now)
-    tips, common = ledger.tip_candidates(k)
+    tips, common = ledger.tip_candidates()
     return SelectionCandidates(
-        priority=ledger.priority_candidates(k),
+        priority=ledger.priority_candidates(),
         common=common,
         tips=tips,
         newest_non_tip=ledger.newest_non_tip(k),

@@ -54,7 +54,8 @@ def check_cumulative_weights(fault_inject: bool = False) -> bool:
             print(f"FAIL cumulative-weight oracle: trial {trial}, nodes {bad}")
             print(f"  dag edges: {_format_edges(parents)}")
             return False
-        if ledger.tip_candidates(size)[0] != sorted(brute_force_tips(parents)):
+        ledger.reveal(size)
+        if ledger.tip_candidates()[0] != sorted(brute_force_tips(parents)):
             print(f"FAIL tip-set oracle: trial {trial}")
             print(f"  dag edges: {_format_edges(parents)}")
             return False

@@ -1,8 +1,9 @@
 """The benchmark's traced runs keep working: `tsbench/traced_cli.py` wraps
 program functions by name, counts the ids each confirmation sweep returns and
-reads `records[].promoted_at` and `len()` of the priority candidates, so
-renaming any of them, or changing the sweep's signature or the priority pool's
-type, fails here rather than only under `tsbench/run.py --trace 1`. And
+reads `records[].promoted_at` and `len()` of the priority and tip pools, so
+renaming any of them, or changing the sweep's signature or a pool to a type
+without `len()`, fails here rather than only under `tsbench/run.py --trace 1`.
+And
 `BENCHMARK.json` stays what `tsbench/write_manifest.py` renders from its spec."""
 
 import importlib

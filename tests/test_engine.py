@@ -275,7 +275,8 @@ class TestRunSimulation:
         assert all(n >= 1 for _, n in series)
         ledger = trace.ledger
         parents = [r.parents for r in ledger.records()]
-        assert series[-1][1] == len(ledger.tip_candidates(len(ledger))[0])
+        ledger.reveal(len(ledger))
+        assert series[-1][1] == len(ledger.tip_candidates()[0])
         assert series[-1][1] == len(brute_force_tips(parents))
 
     def test_aging_promotion_recorded(self):
@@ -335,7 +336,8 @@ class TestLedgerInvariantsAfterRun:
             n = len(ledger)
             parents = [r.parents for r in ledger.records()]
             w = [1 + f.bit_count() for f in future_cones(parents)]
-            tips = ledger.tip_candidates(n)[0]
+            ledger.reveal(n)
+            tips = ledger.tip_candidates()[0]
             assert tips == sorted(brute_force_tips(parents))
             confirmed = ledger.confirmed_set
             assert confirmed == {i for i in range(n) if w[i] >= config.theta}

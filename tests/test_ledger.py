@@ -36,8 +36,9 @@ def build_diamond():
 
 
 def tips(ledger):
-    """Every tip, in id order: the tip candidates with all ids visible."""
-    return ledger.tip_candidates(len(ledger))[0]
+    """Every tip, in id order: the tip candidates with all ids revealed."""
+    ledger.reveal(len(ledger))
+    return ledger.tip_candidates()[0]
 
 
 def parents_of(ledger):
@@ -124,6 +125,50 @@ class TestTips:
         b = ledger.add_transaction([ledger.genesis], 2.0)
         assert tips(ledger) == [a, b]
         assert len(tips(ledger)) == 2
+
+
+def pools(ledger):
+    """Copies of the revealed priority ids, tips and common tips."""
+    tips, common = ledger.tip_candidates()
+    return list(ledger.priority_candidates()), list(tips), list(common)
+
+
+class TestReveal:
+    def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
+        ledger = TangleLedger(1)  # a tip weighs 1, so a sweep confirms it
+        hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        ledger.confirmation_sweep(1.0)
+        assert hp in ledger.confirmed_set
+        ledger.reveal(2)
+        assert pools(ledger) == ([], [hp], [hp])
+
+    def test_id_approved_unrevealed_never_a_tip(self):
+        ledger, a, b = build_chain()
+        ledger.reveal(2)  # genesis and a, both approved before they are revealed
+        assert pools(ledger) == ([], [], [])
+        ledger.reveal(3)
+        assert pools(ledger) == ([], [b], [b])
+
+    def test_smaller_prefix_reveals_nothing(self):
+        ledger, a, b = build_chain()
+        ledger.reveal(3)
+        before = pools(ledger)
+        c = ledger.add_transaction([ledger.genesis], 3.0)
+        ledger.reveal(1)
+        ledger.reveal(3)
+        assert pools(ledger) == before
+        ledger.reveal(4)
+        assert pools(ledger) == ([], [b, c], [b, c])
+
+    def test_promote_never_reaches_unrevealed_id(self):
+        ledger, a, b = build_chain()
+        ledger.reveal(1)
+        with pytest.raises(ValueError):
+            ledger.promote(2, 5.0)
+        assert [r.promoted_at for r in ledger.records()] == [None, None, None]
+        ledger.promote(1, 5.0)  # genesis, revealed and approved
+        assert [r.promoted_at for r in ledger.records()] == [5.0, None, None]
+        assert pools(ledger) == ([ledger.genesis], [], [])
 
 
 class TestCumulativeWeight:
