@@ -124,3 +124,31 @@ def test_indexes_match_brute_force(history, delay, threshold):
         for query_step in query_steps:
             query_now += query_step
             check_candidates(ledger, query_now, config, issued, flags, tips, confirmed, promoted)
+
+
+# (visible, aged) -> pool size, with none, some or all of the common ids
+# below `visible` promoted
+@pytest.mark.parametrize(
+    "visible, aged, size",
+    [(3, 1, 3), (5, 5, 5), (30, 3, 21), (32, 0, 21), (33, 0, 22), (33, 2, 23), (200, 80, 160)],
+)
+@pytest.mark.parametrize("promote_first", [False, True])
+def test_priority_pool_same_whichever_comes_first(visible, aged, size, promote_first):
+    """Promoting the first `aged` ids before or after revealing the rest
+    leaves the same sorted pool: promote inserts in place, reveal appends."""
+    ledger = TangleLedger(10**6)  # nothing confirms
+    for i in range(1, 200):
+        ledger.add_transaction([i - 1], float(i), priority_flag=i % 3 != 0)
+    if promote_first:
+        ledger.reveal(aged)
+        ledger.promote(aged, 0.0)
+        ledger.reveal(visible)
+    else:
+        ledger.reveal(visible)
+        ledger.promote(aged, 0.0)
+    pool = ledger.priority_candidates()
+    assert type(pool) is list
+    assert pool == [i for i in range(visible) if i < aged or i % 3]
+    assert len(pool) == size
+    tip = [199] if visible == 200 else []  # the chain's only tip, flagged
+    assert ledger.tip_candidates() == (tip, [])
