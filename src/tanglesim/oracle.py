@@ -5,6 +5,10 @@ list. `brute_force_cumulative_weights` is the reference, deliberately naive:
 plain-dict adjacency, one reverse BFS per node. `future_cones` is the fast
 cone oracle, one reverse pass over int bitsets, for checks of ledgers too
 large for per-node BFS; the tests check it against BFS.
+
+`reference_pools` and `reference_run` are the executable statement of the
+model, recomputed from scratch on every arrival. The engine must produce the
+same records on any config, so a change to the model is made here first.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from tanglesim.ledger import MAX_PARENTS
+from tanglesim.engine import SimConfig, generate_workload
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, MAX_PARENTS, TxRecord
+from tanglesim.selection import EmptyCandidates, SelectionCandidates, select_ptsa, select_uniform
 
 
 def random_dag(rng: random.Random, size: int) -> list[tuple[int, ...]]:
@@ -60,3 +66,47 @@ def brute_force_tips(parents: list[tuple[int, ...]]) -> set[int]:
     """Nodes no other node references."""
     referenced = {p for ps in parents for p in ps}
     return set(range(len(parents))) - referenced
+
+
+def reference_pools(parents: list[tuple[int, ...]], flags: list[bool], visible: int,
+                    confirmed: dict[int, float], promoted: dict[int, float]) -> SelectionCandidates:
+    """The pools of the first `visible` ids: priority (unconfirmed, and
+    flagged or promoted), tips (approved by no stored id), common (the tips
+    not in priority) and the newest id that is not a tip."""
+    unapproved = brute_force_tips(parents)
+    tips = [i for i in range(visible) if i in unapproved]
+    priority = [i for i in range(visible) if i not in confirmed and (flags[i] or i in promoted)]
+    return SelectionCandidates(
+        priority, [i for i in tips if i not in priority], tips,
+        max((i for i in range(visible) if i not in unapproved), default=None),
+    )
+
+
+def reference_run(config: SimConfig) -> list[TxRecord]:
+    """The records `run_simulation(config)` must return. Each arrival first
+    promotes the aged ids that are unconfirmed and unflagged, then attaches
+    to the strategy's draw from the visible pools, or to genesis when they
+    are empty; then every id whose weight reaches theta confirms."""
+    attach_rng = random.Random(f"{config.seed}|attach")
+    select = select_uniform if config.strategy == "uniform" else select_ptsa
+    parents, flags, issued = [()], [False], [0.0]
+    confirmed, promoted = {}, {}  # id -> when it confirmed, or when aging promoted it
+    for now, flag in generate_workload(config):
+        visible = sum(t <= now - config.visibility_delay for t in issued)
+        aged_cutoff = now - max(config.visibility_delay, config.aging_threshold)
+        for i, t in enumerate(issued):
+            if config.aging_enabled and t <= aged_cutoff and i not in confirmed and not flags[i]:
+                promoted.setdefault(i, now)
+        try:
+            chosen = select(reference_pools(parents, flags, visible, confirmed, promoted),
+                            attach_rng).parents
+        except EmptyCandidates:
+            chosen = [0]
+        parents.append(tuple(sorted(set(chosen))))
+        flags.append(flag)
+        issued.append(now)
+        for i, cone in enumerate(future_cones(parents)):
+            if 1 + cone.bit_count() >= config.theta:
+                confirmed.setdefault(i, now)
+    return [TxRecord(i, CLASS_PRIORITY if flags[i] else CLASS_COMMON, issued[i], parents[i],
+                     confirmed.get(i), promoted.get(i)) for i in range(1, len(parents))]

@@ -1,13 +1,15 @@
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tanglesim.engine import (
     _FIELDS,
+    STRATEGIES,
     ConfigInvalid,
     SimConfig,
     generate_workload,
@@ -15,7 +17,7 @@ from tanglesim.engine import (
     run_simulation,
 )
 from tanglesim.ledger import CLASS_COMMON
-from tanglesim.oracle import brute_force_tips, future_cones
+from tanglesim.oracle import brute_force_tips, reference_run
 from test_golden import tip_pool_series
 
 SMALL = SimConfig(horizon=60.0)
@@ -167,6 +169,9 @@ CONFIG_VALUES = st.fixed_dictionaries(
 )
 
 
+# the seed `derandomize` derived from this test's source before the seed was
+# pinned, so an edit to the test no longer redraws its examples
+@seed(20406455627292613605422277680112280735895281138336505222875997514452016477805205598763452557994914004002951264670452)
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(CONFIG_VALUES)
 def test_random_config_rejected_naming_key_or_runs(values):
@@ -236,6 +241,25 @@ class TestWorkload:
         assert not flags[1] and sum(flags) == 160
         assert pinned_flags == [flag or ordinal == 2 for ordinal, flag in enumerate(flags, start=1)]
         assert sum(pinned_flags) == 161
+
+
+def test_engine_equals_reference_model():
+    # short configs with visibility delays of none to several arrivals, aging
+    # below or above the delay or off, and confirmation at once, soon or never
+    rng = random.Random(9)
+    for _ in range(40):
+        config = SimConfig(
+            arrival_rate=rng.choice((5.0, 10.0, 20.0)),
+            priority_fraction=rng.choice((0.0, 0.05, 0.3, 0.8)),
+            horizon=rng.uniform(5.0, 15.0),
+            visibility_delay=rng.choice((0.0, 0.3, 1.0, 3.0)),
+            theta=rng.choice((1, 2, 3, 8, 20)),
+            strategy=rng.choice(STRATEGIES),
+            aging_enabled=rng.choice((True, False)),
+            aging_threshold=rng.choice((0.5, 2.0, 5.0)),
+            seed=rng.randrange(2**32),
+        )
+        assert run_simulation(config).records == reference_run(config), config
 
 
 class TestRunSimulation:
@@ -326,24 +350,6 @@ class TestPairedRuns:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigInvalid):
             paired_runs(dataclasses.replace(SMALL, priority_fraction=2.0))
-
-
-class TestLedgerInvariantsAfterRun:
-    def test_maintained_state_matches_recomputation(self):
-        for strategy in ("uniform", "ptsa"):
-            config = dataclasses.replace(SMALL, strategy=strategy)
-            ledger = run_simulation(config).ledger
-            n = len(ledger)
-            parents = [r.parents for r in ledger.records()]
-            w = [1 + f.bit_count() for f in future_cones(parents)]
-            ledger.reveal(n)
-            tips = ledger.tip_candidates()[0]
-            assert tips == sorted(brute_force_tips(parents))
-            confirmed = ledger.confirmed_set
-            assert confirmed == {i for i in range(n) if w[i] >= config.theta}
-            stored = ledger.weights()
-            for i in range(n):
-                assert i in confirmed or stored[i] == w[i]
 
 
 class TestMetamorphic:
