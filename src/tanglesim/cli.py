@@ -22,7 +22,6 @@ from tanglesim.engine import (
     run_simulation,
 )
 from tanglesim.metrics import aggregate, compare, export_csv, export_json, trace_summary
-from tanglesim.selfcheck import run_self_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -78,6 +77,8 @@ def cmd_gen_config(args: argparse.Namespace) -> int:
 
 
 def cmd_self_check(args: argparse.Namespace) -> int:
+    from tanglesim.selfcheck import run_self_check  # only this command needs the oracle
+
     ok = run_self_check(fault_inject=args.inject_fault)
     return EXIT_OK if ok else EXIT_ORACLE
 

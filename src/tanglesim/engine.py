@@ -176,12 +176,25 @@ def reference_config_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
+    """A finished run: its config and its final ledger, whose columns carry
+    every fact the outputs report."""
+
     config: SimConfig
-    records: list[TxRecord]
-    # the records carry every fact of the ledger, so equal records mean equal ledgers
-    ledger: TangleLedger = field(compare=False, repr=False)
+    ledger: TangleLedger = field(repr=False)
+
+    @property
+    def records(self) -> list[TxRecord]:
+        """Every arrival's record in id order, genesis left out; built from
+        the ledger on each read."""
+        return self.ledger.records()[1:]
+
+    def __eq__(self, other: object) -> bool:
+        # equal records mean equal ledgers: the records carry every fact of one
+        if not isinstance(other, SimTrace):
+            return NotImplemented
+        return self.config == other.config and self.records == other.records
 
 
 def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:
@@ -210,19 +223,17 @@ def run_simulation(config: SimConfig) -> SimTrace:
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
     ledger = TangleLedger(config.theta)
-    # iterate the call itself: the arrival list is freed before the records are built
+    insert, sweep = ledger.add_transaction, ledger.confirmation_sweep
+    # iterate the call itself: the arrival list is freed when the loop ends
     for now, flag in generate_workload(config):
         try:
             parents = select(build_candidates(ledger, now, config), attach_rng).parents
         except EmptyCandidates:
             parents = [ledger.genesis]
 
-        ledger.add_transaction(parents, now, flag)
-        ledger.confirmation_sweep(now)
-
-    records = ledger.records()
-    del records[0]  # genesis
-    return SimTrace(config, records, ledger)
+        insert(parents, now, flag)
+        sweep(now)
+    return SimTrace(config, ledger)
 
 
 def paired_runs(config: SimConfig) -> tuple[SimTrace, SimTrace]:

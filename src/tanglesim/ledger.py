@@ -2,7 +2,8 @@
 
 Transaction ids are insertion ordinals starting at 0 (the genesis), so id
 order equals issue-time order. Each transaction's state is stored once, in
-per-field lists indexed by id; `TangleLedger.records` reads it all out as
+per-field lists indexed by id. `TangleLedger.columns` hands out the lists a
+run's outputs read, and `TangleLedger.records` reads it all out as
 `TxRecord`s, the one type that describes a transaction's lifecycle.
 
 A transaction confirms once its cumulative weight reaches the threshold θ,
@@ -10,9 +11,9 @@ which the ledger takes once, at construction. Every ancestor of a
 transaction outweighs it, so a sweep that confirms a transaction confirms
 its unconfirmed ancestors too, and the confirmed set is closed under
 ancestry. An arrival therefore changes the weight of its unconfirmed
-ancestors only: an insertion walks parent edges from the new transaction and
-stops at confirmed ones. A stored weight is exact while its transaction is
-unconfirmed.
+ancestors only: an insertion walks parent edges from the new transaction's
+parents and stops at confirmed ones. A stored weight is exact while its
+transaction is unconfirmed.
 
 Since ids are issued in time order, a time cutoff is an id prefix. `reveal`
 walks a cursor over the visible prefix, which only grows. Three id-sorted
@@ -34,8 +35,8 @@ while its stamp is below the new id: once, and never a confirmed one.
 
 A stored weight starts at 1 and grows by one per insertion walk, so it
 equals θ at exactly one moment (θ is the config's validated integer >= 1).
-Then the id joins the ripe list (genesis at construction, when θ is 1), and
-a sweep confirms exactly that list.
+Then the id joins the ripe list (at its own insertion when θ is 1, genesis
+at construction), and a sweep confirms exactly that list.
 """
 
 from __future__ import annotations
@@ -147,32 +148,37 @@ class TangleLedger:
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
         self._first_approver.append(0)
-        self._weight.append(0)  # the walk below raises it to 1
+        self._weight.append(1)
         self._stamp.append(new_id)
         self._promoted_at.append(None)
-        tips, common = self._tips, self._common_tips
+        theta, ripe = self._theta, self._ripe
+        if theta == 1:
+            ripe.append(new_id)
+        # every distinct unconfirmed ancestor gains one, in a walk seeded with
+        # the parents; confirmed ancestors have only confirmed ancestors, so
+        # the walk stops there
+        tips, common, visible = self._tips, self._common_tips, self._visible
         first, stamp = self._first_approver, self._stamp
+        walk = []
         for p in distinct:
             if not first[p]:
                 first[p] = new_id
-                if p < self._visible:  # an unrevealed id never becomes a tip
+                if p < visible:  # an unrevealed id never becomes a tip
                     del tips[bisect_left(tips, p)]
                     if stamp[p] == _CONFIRMED or not self._is_priority(p):
                         del common[bisect_left(common, p)]
-
-        # the new id and every distinct unconfirmed ancestor gain one; confirmed
-        # ancestors have only confirmed ancestors, so the walk stops there
-        parents, weight, theta = self._parents, self._weight, self._theta
-        stack = [new_id]
-        while stack:
-            i = stack.pop()
-            weight[i] += 1
-            if weight[i] == theta:
-                self._ripe.append(i)
+            if stamp[p] < new_id:
+                stamp[p] = new_id
+                walk.append(p)
+        parents, weight = self._parents, self._weight
+        for i in walk:  # the walk appends to the list it iterates
+            w = weight[i] = weight[i] + 1
+            if w == theta:
+                ripe.append(i)
             for p in parents[i]:
                 if stamp[p] < new_id:
                     stamp[p] = new_id
-                    stack.append(p)
+                    walk.append(p)
         return new_id
 
     def confirmation_sweep(self, now: float) -> set[int]:
@@ -180,6 +186,8 @@ class TangleLedger:
 
         Returns the newly confirmed ids; idempotent at a fixed instant.
         """
+        if not self._ripe:
+            return set()
         newly = set(self._ripe)
         self._ripe = []
         priority = self._priority
@@ -196,6 +204,8 @@ class TangleLedger:
         """Make the first `visible` ids visible: enter each id in that prefix
         not reached by an earlier call into the lists it belongs to. A
         smaller prefix than an earlier call's reveals nothing."""
+        if visible <= self._visible:
+            return
         first, stamp, flag = self._first_approver, self._stamp, self._flag
         for j in range(self._visible, visible):
             if stamp[j] != _CONFIRMED and flag[j]:
@@ -204,7 +214,7 @@ class TangleLedger:
                 self._common_tips.append(j)
             if not first[j]:
                 self._tips.append(j)
-        self._visible = max(self._visible, visible)
+        self._visible = visible
 
     def promote(self, aged: int, now: float) -> None:
         """Apply aging up to the first `aged` ids, which must be revealed:
@@ -212,15 +222,17 @@ class TangleLedger:
         unconfirmed and unflagged, as promoted at `now`, which makes it a
         priority id until it confirms. A smaller prefix than an earlier
         call's promotes nothing."""
+        if aged <= self._aged:  # most calls promote none
+            return
         if aged > self._visible:
             raise ValueError(f"promote({aged}) past the {self._visible} revealed ids")
-        for i in range(self._aged, aged):  # most calls promote none
+        for i in range(self._aged, aged):
             if self._stamp[i] != _CONFIRMED and not self._flag[i]:
                 self._promoted_at[i] = now
                 insort(self._priority, i)
                 if not self._first_approver[i]:
                     del self._common_tips[bisect_left(self._common_tips, i)]
-        self._aged = max(self._aged, aged)
+        self._aged = aged
 
     def _is_priority(self, i: int) -> bool:
         """Whether `i` is flagged or promoted: a priority id while unconfirmed."""
@@ -236,6 +248,14 @@ class TangleLedger:
             TxRecord, ids, map(_CLASSES.__getitem__, self._flag), self._issued,
             self._parents, map(self._confirmed_at.get, ids), self._promoted_at,
         ))
+
+    def columns(
+        self,
+    ) -> tuple[list[float], list[bool], list[tuple[int, ...]], dict[int, float]]:
+        """Every id's issue time, priority flag and distinct sorted parents, in
+        id order (genesis first), and the confirmation time of each confirmed
+        id. The ledger's own lists, valid until the next mutation."""
+        return self._issued, self._flag, self._parents, self._confirmed_at
 
     def weights(self) -> list[int]:
         """The stored cumulative weight of every id, in id order: 1 + the

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from tanglesim.engine import SimConfig, SimTrace
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, TxRecord
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
 
@@ -69,13 +69,15 @@ def _nearest_rank_p95(sorted_latencies: list[float]) -> float:
 
 
 def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
-    """Confirmation statistics over one class; unconfirmed transactions are
-    censored out of the latency quantiles."""
-    recs = [r for r in trace.records if r.tx_class == tx_class]
+    """Confirmation statistics over one class, CLASS_PRIORITY or
+    CLASS_COMMON; unconfirmed transactions are censored out of the latency
+    quantiles."""
+    issued_at, flags, _, confirmed_at = trace.ledger.columns()
+    flag = tx_class == CLASS_PRIORITY
     latencies = sorted(
-        r.confirmed_at - r.issued_at for r in recs if r.confirmed_at is not None
+        t - issued_at[i] for i, t in confirmed_at.items() if i and flags[i] == flag
     )
-    issued = len(recs)
+    issued = flags.count(flag) - (not flag)  # genesis: a common id, but no arrival
     confirmed = len(latencies)
     if latencies:
         # statistics.fmean and statistics.median, without a second sort
@@ -93,9 +95,9 @@ def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
 
 def compare(uniform_trace: SimTrace, ptsa_trace: SimTrace) -> ComparisonReport:
     """Build the strategy comparison from one paired run."""
-    u_workload = [(r.issued_at, r.tx_class) for r in uniform_trace.records]
-    p_workload = [(r.issued_at, r.tx_class) for r in ptsa_trace.records]
-    if u_workload != p_workload:
+    u_issued_at, u_flags, _, _ = uniform_trace.ledger.columns()
+    p_issued_at, p_flags, _, _ = ptsa_trace.ledger.columns()
+    if u_issued_at != p_issued_at or u_flags != p_flags:
         raise WorkloadMismatch("traces carry different arrival sequences")
 
     uniform = {c: class_stats(uniform_trace, c) for c in (CLASS_PRIORITY, CLASS_COMMON)}
@@ -140,24 +142,24 @@ def aggregate(config: SimConfig, reports: list[ComparisonReport]) -> dict:
     }
 
 
-def _csv_row(r: TxRecord) -> str:
-    parents = ";".join(map(str, r.parents))
-    if r.confirmed_at is None:
-        return f"{r.id},{r.tx_class},{r.issued_at:.6f},,,{parents}\n"
-    return (
-        f"{r.id},{r.tx_class},{r.issued_at:.6f},{r.confirmed_at:.6f},"
-        f"{r.confirmed_at - r.issued_at:.6f},{parents}\n"
-    )
+def _csv_rows(trace: SimTrace):
+    """The rows of `trace.csv` after its header, one per arrival in id order."""
+    issued_at, flags, parents, confirmed_at = trace.ledger.columns()
+    for i in range(1, len(issued_at)):
+        t, c = issued_at[i], confirmed_at.get(i)
+        times = f"{t:.6f},," if c is None else f"{t:.6f},{c:.6f},{c - t:.6f}"
+        tx_class = CLASS_PRIORITY if flags[i] else CLASS_COMMON
+        yield f"{i},{tx_class},{times},{';'.join(map(str, parents[i]))}\n"
 
 
 def export_csv(trace: SimTrace, destination: str | Path) -> None:
-    """Write the per-transaction trace, one row per record in issue order.
+    """Write the per-transaction trace, one row per arrival in issue order.
 
     Rows are streamed as plain text: no field holds a comma, quote or line
     break, so none needs CSV quoting."""
     with open(destination, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(map(_csv_row, trace.records))
+        fh.writelines(_csv_rows(trace))
 
 
 def export_json(payload: dict, destination: str | Path) -> None:
@@ -171,7 +173,7 @@ def trace_summary(trace: SimTrace) -> dict:
     """Single-trace summary used by the CLI's summary.json."""
     return {
         "config": trace.config.to_dict(),
-        "records": len(trace.records),
+        "records": len(trace.ledger) - 1,  # genesis is no arrival
         "stats": {
             c: class_stats(trace, c).to_dict()
             for c in (CLASS_PRIORITY, CLASS_COMMON)

@@ -14,6 +14,7 @@ from tanglesim.cli import (
     main,
 )
 from tanglesim.engine import SimConfig, reference_config_text
+from tanglesim.ledger import TangleLedger
 
 SMALL_CONFIG = """\
 lambda: 10.0
@@ -180,6 +181,24 @@ class TestCompare:
         assert "i/o error" in capsys.readouterr().err
 
 
+def output_files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--seeds", "2"]])
+def test_outputs_build_no_records(command, config_path, tmp_path, monkeypatch):
+    # the outputs read the ledger's columns; `TxRecord`s are for tests only
+    args = [*command, "--config", str(config_path), "--out"]
+    assert main([*args, str(tmp_path / "normal")]) == EXIT_OK
+
+    def no_records(self):
+        raise AssertionError("records() called")
+
+    monkeypatch.setattr(TangleLedger, "records", no_records)
+    assert main([*args, str(tmp_path / "patched")]) == EXIT_OK
+    assert output_files(tmp_path / "patched") == output_files(tmp_path / "normal")
+
+
 class TestGenConfig:
     def test_round_trips_through_simulate(self, tmp_path):
         path = tmp_path / "reference.yaml"
@@ -244,6 +263,23 @@ class TestNoNumpy:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_start_imports_no_oracle():
+    # only `self-check` needs the oracle, so no other command pays its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, tanglesim.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    loaded = result.stdout.split()
+    assert "tanglesim.cli" in loaded, result.stderr
+    assert "tanglesim.selfcheck" not in loaded
+    assert "tanglesim.oracle" not in loaded
 
 
 class TestUsage:

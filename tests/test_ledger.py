@@ -83,6 +83,14 @@ class TestAddTransaction:
         assert tips(ledger) == [new]
         assert ledger.weights() == [2, 1]
 
+    def test_duplicate_parents_raise_weight_once(self):
+        # the walk starts at the distinct parents, each of them once
+        ledger, a, b = build_chain()
+        c = ledger.add_transaction([b, a, b], 3.0)
+        assert parents_of(ledger)[c] == (a, b)
+        assert ledger.weights() == [4, 3, 2, 1]
+        assert tips(ledger) == [c]
+
     def test_unknown_parent(self):
         ledger = TangleLedger(8)
         with pytest.raises(UnknownParent):
@@ -171,6 +179,34 @@ class TestReveal:
         assert pools(ledger) == ([ledger.genesis], [], [])
 
 
+    def test_promote_at_or_below_cursor_changes_nothing(self):
+        ledger, a, b = build_chain()
+        ledger.reveal(3)
+        ledger.promote(2, 5.0)
+        before = pools(ledger), ledger.records()
+        ledger.promote(2, 9.0)
+        ledger.promote(1, 9.0)
+        assert (pools(ledger), ledger.records()) == before
+        ledger.promote(3, 9.0)
+        assert [r.promoted_at for r in ledger.records()] == [5.0, 5.0, 9.0]
+        assert pools(ledger) == ([ledger.genesis, a, b], [b], [])
+
+
+class TestColumns:
+    def test_columns_are_the_ledger_own_lists(self):
+        ledger, a, b = build_chain(theta=3)
+        ledger.add_transaction([b], 3.0, priority_flag=True)
+        ledger.confirmation_sweep(3.0)  # genesis and a
+        issued_at, flags, parents, confirmed_at = ledger.columns()
+        assert [
+            (r.issued_at, r.tx_class == "priority", r.parents, r.confirmed_at)
+            for r in ledger.records()
+        ] == [(issued_at[i], flags[i], parents[i], confirmed_at.get(i)) for i in range(4)]
+        assert confirmed_at == {ledger.genesis: 3.0, a: 3.0}
+        ledger.add_transaction([a], 4.0)
+        assert len(issued_at) == len(flags) == len(parents) == len(ledger) == 5
+
+
 class TestCumulativeWeight:
     def test_tip_weight_is_one(self):
         ledger, a, b, c = build_diamond()
@@ -196,6 +232,29 @@ class TestConfirmationSweep:
         new = ledger.add_transaction([ledger.genesis], 1.0)
         assert ledger.confirmation_sweep(1.0) == {new}
         assert [r.confirmed_at for r in ledger.records()] == [0.0, 1.0]
+
+    def test_theta_one_new_id_ripe_at_insertion(self):
+        # the new id is ripe though its walk reaches no unconfirmed id
+        ledger = TangleLedger(1)
+        a = ledger.add_transaction([ledger.genesis], 1.0)
+        assert ledger.confirmation_sweep(1.0) == {ledger.genesis, a}
+        b = ledger.add_transaction([ledger.genesis, a], 2.0)
+        assert ledger.weights() == [2, 1, 1]  # confirmed parents stop growing
+        assert ledger.confirmation_sweep(2.0) == {b}
+        assert [r.confirmed_at for r in ledger.records()] == [1.0, 1.0, 2.0]
+
+    def test_nothing_ripe_changes_nothing(self):
+        ledger, a, b = build_chain(theta=3)
+        ledger.reveal(3)
+        ledger.add_transaction([b], 3.0, priority_flag=True)
+        ledger.reveal(4)
+        ledger.confirmation_sweep(3.0)  # genesis and a
+        before = ledger.records(), ledger.weights(), pools(ledger), set(ledger.confirmed_set)
+        newly = ledger.confirmation_sweep(5.0)
+        assert newly == set() and isinstance(newly, set)
+        after = ledger.records(), ledger.weights(), pools(ledger), set(ledger.confirmed_set)
+        assert after == before
+        assert before[2] == ([3], [3], [])
 
     def test_chain_theta_three(self):
         ledger, a, b = build_chain(theta=3)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from tanglesim.engine import SimConfig, SimTrace, paired_runs, run_simulation
-from tanglesim.ledger import TangleLedger, TxRecord
+from tanglesim.ledger import TangleLedger
 from tanglesim.metrics import (
     WorkloadMismatch,
     class_stats,
@@ -18,15 +18,19 @@ CONFIG = SimConfig(horizon=60.0)
 
 
 def fixture_trace():
-    """Five hand-built records with known confirmation times."""
-    records = [
-        TxRecord(1, "priority", 0.5, (0,), confirmed_at=1.5),       # latency 1.0
-        TxRecord(2, "priority", 1.0, (0, 1), confirmed_at=3.0),     # latency 2.0
-        TxRecord(3, "common", 2.0, (1, 2), confirmed_at=5.0),       # latency 3.0
-        TxRecord(4, "priority", 3.0, (2, 3), confirmed_at=7.0),     # latency 4.0
-        TxRecord(5, "common", 4.0, (3, 4)),                         # unconfirmed
-    ]
-    return SimTrace(CONFIG, records, TangleLedger(8))
+    """Five arrivals with known confirmation times: at θ = 1 every insertion
+    is ripe, so each sweep confirms exactly the ids inserted since the last."""
+    ledger = TangleLedger(1)
+    ledger.add_transaction([0], 0.5, True)        # latency 1.0
+    ledger.confirmation_sweep(1.5)                # confirms genesis and tx 1
+    ledger.add_transaction([0, 1], 1.0, True)     # latency 2.0
+    ledger.confirmation_sweep(3.0)
+    ledger.add_transaction([1, 2], 2.0)           # latency 3.0
+    ledger.confirmation_sweep(5.0)
+    ledger.add_transaction([2, 3], 3.0, True)     # latency 4.0
+    ledger.confirmation_sweep(7.0)
+    ledger.add_transaction([3, 4], 4.0)           # unconfirmed: no sweep after it
+    return SimTrace(CONFIG, ledger)
 
 
 GOLDEN_CSV = """\
@@ -41,7 +45,7 @@ id,class,issued_at,confirmed_at,latency,parents
 
 class TestClassStats:
     def test_empty_class(self):
-        trace = SimTrace(CONFIG, [], TangleLedger(8))
+        trace = SimTrace(CONFIG, TangleLedger(8))
         stats = class_stats(trace, "priority")
         assert stats.issued == 0
         assert stats.confirmed == 0
@@ -107,7 +111,7 @@ class TestCompare:
 
 class TestCsvExport:
     def test_genesis_only_trace_is_header_only(self, tmp_path):
-        trace = SimTrace(CONFIG, [], TangleLedger(8))
+        trace = SimTrace(CONFIG, TangleLedger(8))
         path = tmp_path / "trace.csv"
         export_csv(trace, path)
         assert path.read_text() == "id,class,issued_at,confirmed_at,latency,parents\n"
