@@ -15,19 +15,20 @@ ancestors only: an insertion walks parent edges from the new transaction's
 parents and stops at confirmed ones. A stored weight is exact while its
 transaction is unconfirmed.
 
-Since ids are issued in time order, a time cutoff is an id prefix. `reveal`
-walks a cursor over the visible prefix, which only grows. Three id-sorted
-lists index what every arrival asks about, and hold revealed ids only: the
-priority ids (unconfirmed, and flagged or promoted), the tips, and the common
-tips (the tips that are not priority ids). Each newly revealed id is appended
-to those it belongs to, so every candidate pool is one of these lists, used
-whole and never copied. An id approved before it is revealed never becomes a
-tip. Aging promotes a transaction: `promote` walks a cursor over the aged
-prefix, which lies within the revealed one, and stamps each id it passes that
-is unconfirmed and unflagged with the time. A promotion inserts an id into
-the priority list and takes it out of the common tips; a confirmation takes a
-revealed priority id out of the priority list and inserts it into the common
-tips if it is a tip; an approval removes a revealed tip by bisection.
+Since ids are issued in time order, a time cutoff is an id prefix. An arrival
+sees the DAG as it was at its visibility cutoff: `reveal` walks a cursor over
+that prefix, which only grows. Three id-sorted lists hold revealed ids only:
+the priority ids (unconfirmed, and flagged or promoted), the tips (approved by
+no revealed id) and the common tips (the tips that are not priority ids), so
+every candidate pool is one of them, used whole and never copied. A newly
+revealed id joins those it belongs to and takes each parent it first approves
+out of the tips, by bisection; the newest non-tip is the running maximum of
+those parents. Confirmation is read as of now, not as of the cutoff. Aging
+promotes a transaction: `promote` walks a cursor over the aged prefix, which
+lies within the revealed one, and stamps each id it passes that is unconfirmed
+and unflagged with the time. A promotion inserts an id into the priority list
+and takes it out of the common tips; a confirmation takes a revealed priority
+id out of the priority list and inserts it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -108,6 +109,7 @@ class TangleLedger:
         self._priority: list[int] = []  # unconfirmed, and flagged or promoted
         self._tips: list[int] = []
         self._common_tips: list[int] = []  # tips not in _priority
+        self._newest_non_tip: int | None = None  # the largest parent of a revealed id
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -157,16 +159,11 @@ class TangleLedger:
         # every distinct unconfirmed ancestor gains one, in a walk seeded with
         # the parents; confirmed ancestors have only confirmed ancestors, so
         # the walk stops there
-        tips, common, visible = self._tips, self._common_tips, self._visible
         first, stamp = self._first_approver, self._stamp
         walk = []
         for p in distinct:
             if not first[p]:
                 first[p] = new_id
-                if p < visible:  # an unrevealed id never becomes a tip
-                    del tips[bisect_left(tips, p)]
-                    if stamp[p] == _CONFIRMED or not self._is_priority(p):
-                        del common[bisect_left(common, p)]
             if stamp[p] < new_id:
                 stamp[p] = new_id
                 walk.append(p)
@@ -190,30 +187,37 @@ class TangleLedger:
             return set()
         newly = set(self._ripe)
         self._ripe = []
-        priority = self._priority
+        priority, visible = self._priority, self._visible
         for i in newly:
             self._confirmed_at[i] = now
             self._stamp[i] = _CONFIRMED
-            if i < self._visible and self._is_priority(i):
+            if i < visible and self._is_priority(i):
                 del priority[bisect_left(priority, i)]
-                if not self._first_approver[i]:  # a confirmed tip is common
+                if not 0 < self._first_approver[i] < visible:  # a confirmed tip is common
                     insort(self._common_tips, i)
         return newly
 
     def reveal(self, visible: int) -> None:
-        """Make the first `visible` ids visible: enter each id in that prefix
-        not reached by an earlier call into the lists it belongs to. A
-        smaller prefix than an earlier call's reveals nothing."""
+        """Make the first `visible` ids visible: each id in that prefix not
+        reached by an earlier call becomes a tip, and each parent it first
+        approves stops being one. A smaller prefix reveals nothing."""
         if visible <= self._visible:
             return
-        first, stamp, flag = self._first_approver, self._stamp, self._flag
+        first, stamp, flag, parents = self._first_approver, self._stamp, self._flag, self._parents
+        tips, common, newest = self._tips, self._common_tips, self._newest_non_tip
         for j in range(self._visible, visible):
-            if stamp[j] != _CONFIRMED and flag[j]:
+            tips.append(j)
+            if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
                 self._priority.append(j)
-            elif not first[j]:
-                self._common_tips.append(j)
-            if not first[j]:
-                self._tips.append(j)
+            else:
+                common.append(j)
+            for p in parents[j]:
+                if first[p] == j:
+                    del tips[bisect_left(tips, p)]
+                    if stamp[p] == _CONFIRMED or not self._is_priority(p):
+                        del common[bisect_left(common, p)]
+                    newest = p if newest is None else max(newest, p)
+        self._newest_non_tip = newest
         self._visible = visible
 
     def promote(self, aged: int, now: float) -> None:
@@ -230,7 +234,7 @@ class TangleLedger:
             if self._stamp[i] != _CONFIRMED and not self._flag[i]:
                 self._promoted_at[i] = now
                 insort(self._priority, i)
-                if not self._first_approver[i]:
+                if not 0 < self._first_approver[i] < self._visible:
                     del self._common_tips[bisect_left(self._common_tips, i)]
         self._aged = aged
 
@@ -281,10 +285,6 @@ class TangleLedger:
         id order. The ledger's own lists, valid until the next mutation."""
         return self._tips, self._common_tips
 
-    def newest_non_tip(self, visible: int) -> int | None:
-        """Most recently issued non-tip among the first `visible`, if any."""
-        first = self._first_approver
-        for i in range(visible - 1, -1, -1):
-            if first[i]:
-                return i
-        return None
+    def newest_non_tip(self) -> int | None:
+        """The newest revealed id that a revealed id approves, if any."""
+        return self._newest_non_tip

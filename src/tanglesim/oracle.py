@@ -71,9 +71,9 @@ def brute_force_tips(parents: list[tuple[int, ...]]) -> set[int]:
 def reference_pools(parents: list[tuple[int, ...]], flags: list[bool], visible: int,
                     confirmed: dict[int, float], promoted: dict[int, float]) -> SelectionCandidates:
     """The pools of the first `visible` ids: priority (unconfirmed, and
-    flagged or promoted), tips (approved by no stored id), common (the tips
+    flagged or promoted), tips (approved by no visible id), common (the tips
     not in priority) and the newest id that is not a tip."""
-    unapproved = brute_force_tips(parents)
+    unapproved = brute_force_tips(parents[:visible])
     tips = [i for i in range(visible) if i in unapproved]
     priority = [i for i in range(visible) if i not in confirmed and (flags[i] or i in promoted)]
     return SelectionCandidates(

@@ -73,7 +73,7 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
         priority=ledger.priority_candidates(),
         common=common,
         tips=tips,
-        newest_non_tip=ledger.newest_non_tip(k),
+        newest_non_tip=ledger.newest_non_tip(),
     )
 
 

@@ -1,8 +1,12 @@
 """Conformance: the model against the Tangle's known analytic results.
 
-Popov, *The Tangle* (2018): under uniform tip selection, after adaptation,
-cumulative weight grows linearly at speed λ, so raising the confirmation
-threshold θ by one delays a confirmation by 1/λ.
+Popov, *The Tangle* (2018), under uniform tip selection by arrivals that see
+the DAG as it was h seconds ago, after adaptation:
+- cumulative weight grows linearly at speed λ, so raising the confirmation
+  threshold θ by one delays a confirmation by 1/λ;
+- the tip pool an arrival draws from holds about 2λh tips;
+- so a visible tip waits about L/(2λ) = h for its first approver, after the
+  h it takes to become visible, and the θ = 2 latency is about 2h.
 """
 
 import pytest
@@ -28,15 +32,71 @@ def median_latency(theta, seed):
     return class_stats(run_simulation(config), CLASS_COMMON).median_latency
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: an arrival sees only the visible tips that no "
-    "transaction, visible or not, has approved yet, so weight grows at about "
-    "3.6 tx/s, not λ: slopes read 0.277, 0.276 and 0.288 s for seeds 0-2",
-)
 def test_linear_phase_latency_slope_is_inverse_rate():
     slopes = []
     for seed in (0, 1, 2):
         low, high = (median_latency(theta, seed) for theta in THETAS)
         slopes.append((high - low) / (THETAS[1] - THETAS[0]))
     assert all(abs(s - 1 / RATE) <= SLOPE_TOLERANCE for s in slopes), slopes
+
+
+# (λ, h) points, each run on five seeds at θ = 2; uniform selection reads no
+# confirmation, so one run serves both the tip-pool and the latency check
+POINTS = ((10.0, 1.0), (20.0, 3.0), (40.0, 0.5))
+SEEDS = range(5)
+STEADY_FROM = 50.0  # seconds: the pool has adapted by then
+LATENCY_ISSUED = (50.0, 150.0)  # issue window, well before the 200 s horizon
+MEAN_TOLERANCE = 0.05  # relative, on the mean of the five seeds' ratios
+
+
+@pytest.fixture(scope="module", params=POINTS, ids=lambda p: f"lambda{p[0]:g}-h{p[1]:g}")
+def steady_runs(request):
+    rate, delay = request.param
+    runs = [
+        run_simulation(SimConfig(
+            arrival_rate=rate,
+            priority_fraction=0.0,
+            horizon=200.0,
+            visibility_delay=delay,
+            theta=2,
+            strategy="uniform",
+            seed=seed,
+        )).ledger.columns()
+        for seed in SEEDS
+    ]
+    return rate, delay, runs
+
+
+def drawn_tip_pools(issued, parents, delay):
+    """(issue time, size of the tip pool it drew from) per arrival: the ids
+    issued by t - h that none of them approves, rebuilt one id at a time."""
+    pools, approved, tips, visible = [], set(), 0, 0
+    for now in issued[1:]:
+        while issued[visible] <= now - delay:
+            tips += 1
+            for p in parents[visible]:
+                if p not in approved:
+                    approved.add(p)
+                    tips -= 1
+            visible += 1
+        pools.append((now, tips))
+    return pools
+
+
+def test_drawn_tip_pool_is_twice_rate_times_delay(steady_runs):
+    rate, delay, runs = steady_runs
+    ratios = []
+    for issued, _, parents, _ in runs:
+        steady = [tips for now, tips in drawn_tip_pools(issued, parents, delay) if now > STEADY_FROM]
+        ratios.append(sum(steady) / len(steady) / (2 * rate * delay))
+    assert abs(sum(ratios) / len(ratios) - 1) <= MEAN_TOLERANCE, ratios
+
+
+def test_theta_two_latency_is_twice_delay(steady_runs):
+    _, delay, runs = steady_runs
+    low, high = LATENCY_ISSUED
+    ratios = []
+    for issued, _, _, confirmed_at in runs:
+        latencies = [confirmed_at[i] - t for i, t in enumerate(issued) if low <= t <= high]
+        ratios.append(sum(latencies) / len(latencies) / (2 * delay))
+    assert abs(sum(ratios) / len(ratios) - 1) <= MEAN_TOLERANCE, ratios

@@ -259,7 +259,14 @@ def test_engine_equals_reference_model():
             aging_threshold=rng.choice((0.5, 2.0, 5.0)),
             seed=rng.randrange(2**32),
         )
-        assert run_simulation(config).records == reference_run(config), config
+        records = run_simulation(config).records
+        assert records == reference_run(config), config
+        # genesis is only the start-up parent: an arrival attaches to it alone
+        # exactly when it sees no arrival
+        h = config.visibility_delay
+        assert [r.parents == (0,) for r in records] == [
+            r.id == 1 or r.issued_at - h < records[0].issued_at for r in records
+        ], config
 
 
 class TestRunSimulation:

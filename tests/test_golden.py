@@ -61,51 +61,51 @@ CONFIGS["aging-below-delay-backlog-seed42"] = {
 # name -> (sha256 of trace.csv, sha256 of summary.json)
 GOLDEN = {
     "aging-before-visible-ptsa-seed42": (
-        "86bcdebcd0b3e2bef61564d8f177fb156a2c25c455530d8ee87834905fc49683",
-        "3628ee0ebe21a548d4b48995048b5e00293e2b3185ddb4bb664e828e6c133455",
+        "0ee7c1f07dffcaf31075f077855899489bc4b54f5dd9774ef23c32eea405decb",
+        "de3fc86669fa53c02bfc76a0906cc212f03f792fd482d7650716c9caa244a632",
     ),
     "aging-below-delay-backlog-seed42": (
         "3076febdaab37d2433a07dec338e333e96f281b6c8940ebfdd690fd28a871633",
         "7e3068aa336cb4eeb2c82c67d079061de2255178450af496a53f13b98cbb83f7",
     ),
     "aging-off-ptsa-seed42": (
-        "68479875327e9b5f886c38c13b4b79c5fad866b182acac1c25d442c63921d4cc",
-        "bf0c8da75f127cabc8332bcf52f147a13e7a70ef13cb166d1a7eb7556a2b0a40",
+        "422e24717de0ca02e65a45cf6841a9f934bcf94503bd286a7aae17e35bcd0779",
+        "2d83e5d735ace5ae8a3e6e6d36f537e4377345933be13dd707687b6d9039ec28",
     ),
     "lambda40-ptsa-seed42": (
-        "074e43553c362aeb4e34ad358c4c2cc3118804111739ce52e18f142bba572788",
-        "e9782e8ce62e0f59be29b018686c781aedf1c31e8b5cce9988b347f3ec4eadba",
+        "35396bac97a8950f0c099a9eff2a5696b9a8c7a5261eb1da9651e7b6a2a47c53",
+        "39e37c3e575fff792de264e5760b1b5f2a10cceaf42bf309d748133da97b0227",
     ),
     "ptsa-backlog-seed42": (
-        "eb9a77f4249f3a327d94a8608db05b924b1441f345b54562449593b9566fc3d0",
-        "e5b769fab656e9d92d5e59a9eee0a32182509e3f54587158cfb90bc6df3fae5d",
+        "ef8abb2231bfd48ca6e82ff17ca9a8196ffd997fc6ce237f664d68ed131cfbb4",
+        "f022e0a74542c9d84583aa857111776667e6bb94a9c752da3a87f981012280a9",
     ),
     "reference-ptsa-seed42": (
-        "68479875327e9b5f886c38c13b4b79c5fad866b182acac1c25d442c63921d4cc",
-        "893c1d72f09825567675281e8d87b20eebea1b163418c494fba819db227995be",
+        "422e24717de0ca02e65a45cf6841a9f934bcf94503bd286a7aae17e35bcd0779",
+        "64666eca251b33a4e8b69c20ad21b7ca47f84a51494f468c2411121bf5d11cf4",
     ),
     "reference-ptsa-seed43": (
-        "1acfcc4410a995168b85b91cf7a464ca7394eab8da6db49a50723f1292df28c8",
-        "8a66392dac269a1fcee253196a873d2df252b22675828a9319c1ce7bc060311c",
+        "b194a2fafaa508b042d81ea12a0b7d330f7146a5e2bc2e06ce8da2e305d33e55",
+        "e9331ea00e2b47fd72e61364d00452fc470c2258b2863ecb83a125c87ef38be9",
     ),
     "reference-ptsa-seed44": (
-        "53058271ac50f7b25d50e3e7100a40a23f8902ff6192aacfb999f9e749e6d649",
-        "a34916a8194531bfec81b2493c4e8dcc40e13f325b534eceb3a2373c12c19e38",
+        "6aeb5392f6b7901ccbbba9473b74f357233d3a5f7e5aeba41d1be1a5aadc18c5",
+        "2828a70e56de38cbf62d59916f1e8dbda59be57d1e6701c0ce0ccd261f47621a",
     ),
     "reference-uniform-seed42": (
-        "a27927a647b6f1b6217ce1afb7960cf0eb23276e91bfab5ceb5f9527d72c24cd",
-        "575d697d689fbb0ae273bffada10198e2d7296c7246ac3ae3e6b424f66cd4077",
+        "1533473cd8a02dcdfa0f513a861bb1a28f697d5ddd3de443feb6a41ddeeb8509",
+        "7f71ae2dcb9b4a8332e9169de9220ba1a43ec937bbd2f978a3f4f7de5af537c3",
     ),
     "reference-uniform-seed43": (
-        "bf6e19a405b501ec05ad3fb8b622af8628e6529ddd54f938d64ab0397e1688b7",
-        "2dc92048baed9ba3136194c8f1f593e65db1c8ac9047b992e6d8d514584cee62",
+        "9b9fa4d4a5be2504b21bb6ac9884a3537bbccb73822a048c574606deae6cff62",
+        "004cfc42ed3f7d0b43fc2b96c112781451f5e0fb495a84134d37038fe83ee5f8",
     ),
     "reference-uniform-seed44": (
-        "240d6c3323300f9b00f3062f9f778b493e336caf5e9686c0ec5e2249f7340e76",
-        "60ea4a085be54d6399af056eefe6baa202765a51089a4935022c74851b9ab15c",
+        "0a8179198642471e0781049cd37c049a35834ad8db882bda96e4927c94c8668a",
+        "fc4974047d71ba3147c2aed24d717975044a11d2cef4791c5c42f5f70ac0e3fd",
     ),
     "theta1-ptsa-seed42": (
-        "1e865775bf9b1ba6b125c54556bb730792ba39698a90a2f12d5ac781bfe319bc",
+        "f7392f0a362ec7a7714c5a7c7e0486343aa3ec5c3b4b6689af604a3d5ca77f5d",
         "0006903886c9064fc8f32983f0c41828fd0d1db84443a0ca3e17c259c9c6afb7",
     ),
 }
@@ -113,18 +113,18 @@ GOLDEN = {
 
 # file -> sha256, for `compare --seeds 2` on the reference config
 COMPARE_GOLDEN = {
-    "compare_seed42.json": "619ce368ef6fa748206f48e3a1ef247bb30964eb3dc3a228a91cb3afa92484d1",
-    "compare_seed43.json": "af64d6ea6ae7f0d1fa73775ee877fb8a7a484b22fe3d0f3b43fab6c49924a81a",
-    "aggregate.json": "77ee75f2cf80b90b916ced30a754f398ebcc3fd93895c1a6eb080e2f1fc3e08b",
+    "compare_seed42.json": "5aa642123792f279de55cc20b3c9074c333f2bcd3e89cb4d2bb28df358d9878c",
+    "compare_seed43.json": "b1676b325b29a90f9034b5fdbd73e6f7767ee0d83a95f1589da35612914537d9",
+    "aggregate.json": "a8442442fce82564dbb2b70ec5f0b2ea5407f26815960445de29207a102ff0d2",
 }
 
 
 # sha256 of every record's promoted_at and the tip-pool series derived from
 # the records (`tip_pool_series`), neither of which an output file holds, for
 # the ptsa-backlog config
-IN_MEMORY_GOLDEN = "2a0e49959ddc2c4b42ecebaacc285bce4ecd5f59cfaaaa3337683dc3ae0b4317"
+IN_MEMORY_GOLDEN = "184dfe80ebc06794d572518c5e2c29264626b3dbc566421f4db51db17e2c50cd"
 # the same for the ptsa-backlog config under the uniform strategy
-UNIFORM_IN_MEMORY_GOLDEN = "e521b15768f6976585a4a115b8ab06fd8b3af84e8c032665067fa916849c8a23"
+UNIFORM_IN_MEMORY_GOLDEN = "a83ea003e22ed591d472086e0103f65b2e5d59ea4094976e166ed19794fb0a11"
 # the same for the aging-below-delay-backlog config
 AGING_BELOW_DELAY_IN_MEMORY_GOLDEN = (
     "99fab56c369bbc79a7b30e66fe576eea000ff0d71af9804fd0c862298bfe2340"

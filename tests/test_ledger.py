@@ -150,12 +150,17 @@ class TestReveal:
         ledger.reveal(2)
         assert pools(ledger) == ([], [hp], [hp])
 
-    def test_id_approved_unrevealed_never_a_tip(self):
+    def test_revealed_id_is_tip_until_a_revealed_id_approves_it(self):
         ledger, a, b = build_chain()
-        ledger.reveal(2)  # genesis and a, both approved before they are revealed
-        assert pools(ledger) == ([], [], [])
+        ledger.reveal(1)  # genesis, approved by a, which is not revealed yet
+        assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
+        assert ledger.newest_non_tip() is None
+        ledger.reveal(2)  # a, approved by b, which is not revealed yet
+        assert pools(ledger) == ([], [a], [a])
+        assert ledger.newest_non_tip() == ledger.genesis
         ledger.reveal(3)
         assert pools(ledger) == ([], [b], [b])
+        assert ledger.newest_non_tip() == a
 
     def test_smaller_prefix_reveals_nothing(self):
         ledger, a, b = build_chain()
@@ -174,9 +179,9 @@ class TestReveal:
         with pytest.raises(ValueError):
             ledger.promote(2, 5.0)
         assert [r.promoted_at for r in ledger.records()] == [None, None, None]
-        ledger.promote(1, 5.0)  # genesis, revealed and approved
+        ledger.promote(1, 5.0)  # genesis, revealed, and approved by no revealed id
         assert [r.promoted_at for r in ledger.records()] == [5.0, None, None]
-        assert pools(ledger) == ([ledger.genesis], [], [])
+        assert pools(ledger) == ([ledger.genesis], [ledger.genesis], [])
 
 
     def test_promote_at_or_below_cursor_changes_nothing(self):

@@ -145,8 +145,8 @@ def test_priority_pool_same_whichever_comes_first(visible, aged, size, promote_f
     assert type(pool) is list
     assert pool == [i for i in range(visible) if i < aged or i % 3]
     assert len(pool) == size
-    tip = [199] if visible == 200 else []  # the chain's only tip, flagged
-    assert ledger.tip_candidates() == (tip, [])
+    # the chain's one revealed tip is its newest revealed id, flagged
+    assert ledger.tip_candidates() == ([visible - 1], [])
 
 
 def test_every_derandomized_test_pins_its_seed():

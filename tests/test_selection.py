@@ -157,11 +157,11 @@ class TestBuildCandidates:
         ledger = TangleLedger(8)
         recent = ledger.add_transaction([ledger.genesis], 5.0)
         c = build_candidates(ledger, 5.5, dataclasses.replace(NO_AGING, visibility_delay=1.0))
-        # the only visible transaction (genesis) is no longer a tip, so the
-        # visible tip pool is empty and genesis is the fallback parent
+        # genesis is the one visible id, and its approver is not visible, so
+        # genesis is the one visible tip and no visible id is a non-tip
+        assert c.tips == c.common == [ledger.genesis]
         assert recent not in c.tips
-        assert c.common == []
-        assert c.newest_non_tip == ledger.genesis
+        assert c.newest_non_tip is None
 
 
 class TestCount:
