@@ -16,19 +16,21 @@ parents and stops at confirmed ones. A stored weight is exact while its
 transaction is unconfirmed.
 
 Since ids are issued in time order, a time cutoff is an id prefix. An arrival
-sees the DAG as it was at its visibility cutoff: `reveal` walks a cursor over
-that prefix, which only grows. Three id-sorted lists hold revealed ids only:
-the priority ids (unconfirmed, and flagged or promoted), the tips (approved by
-no revealed id) and the common tips (the tips that are not priority ids), so
+sees the DAG as it was at its visibility cutoff: `reveal` bisects the issue
+times from its cursor to the cutoff's prefix, which only grows, and genesis is
+revealed at construction. Three id-sorted lists hold revealed ids only: the
+priority ids (unconfirmed, and flagged or promoted), the tips (approved by no
+revealed id) and the common tips (the tips that are not priority ids), so
 every candidate pool is one of them, used whole and never copied. A newly
-revealed id joins those it belongs to and takes each parent it first approves
-out of the tips, by bisection; the newest non-tip is the running maximum of
-those parents. Confirmation is read as of now, not as of the cutoff. Aging
-promotes a transaction: `promote` walks a cursor over the aged prefix, which
-lies within the revealed one, and stamps each id it passes that is unconfirmed
-and unflagged with the time. A promotion inserts an id into the priority list
-and takes it out of the common tips; a confirmation takes a revealed priority
-id out of the priority list and inserts it into the common tips if it is a tip.
+revealed id joins those it belongs to, marks each parent it is the first to
+approve as approved, and takes it out of the tips by bisection; the newest
+non-tip is the running maximum of those parents. Confirmation is read as of
+now, not as of the cutoff. Aging promotes a transaction: `promote` bisects
+from its own cursor to the aged cutoff's prefix, bounded by the revealed one,
+and stamps each id it passes that is unconfirmed and unflagged with the time.
+A promotion inserts an id into the priority list and takes it out of the
+common tips; a confirmation takes a revealed priority id out of the priority
+list and inserts it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -89,7 +91,7 @@ class TxRecord:
 
 
 class TangleLedger:
-    """The DAG store: transactions, first approvers, tips, confirmation."""
+    """The DAG store: transactions, the revealed view, confirmation."""
 
     def __init__(self, theta: int) -> None:
         # genesis: no parents, issued at time 0, common class
@@ -97,18 +99,18 @@ class TangleLedger:
         self._parents: list[tuple[int, ...]] = [()]
         self._issued: list[float] = [0.0]
         self._flag: list[bool] = [False]
-        self._first_approver: list[int] = [0]  # 0 until approved; genesis approves nothing
+        self._approved: list[bool] = [False]  # approved by a revealed id
         # cumulative weight per id, kept exact until the id confirms
         self._weight: list[int] = [1]
         # the last insertion walk to reach each id, or _CONFIRMED
         self._stamp: list[int] = [0]
         self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
-        self._visible = 0  # reveal's cursor: it has passed every id below
+        self._visible = 1  # reveal's cursor: it has passed every id below
         self._aged = 0  # promote's cursor, never past reveal's
         # id-sorted indexes over the state above, of the revealed ids only
         self._priority: list[int] = []  # unconfirmed, and flagged or promoted
-        self._tips: list[int] = []
-        self._common_tips: list[int] = []  # tips not in _priority
+        self._tips: list[int] = [0]
+        self._common_tips: list[int] = [0]  # tips not in _priority
         self._newest_non_tip: int | None = None  # the largest parent of a revealed id
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
@@ -149,7 +151,7 @@ class TangleLedger:
         self._parents.append(distinct)
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
-        self._first_approver.append(0)
+        self._approved.append(False)
         self._weight.append(1)
         self._stamp.append(new_id)
         self._promoted_at.append(None)
@@ -159,11 +161,9 @@ class TangleLedger:
         # every distinct unconfirmed ancestor gains one, in a walk seeded with
         # the parents; confirmed ancestors have only confirmed ancestors, so
         # the walk stops there
-        first, stamp = self._first_approver, self._stamp
+        stamp = self._stamp
         walk = []
         for p in distinct:
-            if not first[p]:
-                first[p] = new_id
             if stamp[p] < new_id:
                 stamp[p] = new_id
                 walk.append(p)
@@ -193,17 +193,18 @@ class TangleLedger:
             self._stamp[i] = _CONFIRMED
             if i < visible and self._is_priority(i):
                 del priority[bisect_left(priority, i)]
-                if not 0 < self._first_approver[i] < visible:  # a confirmed tip is common
+                if not self._approved[i]:  # a confirmed tip is common
                     insort(self._common_tips, i)
         return newly
 
-    def reveal(self, visible: int) -> None:
-        """Make the first `visible` ids visible: each id in that prefix not
-        reached by an earlier call becomes a tip, and each parent it first
-        approves stops being one. A smaller prefix reveals nothing."""
-        if visible <= self._visible:
+    def reveal(self, cutoff: float) -> None:
+        """Make the ids issued at or before `cutoff` visible: each one not
+        reached by an earlier call becomes a tip, and each parent it is the
+        first to approve stops being one. An earlier cutoff reveals nothing."""
+        visible = bisect_right(self._issued, cutoff, self._visible)
+        if visible == self._visible:
             return
-        first, stamp, flag, parents = self._first_approver, self._stamp, self._flag, self._parents
+        approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
         tips, common, newest = self._tips, self._common_tips, self._newest_non_tip
         for j in range(self._visible, visible):
             tips.append(j)
@@ -212,7 +213,8 @@ class TangleLedger:
             else:
                 common.append(j)
             for p in parents[j]:
-                if first[p] == j:
+                if not approved[p]:
+                    approved[p] = True
                     del tips[bisect_left(tips, p)]
                     if stamp[p] == _CONFIRMED or not self._is_priority(p):
                         del common[bisect_left(common, p)]
@@ -220,21 +222,19 @@ class TangleLedger:
         self._newest_non_tip = newest
         self._visible = visible
 
-    def promote(self, aged: int, now: float) -> None:
-        """Apply aging up to the first `aged` ids, which must be revealed:
-        stamp each id in that prefix not reached by an earlier call, if it is
-        unconfirmed and unflagged, as promoted at `now`, which makes it a
-        priority id until it confirms. A smaller prefix than an earlier
-        call's promotes nothing."""
-        if aged <= self._aged:  # most calls promote none
+    def promote(self, cutoff: float, now: float) -> None:
+        """Apply aging to the revealed ids issued at or before `cutoff`: stamp
+        each one not reached by an earlier call, if it is unconfirmed and
+        unflagged, as promoted at `now`, which makes it a priority id until
+        it confirms. An earlier cutoff promotes nothing."""
+        aged = bisect_right(self._issued, cutoff, self._aged, self._visible)
+        if aged == self._aged:  # most calls promote none
             return
-        if aged > self._visible:
-            raise ValueError(f"promote({aged}) past the {self._visible} revealed ids")
         for i in range(self._aged, aged):
             if self._stamp[i] != _CONFIRMED and not self._flag[i]:
                 self._promoted_at[i] = now
                 insort(self._priority, i)
-                if not 0 < self._first_approver[i] < self._visible:
+                if not self._approved[i]:
                     del self._common_tips[bisect_left(self._common_tips, i)]
         self._aged = aged
 
@@ -268,11 +268,6 @@ class TangleLedger:
         return self._weight.copy()
 
     # -- selection support -------------------------------------------------
-
-    def visible_count(self, cutoff: float) -> int:
-        """Number of transactions with issued_at <= cutoff (a prefix, since
-        insertion order is time order)."""
-        return bisect_right(self._issued, cutoff)
 
     def priority_candidates(self) -> list[int]:
         """The revealed priority ids: the unconfirmed ones that are flagged

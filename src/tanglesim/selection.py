@@ -23,7 +23,9 @@ BRANCH_BASELINE = "baseline"
 
 
 class EmptyCandidates(Exception):
-    """No selectable transaction exists in the snapshot."""
+    """No selectable transaction exists in the snapshot. A ledger's pools
+    always hold its genesis at least, so only a strategy handed empty pools
+    raises it."""
 
 
 @dataclass
@@ -58,16 +60,12 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
     aged once it is visible and its age reaches the aging threshold; the
     ledger promotes an aged one while it is unconfirmed and unflagged (see
     `TangleLedger.promote`). So `now` must not decrease between calls on
-    one ledger. Raises EmptyCandidates when nothing is visible yet (right
-    after genesis); the caller should attach to genesis or retry later.
+    one ledger. Genesis is revealed from the start, so before anything else
+    is visible the pools hold genesis alone.
     """
-    k = ledger.visible_count(now - config.visibility_delay)
-    if k == 0:
-        raise EmptyCandidates(f"no transaction visible at t={now}")
-    ledger.reveal(k)
+    ledger.reveal(now - config.visibility_delay)
     if config.aging_enabled:
-        aged = ledger.visible_count(now - max(config.visibility_delay, config.aging_threshold))
-        ledger.promote(aged, now)
+        ledger.promote(now - max(config.visibility_delay, config.aging_threshold), now)
     tips, common = ledger.tip_candidates()
     return SelectionCandidates(
         priority=ledger.priority_candidates(),

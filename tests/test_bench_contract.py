@@ -58,6 +58,9 @@ def test_traced_cli_runs_and_counts(command, tmp_path):
     assert counters["promoted"] > 0
     assert counters["priority_len_sum"] > 0  # the wrapper takes len() of the pool
     assert counters["sweeps"] == counters["inserts"]  # one sweep per arrival
+    # every arrival draws from a pool: genesis is revealed from the start
+    assert counters["candidate_sets"] == counters["inserts"]
+    assert "empty_candidates" not in counters
     assert counters["confirmed"] > 0
 
 

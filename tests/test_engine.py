@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from pathlib import Path
 
@@ -306,7 +307,7 @@ class TestRunSimulation:
         assert all(n >= 1 for _, n in series)
         ledger = trace.ledger
         parents = [r.parents for r in ledger.records()]
-        ledger.reveal(len(ledger))
+        ledger.reveal(math.inf)
         assert series[-1][1] == len(ledger.tip_candidates()[0])
         assert series[-1][1] == len(brute_force_tips(parents))
 

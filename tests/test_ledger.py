@@ -37,7 +37,7 @@ def build_diamond():
 
 def tips(ledger):
     """Every tip, in id order: the tip candidates with all ids revealed."""
-    ledger.reveal(len(ledger))
+    ledger.reveal(math.inf)
     return ledger.tip_candidates()[0]
 
 
@@ -111,7 +111,7 @@ class TestAddTransaction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_issue_time(self, bad):
         # a stored NaN would let the next insertion go back in time and break
-        # the time-ordered prefix that visible_count bisects
+        # the time-ordered prefix that reveal bisects
         ledger = TangleLedger(8)
         ledger.add_transaction([ledger.genesis], 5.0)
         with pytest.raises(TimeRegression):
@@ -119,7 +119,8 @@ class TestAddTransaction:
         with pytest.raises(TimeRegression):
             ledger.add_transaction([ledger.genesis], 1.0)
         assert len(ledger) == 2
-        assert ledger.visible_count(2.0) == 1
+        ledger.reveal(2.0)  # genesis alone
+        assert ledger.tip_candidates()[0] == [ledger.genesis]
 
 
 class TestTips:
@@ -142,57 +143,70 @@ def pools(ledger):
 
 
 class TestReveal:
+    def test_fresh_view_is_genesis_alone(self):
+        ledger = TangleLedger(8)
+        assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
+        assert ledger.newest_non_tip() is None
+        # an insertion touches nothing of the view, nor does a negative cutoff
+        ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        ledger.reveal(-1.0)
+        ledger.promote(-1.0, 5.0)
+        assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
+        assert ledger.newest_non_tip() is None
+        assert [r.promoted_at for r in ledger.records()] == [None, None]
+
     def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
         ledger = TangleLedger(1)  # a tip weighs 1, so a sweep confirms it
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.confirmation_sweep(1.0)
         assert hp in ledger.confirmed_set
-        ledger.reveal(2)
+        ledger.reveal(1.0)
         assert pools(ledger) == ([], [hp], [hp])
 
     def test_revealed_id_is_tip_until_a_revealed_id_approves_it(self):
         ledger, a, b = build_chain()
-        ledger.reveal(1)  # genesis, approved by a, which is not revealed yet
+        ledger.reveal(0.0)  # genesis, approved by a, which is not revealed yet
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
         assert ledger.newest_non_tip() is None
-        ledger.reveal(2)  # a, approved by b, which is not revealed yet
+        ledger.reveal(1.0)  # a, approved by b, which is not revealed yet
         assert pools(ledger) == ([], [a], [a])
         assert ledger.newest_non_tip() == ledger.genesis
-        ledger.reveal(3)
+        ledger.reveal(2.0)
         assert pools(ledger) == ([], [b], [b])
         assert ledger.newest_non_tip() == a
 
     def test_smaller_prefix_reveals_nothing(self):
         ledger, a, b = build_chain()
-        ledger.reveal(3)
+        ledger.reveal(2.0)
         before = pools(ledger)
         c = ledger.add_transaction([ledger.genesis], 3.0)
-        ledger.reveal(1)
-        ledger.reveal(3)
+        ledger.reveal(0.0)
+        ledger.reveal(2.0)
         assert pools(ledger) == before
-        ledger.reveal(4)
+        ledger.reveal(3.0)
         assert pools(ledger) == ([], [b, c], [b, c])
 
     def test_promote_never_reaches_unrevealed_id(self):
         ledger, a, b = build_chain()
-        ledger.reveal(1)
-        with pytest.raises(ValueError):
-            ledger.promote(2, 5.0)
-        assert [r.promoted_at for r in ledger.records()] == [None, None, None]
-        ledger.promote(1, 5.0)  # genesis, revealed, and approved by no revealed id
+        ledger.reveal(0.0)
+        # promotion stops at the revealed prefix: genesis, approved by no revealed id
+        ledger.promote(math.inf, 5.0)
         assert [r.promoted_at for r in ledger.records()] == [5.0, None, None]
         assert pools(ledger) == ([ledger.genesis], [ledger.genesis], [])
-
+        ledger.reveal(1.0)
+        ledger.promote(math.inf, 6.0)  # and resumes from its cursor as the prefix grows
+        assert [r.promoted_at for r in ledger.records()] == [5.0, 6.0, None]
+        assert pools(ledger) == ([ledger.genesis, a], [a], [])
 
     def test_promote_at_or_below_cursor_changes_nothing(self):
         ledger, a, b = build_chain()
-        ledger.reveal(3)
-        ledger.promote(2, 5.0)
+        ledger.reveal(2.0)
+        ledger.promote(1.0, 5.0)
         before = pools(ledger), ledger.records()
-        ledger.promote(2, 9.0)
-        ledger.promote(1, 9.0)
+        ledger.promote(1.0, 9.0)
+        ledger.promote(0.0, 9.0)
         assert (pools(ledger), ledger.records()) == before
-        ledger.promote(3, 9.0)
+        ledger.promote(2.0, 9.0)
         assert [r.promoted_at for r in ledger.records()] == [5.0, 5.0, 9.0]
         assert pools(ledger) == ([ledger.genesis, a, b], [b], [])
 
@@ -250,9 +264,9 @@ class TestConfirmationSweep:
 
     def test_nothing_ripe_changes_nothing(self):
         ledger, a, b = build_chain(theta=3)
-        ledger.reveal(3)
+        ledger.reveal(2.0)
         ledger.add_transaction([b], 3.0, priority_flag=True)
-        ledger.reveal(4)
+        ledger.reveal(3.0)
         ledger.confirmation_sweep(3.0)  # genesis and a
         before = ledger.records(), ledger.weights(), pools(ledger), set(ledger.confirmed_set)
         newly = ledger.confirmation_sweep(5.0)

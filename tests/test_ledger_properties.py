@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from tanglesim.engine import SimConfig
 from tanglesim.ledger import MAX_PARENTS, TangleLedger
 from tanglesim.oracle import future_cones, reference_pools
-from tanglesim.selection import EmptyCandidates, build_candidates
+from tanglesim.selection import build_candidates
 
 MAX_SIZE = 40
 MAX_THETA = 12
@@ -55,11 +55,8 @@ def histories(draw):
 def check_candidates(ledger, now, config, parents, issued, flags, confirmed, promoted):
     """Query the ledger at `now`, after recording in `promoted` what the
     query promotes, and check the snapshot and every promotion time."""
-    visible = sum(t <= now - config.visibility_delay for t in issued)
-    if visible == 0:
-        with pytest.raises(EmptyCandidates):
-            build_candidates(ledger, now, config)
-        return
+    # genesis is revealed from the start
+    visible = max(1, sum(t <= now - config.visibility_delay for t in issued))
     aged = 0
     if config.aging_enabled:
         cutoff = now - max(config.visibility_delay, config.aging_threshold)
@@ -134,13 +131,14 @@ def test_priority_pool_same_whichever_comes_first(visible, aged, size, promote_f
     ledger = TangleLedger(10**6)  # nothing confirms
     for i in range(1, 200):
         ledger.add_transaction([i - 1], float(i), priority_flag=i % 3 != 0)
+    # id i is issued at i, so the first k ids are those issued at or before k - 1
     if promote_first:
-        ledger.reveal(aged)
-        ledger.promote(aged, 0.0)
-        ledger.reveal(visible)
+        ledger.reveal(aged - 1)
+        ledger.promote(aged - 1, 0.0)
+        ledger.reveal(visible - 1)
     else:
-        ledger.reveal(visible)
-        ledger.promote(aged, 0.0)
+        ledger.reveal(visible - 1)
+        ledger.promote(aged - 1, 0.0)
     pool = ledger.priority_candidates()
     assert type(pool) is list
     assert pool == [i for i in range(visible) if i < aged or i % 3]

@@ -75,10 +75,10 @@ class TestBuildCandidates:
         assert list(c.priority) == []
         assert c.common == [ledger.genesis]
 
-    def test_raises_before_anything_visible(self):
+    def test_genesis_alone_before_anything_visible(self):
         ledger = TangleLedger(8)
-        with pytest.raises(EmptyCandidates):
-            build_candidates(ledger, 0.5, dataclasses.replace(AGING, visibility_delay=1.0))
+        c = build_candidates(ledger, 0.5, dataclasses.replace(AGING, visibility_delay=1.0))
+        assert c == SelectionCandidates([], [ledger.genesis], [ledger.genesis], None)
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
@@ -146,8 +146,8 @@ class TestBuildCandidates:
         assert young not in c.priority  # age 20
         # genesis is also old and unconfirmed, hence promoted too
         assert ledger.genesis in c.priority
-        ledger.promote(0, 45.0)  # a smaller prefix promotes nothing
-        ledger.promote(2, 46.0)  # nor does it rewind the cursor
+        ledger.promote(-1.0, 45.0)  # an earlier cutoff promotes nothing
+        ledger.promote(1.0, 46.0)  # nor does it rewind the cursor
         assert promoted_at(ledger) == [40.0, 40.0, None]  # genesis, old, young
         c = build_candidates(ledger, 50.0, AGING)
         assert young in c.priority  # age 30
