@@ -198,17 +198,18 @@ def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:
     Drawn from a sub-seeded stream of its own so attachment choices can
     never perturb it.
     """
-    rng = random.Random(f"{config.seed}|arrivals")
+    draw = random.Random(f"{config.seed}|arrivals").random
+    rate, horizon, fraction = config.arrival_rate, config.horizon, config.priority_fraction
     pinned = set(config.pinned_priority)
     out: list[tuple[float, bool]] = []
     t = 0.0
     ordinal = 0
     while True:
-        t += rng.expovariate(config.arrival_rate)
-        if t > config.horizon:
+        t += -math.log(1.0 - draw()) / rate  # `expovariate(rate)`, inlined
+        if t > horizon:
             return out
         ordinal += 1
-        flag = rng.random() < config.priority_fraction or ordinal in pinned
+        flag = draw() < fraction or ordinal in pinned
         out.append((t, flag))
 
 

@@ -136,9 +136,10 @@ class TangleLedger:
         if not 1 <= len(parents) <= MAX_PARENTS:
             raise ParentArity(f"got {len(parents)} parents, need 1..{MAX_PARENTS}")
         new_id = len(self._parents)
-        for p in parents:
-            if not 0 <= p < new_id:
-                raise UnknownParent(f"parent {p} does not exist")
+        distinct = tuple(sorted(set(parents)))
+        low, high = distinct[0], distinct[-1]  # they bound every parent
+        if low < 0 or high >= new_id:
+            raise UnknownParent(f"parent {low if low < 0 else high} does not exist")
         if not math.isfinite(issued_at):
             raise TimeRegression(f"issued_at {issued_at} is not finite")
         last = self._issued[-1]
@@ -147,7 +148,6 @@ class TangleLedger:
                 f"issued_at {issued_at} precedes stored time {last}"
             )
 
-        distinct = tuple(sorted(set(parents)))
         self._parents.append(distinct)
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
@@ -188,10 +188,13 @@ class TangleLedger:
         newly = set(self._ripe)
         self._ripe = []
         priority, visible = self._priority, self._visible
+        confirmed_at, stamp = self._confirmed_at, self._stamp
+        flag, promoted_at = self._flag, self._promoted_at
         for i in newly:
-            self._confirmed_at[i] = now
-            self._stamp[i] = _CONFIRMED
-            if i < visible and self._is_priority(i):
+            confirmed_at[i] = now
+            stamp[i] = _CONFIRMED
+            # a revealed priority id: flagged or promoted
+            if i < visible and (flag[i] or promoted_at[i] is not None):
                 del priority[bisect_left(priority, i)]
                 if not self._approved[i]:  # a confirmed tip is common
                     insort(self._common_tips, i)
@@ -205,6 +208,7 @@ class TangleLedger:
         if visible == self._visible:
             return
         approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
+        promoted_at = self._promoted_at
         tips, common, newest = self._tips, self._common_tips, self._newest_non_tip
         for j in range(self._visible, visible):
             tips.append(j)
@@ -216,9 +220,11 @@ class TangleLedger:
                 if not approved[p]:
                     approved[p] = True
                     del tips[bisect_left(tips, p)]
-                    if stamp[p] == _CONFIRMED or not self._is_priority(p):
+                    # a common tip: confirmed, or neither flagged nor promoted
+                    if stamp[p] == _CONFIRMED or not (flag[p] or promoted_at[p] is not None):
                         del common[bisect_left(common, p)]
-                    newest = p if newest is None else max(newest, p)
+                    if newest is None or p > newest:
+                        newest = p
         self._newest_non_tip = newest
         self._visible = visible
 
@@ -237,10 +243,6 @@ class TangleLedger:
                 if not self._approved[i]:
                     del self._common_tips[bisect_left(self._common_tips, i)]
         self._aged = aged
-
-    def _is_priority(self, i: int) -> bool:
-        """Whether `i` is flagged or promoted: a priority id while unconfirmed."""
-        return self._flag[i] or self._promoted_at[i] is not None
 
     # -- queries ----------------------------------------------------------
 

@@ -3,6 +3,10 @@
 Both strategies are pure functions of a candidate snapshot and a seeded
 random source; they never touch the ledger. Candidate lists are sorted by
 id so a given seed yields one result regardless of set iteration order.
+
+The draws, `_index` and `_two`, return what CPython 3.11's `choice` and
+`sample(pool, 2)` return and leave the stream where they leave it, at less
+overhead per call; the golden outputs rest on that stream.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class EmptyCandidates(Exception):
     raises it."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionCandidates:
     """Snapshot of selectable transactions, partitioned by effective priority.
 
@@ -46,7 +50,7 @@ class SelectionCandidates:
     newest_non_tip: int | None
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionResult:
     parents: list[int]
     branch: str
@@ -68,10 +72,7 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
         ledger.promote(now - max(config.visibility_delay, config.aging_threshold), now)
     tips, common = ledger.tip_candidates()
     return SelectionCandidates(
-        priority=ledger.priority_candidates(),
-        common=common,
-        tips=tips,
-        newest_non_tip=ledger.newest_non_tip(),
+        ledger.priority_candidates(), common, tips, ledger.newest_non_tip()
     )
 
 
@@ -80,11 +81,37 @@ def _with_fallback(lone: int, fallback: int | None) -> list[int]:
     return [lone] if fallback is None or fallback == lone else [lone, fallback]
 
 
+def _index(n: int, rng: random.Random) -> int:
+    """A uniform index below n > 0: CPython's `_randbelow_with_getrandbits`,
+    which `choice` and `sample` draw with."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _two(pool: list[int], rng: random.Random) -> list[int]:
+    """Two distinct entries of a pool of at least two, as CPython 3.11's
+    `rng.sample(pool, 2)` draws them: up to 21 entries it draws the second
+    index below n - 1, with the last entry standing in for the first draw;
+    above 21 it redraws below n until the two indexes differ."""
+    n = len(pool)
+    i = _index(n, rng)
+    if n <= 21:
+        j = _index(n - 1, rng)
+        return [pool[i], pool[n - 1 if j == i else j]]
+    j = _index(n, rng)
+    while j == i:
+        j = _index(n, rng)
+    return [pool[i], pool[j]]
+
+
 def _two_tips_or_fallback(
     pool: list[int], fallback: int | None, rng: random.Random
 ) -> list[int]:
     if len(pool) >= 2:
-        return rng.sample(pool, 2)
+        return _two(pool, rng)
     return _with_fallback(pool[0], fallback)
 
 
@@ -111,24 +138,23 @@ def select_ptsa(
     When a required pool is empty the arity shrinks, down to the lone-tip
     fallback of the baseline.
     """
-    p = len(candidates.priority)
+    priority, common = candidates.priority, candidates.common
+    p = len(priority)
     if p == 0:
-        if not candidates.common:
+        if not common:
             raise EmptyCandidates("no common tip and no priority candidate")
-        parents = _two_tips_or_fallback(
-            candidates.common, candidates.newest_non_tip, rng
-        )
+        parents = _two_tips_or_fallback(common, candidates.newest_non_tip, rng)
         return SelectionResult(parents, BRANCH_P0)
 
     if p == 1:
-        parents = [candidates.priority[0]]
+        parents = [priority[0]]
         branch = BRANCH_P1
     else:
-        parents = rng.sample(candidates.priority, 2)
+        parents = _two(priority, rng)
         branch = BRANCH_P2
 
-    if candidates.common:
-        parents.append(rng.choice(candidates.common))
+    if common:
+        parents.append(common[_index(len(common), rng)])
     elif len(parents) == 1:
         parents = _with_fallback(parents[0], candidates.newest_non_tip)
     return SelectionResult(parents, branch)

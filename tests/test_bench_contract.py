@@ -1,7 +1,8 @@
 """The benchmark's traced runs keep working: `tsbench/traced_cli.py` wraps
 program functions by name, counts the ids each confirmation sweep returns and
-reads `records[].promoted_at` and `len()` of the priority and tip pools, so
-renaming any of them, or changing the sweep's signature or a pool to a type
+reads `records[].promoted_at`, `len()` of the priority and tip pools and
+each selection's branch, so renaming any of them, bypassing the wrapped
+selectors, or changing the sweep's signature or a pool to a type
 without `len()`, fails here rather than only under `tsbench/run.py --trace 1`.
 And
 `BENCHMARK.json` stays what `tsbench/write_manifest.py` renders from its spec."""
@@ -60,6 +61,10 @@ def test_traced_cli_runs_and_counts(command, tmp_path):
     assert counters["sweeps"] == counters["inserts"]  # one sweep per arrival
     # every arrival draws from a pool: genesis is revealed from the start
     assert counters["candidate_sets"] == counters["inserts"]
+    # every arrival selects through a wrapped strategy, so the branch histogram
+    # counts each one
+    branches = sum(v for k, v in counters.items() if k.startswith("branch "))
+    assert branches == counters["inserts"]
     assert "empty_candidates" not in counters
     assert counters["confirmed"] > 0
 

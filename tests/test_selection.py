@@ -15,6 +15,8 @@ from tanglesim.selection import (
     BRANCH_P2,
     EmptyCandidates,
     SelectionCandidates,
+    _index,
+    _two,
     build_candidates,
     select_ptsa,
     select_uniform,
@@ -169,6 +171,26 @@ class TestCount:
     def test_counts_priority_list(self, n):
         c = make_candidates(priority=range(100, 100 + n), common=[1, 2])
         assert len(c.priority) == n
+
+
+class TestDraw:
+    """The strategies' draws return what CPython's `random` returns and leave
+    its stream where it leaves it, so an interpreter whose `random` internals
+    differ fails here by name, not only through a golden digest."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sample_and_choice(self, seed):
+        # every size up to 1300 is drawn, from a pool whose entries are not
+        # their indexes; `sample` switches method above 21 entries, where the
+        # two methods differ on few draws, so the sizes there get many
+        for n in range(1, 1301):
+            pool = list(range(1000, 1000 + 3 * n, 3))
+            ours, theirs = random.Random(seed * 10_000 + n), random.Random(seed * 10_000 + n)
+            for _ in range(100 if n in (21, 22) else 3):
+                if n >= 2:
+                    assert _two(pool, ours) == theirs.sample(pool, 2), n
+                assert pool[_index(n, ours)] == theirs.choice(pool), n
+            assert ours.getstate() == theirs.getstate(), n
 
 
 class TestSelectUniform:
