@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from tanglesim.ledger import TangleLedger, TxRecord
 from tanglesim.selection import build_candidates, select_ptsa, select_uniform
@@ -38,6 +38,28 @@ def _is_number(value: object) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _finite(v: object) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
+# The most transactions a config may expect (lambda * horizon_seconds); a run
+# holds every one in memory until it ends (317 MB of peak RSS at 1M).
+MAX_EXPECTED_TX = 2_000_000
+# The most theta * lambda * horizon_seconds a config may ask for. An insertion
+# walk visits only unconfirmed ids, and an id confirms once theta - 1 walks
+# have visited it, so a run of N arrivals walks at most N * (theta - 1) steps.
+MAX_WALK_STEPS = 1_000_000_000
+
+
+def _key(key: str, default: Any, bound: Callable[[Any, SimConfig], bool], message: str,
+         comment: str = "") -> Any:
+    """A `SimConfig` field with its YAML key (`aging.*` inside `aging:`), default,
+    bound as (value, whole config) -> valid, the bound's message and gen-config's
+    comment on the key's line. A bound may read the fields declared before it."""
+    return field(default=default, metadata={
+        "key": key, "bound": bound, "message": message, "comment": comment})
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full experiment parameterization; the defaults are the reference experiment.
@@ -46,24 +68,50 @@ class SimConfig:
     priority, mirroring a hand-picked set of marked transactions. With
     aging enabled, a transaction unconfirmed for `aging_threshold` seconds
     is treated as high-priority. Building one, by any route, checks every
-    field against `_FIELDS`.
+    field against its bound.
     """
 
-    arrival_rate: float = 10.0
-    priority_fraction: float = 0.05
-    horizon: float = 300.0
-    visibility_delay: float = 1.0
-    theta: int = 8
-    strategy: str = "ptsa"
-    aging_enabled: bool = True
-    aging_threshold: float = 30.0
-    seed: int = 42
-    pinned_priority: tuple[int, ...] = ()
+    arrival_rate: float = _key(
+        "lambda", 10.0, lambda v, _: _finite(v) and v > 0,
+        "must be finite and > 0", "arrival rate, transactions per second")
+    priority_fraction: float = _key(
+        "rho", 0.05, lambda v, _: _is_number(v) and 0 <= v <= 1,
+        "must be within [0, 1]", "fraction of arrivals flagged high-priority")
+    horizon: float = _key(
+        "horizon_seconds", 300.0,
+        lambda v, config: _finite(v) and v > 0 and config.arrival_rate * v <= MAX_EXPECTED_TX,
+        f"must be finite and > 0, with lambda * horizon_seconds <= {MAX_EXPECTED_TX}",
+        "simulated duration")
+    visibility_delay: float = _key(
+        "visibility_delay_seconds", 1.0, lambda v, _: _finite(v) and v >= 0,
+        "must be finite and >= 0", "propagation delay before a transaction is selectable")
+    theta: int = _key(
+        "theta", 8,
+        lambda v, config: (
+            _is_int(v) and 1 <= v <= MAX_WALK_STEPS / (config.arrival_rate * config.horizon)),
+        f"must be a positive integer, with theta * lambda * horizon_seconds <= {MAX_WALK_STEPS}",
+        "cumulative-weight confirmation threshold")
+    strategy: str = _key(
+        "strategy", "ptsa", lambda v, _: v in STRATEGIES,
+        f"must be one of {STRATEGIES}", '"uniform" or "ptsa"')
+    aging_enabled: bool = _key(
+        "aging.enabled", True, lambda v, _: isinstance(v, bool), "must be true or false")
+    aging_threshold: float = _key(
+        "aging.threshold_seconds", 30.0,
+        lambda v, config: _finite(v) and (v > 0 or not config.aging_enabled),
+        "must be finite, and > 0 when enabled",
+        "unconfirmed age at which a transaction is promoted")
+    seed: int = _key(
+        "seed", 42, lambda v, _: _is_int(v) and 0 <= v < 2**64, "must be a 64-bit unsigned integer")
+    pinned_priority: tuple[int, ...] = _key(
+        "pinned_priority", (),
+        lambda v, _: isinstance(v, tuple) and all(_is_int(o) and o >= 1 for o in v),
+        "must be a list of integers >= 1", "1-based arrival ordinals forced to high priority")
 
     def __post_init__(self) -> None:
-        for key, spec in _FIELDS.items():
-            if not spec.bound(getattr(self, spec.attr), self):
-                raise ConfigInvalid(key, spec.message)
+        for key, f in _FIELDS.items():
+            if not f.metadata["bound"](getattr(self, f.name), self):
+                raise ConfigInvalid(key, f.metadata["message"])
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -82,18 +130,18 @@ class SimConfig:
         for key, value in flat.items():
             if key not in _FIELDS:
                 raise ConfigInvalid(key, "unknown key")
-            attr = _FIELDS[key].attr
+            f = _FIELDS[key]
             if isinstance(value, list):
                 value = tuple(value)
-            elif _is_number(value) and isinstance(getattr(cls, attr), float):
+            elif _is_number(value) and isinstance(f.default, float):
                 value = float(value)  # a YAML int in a field whose default is a float
-            fields[attr] = value
+            fields[f.name] = value
         return cls(**fields)
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for key, spec in _FIELDS.items():
-            value = getattr(self, spec.attr)
+        for key, f in _FIELDS.items():
+            value = getattr(self, f.name)
             section, _, name = key.rpartition(".")
             (out.setdefault(section, {}) if section else out)[name] = (
                 list(value) if isinstance(value, tuple) else value
@@ -101,55 +149,8 @@ class SimConfig:
         return out
 
 
-class _Field(NamedTuple):
-    attr: str  # the SimConfig field
-    bound: Callable[[Any, SimConfig], bool]  # (value, whole config) -> valid
-    message: str
-    comment: str  # gen-config's comment on the key's line
-
-
-# The most transactions a config may expect (lambda * horizon_seconds); a run
-# holds every one in memory until it ends (317 MB of peak RSS at 1M).
-MAX_EXPECTED_TX = 2_000_000
-
-
-def _finite(v: object) -> bool:
-    return _is_number(v) and math.isfinite(v)
-
-
-# One entry per YAML key, the `aging.*` keys inside the `aging` mapping.
-# The defaults are SimConfig's field defaults.
-_FIELDS = {
-    "lambda": _Field("arrival_rate", lambda v, _: _finite(v) and v > 0,
-                     "must be finite and > 0", "arrival rate, transactions per second"),
-    "rho": _Field("priority_fraction", lambda v, _: _is_number(v) and 0 <= v <= 1,
-                  "must be within [0, 1]", "fraction of arrivals flagged high-priority"),
-    "horizon_seconds": _Field(
-        "horizon",
-        lambda v, config: _finite(v) and v > 0 and config.arrival_rate * v <= MAX_EXPECTED_TX,
-        f"must be finite and > 0, with lambda * horizon_seconds <= {MAX_EXPECTED_TX}",
-        "simulated duration"),
-    "visibility_delay_seconds": _Field(
-        "visibility_delay", lambda v, _: _finite(v) and v >= 0, "must be finite and >= 0",
-        "propagation delay before a transaction is selectable"),
-    "theta": _Field("theta", lambda v, _: _is_int(v) and v >= 1,
-                    "must be a positive integer", "cumulative-weight confirmation threshold"),
-    "strategy": _Field("strategy", lambda v, _: v in STRATEGIES,
-                       f"must be one of {STRATEGIES}", '"uniform" or "ptsa"'),
-    "aging.enabled": _Field("aging_enabled", lambda v, _: isinstance(v, bool),
-                            "must be true or false", ""),
-    "aging.threshold_seconds": _Field(
-        "aging_threshold",
-        lambda v, config: _finite(v) and (v > 0 or not config.aging_enabled),
-        "must be finite, and > 0 when enabled",
-        "unconfirmed age at which a transaction is promoted"),
-    "seed": _Field("seed", lambda v, _: _is_int(v) and 0 <= v < 2**64,
-                   "must be a 64-bit unsigned integer", ""),
-    "pinned_priority": _Field(
-        "pinned_priority",
-        lambda v, _: isinstance(v, tuple) and all(_is_int(o) and o >= 1 for o in v),
-        "must be a list of integers >= 1", "1-based arrival ordinals forced to high priority"),
-}
+# Each field by its YAML key, in declaration order
+_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(SimConfig)}
 
 
 def reference_config_text() -> str:
@@ -158,7 +159,7 @@ def reference_config_text() -> str:
 
     def add(key: str, label: str, value: object) -> None:
         text = f"{label}: {value if isinstance(value, str) else json.dumps(value)}"
-        comment = _FIELDS[key].comment
+        comment = _FIELDS[key].metadata["comment"]
         lines.append(f"{text:<30}# {comment}" if comment else text)
 
     for key, value in SimConfig().to_dict().items():

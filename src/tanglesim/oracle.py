@@ -18,7 +18,7 @@ from collections import deque
 
 from tanglesim.engine import SimConfig, generate_workload
 from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, MAX_PARENTS, TxRecord
-from tanglesim.selection import EmptyCandidates, SelectionCandidates, select_ptsa, select_uniform
+from tanglesim.selection import SelectionCandidates, select_ptsa, select_uniform
 
 
 def random_dag(rng: random.Random, size: int) -> list[tuple[int, ...]]:
@@ -85,23 +85,20 @@ def reference_pools(parents: list[tuple[int, ...]], flags: list[bool], visible: 
 def reference_run(config: SimConfig) -> list[TxRecord]:
     """The records `run_simulation(config)` must return. Each arrival first
     promotes the aged ids that are unconfirmed and unflagged, then attaches
-    to the strategy's draw from the visible pools, or to genesis when they
-    are empty; then every id whose weight reaches theta confirms."""
+    to the strategy's draw from the visible pools, which hold genesis from
+    the start; then every id whose weight reaches theta confirms."""
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
     parents, flags, issued = [()], [False], [0.0]
     confirmed, promoted = {}, {}  # id -> when it confirmed, or when aging promoted it
     for now, flag in generate_workload(config):
-        visible = sum(t <= now - config.visibility_delay for t in issued)
+        visible = max(1, sum(t <= now - config.visibility_delay for t in issued))
         aged_cutoff = now - max(config.visibility_delay, config.aging_threshold)
         for i, t in enumerate(issued):
             if config.aging_enabled and t <= aged_cutoff and i not in confirmed and not flags[i]:
                 promoted.setdefault(i, now)
-        try:
-            chosen = select(reference_pools(parents, flags, visible, confirmed, promoted),
-                            attach_rng).parents
-        except EmptyCandidates:
-            chosen = [0]
+        chosen = select(reference_pools(parents, flags, visible, confirmed, promoted),
+                        attach_rng).parents
         parents.append(tuple(sorted(set(chosen))))
         flags.append(flag)
         issued.append(now)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from tanglesim.cli import main
-from tanglesim.engine import SimConfig, run_simulation
+from tanglesim.engine import SimConfig, paired_runs, run_simulation
 from tanglesim.metrics import class_stats, compare
 from tanglesim.oracle import brute_force_tips, future_cones
 from tanglesim.selfcheck import check_branch_table, check_cumulative_weights
@@ -118,3 +118,19 @@ def test_criterion_7_ledger_invariants(reference_runs):
             stored = ledger.weights()
             ok &= all(stored[i] == w[i] for i in range(n) if i not in confirmed)
     report("criterion 7 (ledger invariants after simulation)", ok)
+
+
+# PTSA's win rests on aging staying idle. From theta = 16 the common class
+# waits past the 30 s aging threshold; promotions then swell the priority
+# pool and ptsa loses, while with aging off it still wins. 240 s is the
+# shortest horizon at which every seed shows the loss.
+@pytest.mark.parametrize(
+    "theta,aging,ptsa_wins", [(8, True, True), (16, True, False), (16, False, True)]
+)
+def test_aging_turns_ptsa_win_into_loss_at_theta_16(theta, aging, ptsa_wins):
+    config = dataclasses.replace(REFERENCE, horizon=240.0, theta=theta, aging_enabled=aging)
+    reductions = [
+        compare(*paired_runs(dataclasses.replace(config, seed=seed))).latency_reduction
+        for seed in range(100, 104)
+    ]
+    assert all((r > 0) == ptsa_wins for r in reductions), reductions

@@ -76,6 +76,14 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "theta" in capsys.readouterr().err
 
+    def test_theta_past_walk_budget_names_field(self, tmp_path, capsys):
+        # lambda * horizon_seconds is 300 here, so theta may be at most 3333333
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG.replace("theta: 8", "theta: 3333334"))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "theta" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
             ["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]

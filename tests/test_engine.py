@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tanglesim.engine import (
     _FIELDS,
+    MAX_WALK_STEPS,
     STRATEGIES,
     ConfigInvalid,
     SimConfig,
@@ -42,6 +44,8 @@ class TestConfigValidation:
             ({"seed": -1}, "seed"),
             ({"pinned_priority": (0,)}, "pinned_priority"),
             ({"arrival_rate": 1.0e12}, "horizon_seconds"),
+            # one past the walk budget: theta * lambda * horizon_seconds > 10^9
+            ({"horizon": 100.0, "theta": MAX_WALK_STEPS // 1000 + 1}, "theta"),
         ],
     )
     def test_bounds_rejected_naming_field(self, changes, field):
@@ -54,9 +58,9 @@ class TestConfigValidation:
         SimConfig()
 
     def test_every_field_has_a_key(self):
-        # so no field can skip validation, `from_dict`, `to_dict` or gen-config
-        fields = {f.name for f in dataclasses.fields(SimConfig)}
-        assert fields == {spec.attr for spec in _FIELDS.values()}
+        # two fields declaring one YAML key would leave one of them out of
+        # validation, `from_dict`, `to_dict` and gen-config
+        assert len(_FIELDS) == len(dataclasses.fields(SimConfig))
 
     def test_dict_round_trip(self):
         config = SimConfig(seed=7, pinned_priority=(1, 2, 3))
@@ -76,6 +80,17 @@ class TestConfigValidation:
     def test_million_tx_rung_accepted(self):
         config = SimConfig.from_dict({"lambda": 100.0, "horizon_seconds": 10000.0})
         assert config.arrival_rate * config.horizon == 1_000_000
+
+    def test_walk_budget_just_inside_runs(self):
+        # theta out of reach: nothing confirms, so each walk covers the
+        # arrival's whole ancestry, the most steps N arrivals can take
+        config = SimConfig(horizon=100.0, theta=MAX_WALK_STEPS // 1000, strategy="uniform",
+                           aging_enabled=False)
+        start = time.process_time()
+        trace = run_simulation(config)
+        assert time.process_time() - start < 1.0
+        assert len(trace.records) > 1000
+        assert all(r.confirmed_at is None for r in trace.records)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -116,6 +131,8 @@ class TestConfigValidation:
             ("aging: false", "aging"),
             ("aging: 0", "aging"),
             ("aging: []", "aging"),
+            # past a float's range, where `theta * lambda` would overflow
+            pytest.param("theta: 1" + "0" * 400, "theta", id="theta: 1e400-theta"),
         ],
     )
     def test_non_finite_and_mistyped_values_rejected(self, text, field):
