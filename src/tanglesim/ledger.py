@@ -18,16 +18,20 @@ transaction is unconfirmed.
 Since ids are issued in time order, a time cutoff is an id prefix. An arrival
 sees the DAG as it was at its visibility cutoff: `reveal` bisects the issue
 times from its cursor to the cutoff's prefix, which only grows, and genesis is
-revealed at construction. Three id-sorted lists hold revealed ids only: the
-priority ids (unconfirmed, and flagged or promoted), the tips (approved by no
-revealed id) and the common tips (the tips that are not priority ids), so
-every candidate pool is one of them, used whole and never copied. A newly
-revealed id joins those it belongs to, marks each parent it is the first to
-approve as approved, and takes it out of the tips by bisection; the newest
-non-tip is the running maximum of those parents. Confirmation is read as of
-now, not as of the cutoff. Aging promotes a transaction: `promote` bisects
-from its own cursor to the aged cutoff's prefix, bounded by the revealed one,
-and stamps each id it passes that is unconfirmed and unflagged with the time.
+revealed at construction. The candidate pools are `ledger.pools`, one
+`SelectionCandidates` that the ledger builds once and keeps current for its
+whole life. Its three id-sorted lists hold revealed ids only: the priority
+ids (unconfirmed, and flagged or promoted), the tips (approved by no revealed
+id) and the common tips (the tips that are not priority ids), so every pool
+is one of them, used whole and never copied. A newly revealed id joins those
+it belongs to, marks each parent it is the first to approve as approved, and
+takes it out of the tips by bisection; `newest_non_tip` is the running
+maximum of those parents. It is the ledger's own live object: a reader sees
+the lists change at the next mutation, and `newest_non_tip` at the next
+`reveal`. Confirmation is read as of now, not as of the cutoff. Aging
+promotes a transaction: `promote` bisects from its own cursor to the aged
+cutoff's prefix, bounded by the revealed one, and stamps each id it passes
+that is unconfirmed and unflagged with the time.
 A promotion inserts an id into the priority list and takes it out of the
 common tips; a confirmation takes a revealed priority id out of the priority
 list and inserts it into the common tips if it is a tip.
@@ -77,6 +81,23 @@ _CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # indexed by the flag
 
 
 @dataclass(slots=True)
+class SelectionCandidates:
+    """The selectable transactions, partitioned by effective priority.
+
+    `priority` holds unconfirmed effective-priority transactions, flagged or
+    promoted by aging (not necessarily tips: they stay selectable until
+    confirmed). `common` holds the remaining selectable tips. `tips` is the
+    full selectable tip pool regardless of class, and `newest_non_tip` backs
+    the single-tip fallback; both exist so strategies need no ledger access.
+    """
+
+    priority: list[int]
+    common: list[int]
+    tips: list[int]
+    newest_non_tip: int | None
+
+
+@dataclass(slots=True)
 class TxRecord:
     """Lifecycle of one transaction: `tx_class` is CLASS_PRIORITY for a
     flagged one, else CLASS_COMMON. `promoted_at` is when aging promoted a
@@ -107,11 +128,9 @@ class TangleLedger:
         self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
         self._visible = 1  # reveal's cursor: it has passed every id below
         self._aged = 0  # promote's cursor, never past reveal's
-        # id-sorted indexes over the state above, of the revealed ids only
-        self._priority: list[int] = []  # unconfirmed, and flagged or promoted
-        self._tips: list[int] = [0]
-        self._common_tips: list[int] = [0]  # tips not in _priority
-        self._newest_non_tip: int | None = None  # the largest parent of a revealed id
+        # id-sorted indexes over the state above, of the revealed ids only,
+        # and the largest parent of a revealed id
+        self.pools = SelectionCandidates(priority=[], common=[0], tips=[0], newest_non_tip=None)
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -187,7 +206,7 @@ class TangleLedger:
             return set()
         newly = set(self._ripe)
         self._ripe = []
-        priority, visible = self._priority, self._visible
+        priority, visible = self.pools.priority, self._visible
         confirmed_at, stamp = self._confirmed_at, self._stamp
         flag, promoted_at = self._flag, self._promoted_at
         for i in newly:
@@ -197,7 +216,7 @@ class TangleLedger:
             if i < visible and (flag[i] or promoted_at[i] is not None):
                 del priority[bisect_left(priority, i)]
                 if not self._approved[i]:  # a confirmed tip is common
-                    insort(self._common_tips, i)
+                    insort(self.pools.common, i)
         return newly
 
     def reveal(self, cutoff: float) -> None:
@@ -208,12 +227,12 @@ class TangleLedger:
         if visible == self._visible:
             return
         approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
-        promoted_at = self._promoted_at
-        tips, common, newest = self._tips, self._common_tips, self._newest_non_tip
+        promoted_at, pools = self._promoted_at, self.pools
+        tips, common, newest = pools.tips, pools.common, pools.newest_non_tip
         for j in range(self._visible, visible):
             tips.append(j)
             if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
-                self._priority.append(j)
+                pools.priority.append(j)
             else:
                 common.append(j)
             for p in parents[j]:
@@ -225,7 +244,7 @@ class TangleLedger:
                         del common[bisect_left(common, p)]
                     if newest is None or p > newest:
                         newest = p
-        self._newest_non_tip = newest
+        pools.newest_non_tip = newest
         self._visible = visible
 
     def promote(self, cutoff: float, now: float) -> None:
@@ -236,12 +255,13 @@ class TangleLedger:
         aged = bisect_right(self._issued, cutoff, self._aged, self._visible)
         if aged == self._aged:  # most calls promote none
             return
+        pools = self.pools
         for i in range(self._aged, aged):
             if self._stamp[i] != _CONFIRMED and not self._flag[i]:
                 self._promoted_at[i] = now
-                insort(self._priority, i)
+                insort(pools.priority, i)
                 if not self._approved[i]:
-                    del self._common_tips[bisect_left(self._common_tips, i)]
+                    del pools.common[bisect_left(pools.common, i)]
         self._aged = aged
 
     # -- queries ----------------------------------------------------------
@@ -268,20 +288,3 @@ class TangleLedger:
         number of distinct transactions approving it transitively. Exact
         while the id is unconfirmed; once it confirms, the value stops growing."""
         return self._weight.copy()
-
-    # -- selection support -------------------------------------------------
-
-    def priority_candidates(self) -> list[int]:
-        """The revealed priority ids: the unconfirmed ones that are flagged
-        or promoted, in id order. The ledger's own list, valid until the next
-        mutation."""
-        return self._priority
-
-    def tip_candidates(self) -> tuple[list[int], list[int]]:
-        """The revealed tips, and those of them that are not priority ids, in
-        id order. The ledger's own lists, valid until the next mutation."""
-        return self._tips, self._common_tips
-
-    def newest_non_tip(self) -> int | None:
-        """The newest revealed id that a revealed id approves, if any."""
-        return self._newest_non_tip

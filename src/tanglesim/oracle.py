@@ -17,8 +17,8 @@ import random
 from collections import deque
 
 from tanglesim.engine import SimConfig, generate_workload
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, MAX_PARENTS, TxRecord
-from tanglesim.selection import SelectionCandidates, select_ptsa, select_uniform
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, MAX_PARENTS, SelectionCandidates, TxRecord
+from tanglesim.selection import select_ptsa, select_uniform
 
 
 def random_dag(rng: random.Random, size: int) -> list[tuple[int, ...]]:

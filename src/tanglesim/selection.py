@@ -1,8 +1,11 @@
 """Tip-selection strategies: uniform-random baseline and priority-based.
 
-Both strategies are pure functions of a candidate snapshot and a seeded
-random source; they never touch the ledger. Candidate lists are sorted by
-id so a given seed yields one result regardless of set iteration order.
+Both strategies are pure functions of the candidate pools and a seeded
+random source; they never touch the ledger. `build_candidates` hands out
+`ledger.pools`, the ledger's own live `SelectionCandidates`: its lists are
+current only until the ledger's next mutation, and `newest_non_tip` until
+its next `reveal`. Every pool is sorted by id, so a given seed yields one result regardless of set
+iteration order, and holds genesis at least, so a strategy always draws.
 
 The draws, `_index` and `_two`, return what CPython 3.11's `choice` and
 `sample(pool, 2)` return and leave the stream where they leave it, at less
@@ -15,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from tanglesim.ledger import TangleLedger
+from tanglesim.ledger import SelectionCandidates, TangleLedger
 
 if TYPE_CHECKING:  # the engine imports this module
     from tanglesim.engine import SimConfig
@@ -27,27 +30,8 @@ BRANCH_BASELINE = "baseline"
 
 
 class EmptyCandidates(Exception):
-    """No selectable transaction exists in the snapshot. A ledger's pools
-    always hold its genesis at least, so only a strategy handed empty pools
-    raises it."""
-
-
-@dataclass(slots=True)
-class SelectionCandidates:
-    """Snapshot of selectable transactions, partitioned by effective priority.
-
-    `priority` holds unconfirmed effective-priority transactions, flagged or
-    promoted by aging (not necessarily tips: they stay selectable until
-    confirmed). `common` holds the remaining selectable tips. `tips` is the
-    full selectable tip pool regardless of class, and `newest_non_tip` backs
-    the single-tip fallback; both exist so strategies need no ledger access.
-    The pools are the ledger's own lists, valid until its next mutation.
-    """
-
-    priority: list[int]
-    common: list[int]
-    tips: list[int]
-    newest_non_tip: int | None
+    """Raised by nothing: a ledger's pools always hold its genesis at least.
+    Kept only because `tsbench/traced_cli.py` imports it."""
 
 
 @dataclass(slots=True)
@@ -58,7 +42,7 @@ class SelectionResult:
 
 def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> SelectionCandidates:
     """Reveal the transactions visible at `now` and apply aging up to `now`,
-    then hand out the ledger's pools as selection candidates.
+    then hand out `ledger.pools`, the same object on every call.
 
     A transaction is visible once its age reaches the visibility delay, and
     aged once it is visible and its age reaches the aging threshold; the
@@ -70,10 +54,7 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
     ledger.reveal(now - config.visibility_delay)
     if config.aging_enabled:
         ledger.promote(now - max(config.visibility_delay, config.aging_threshold), now)
-    tips, common = ledger.tip_candidates()
-    return SelectionCandidates(
-        ledger.priority_candidates(), common, tips, ledger.newest_non_tip()
-    )
+    return ledger.pools
 
 
 def _with_fallback(lone: int, fallback: int | None) -> list[int]:
@@ -120,8 +101,6 @@ def select_uniform(
 ) -> SelectionResult:
     """Baseline: two distinct tips uniformly at random from the whole tip
     pool, ignoring the priority/common partition."""
-    if not candidates.tips:
-        raise EmptyCandidates("no selectable tip in snapshot")
     parents = _two_tips_or_fallback(candidates.tips, candidates.newest_non_tip, rng)
     return SelectionResult(parents, BRANCH_BASELINE)
 
@@ -141,8 +120,6 @@ def select_ptsa(
     priority, common = candidates.priority, candidates.common
     p = len(priority)
     if p == 0:
-        if not common:
-            raise EmptyCandidates("no common tip and no priority candidate")
         parents = _two_tips_or_fallback(common, candidates.newest_non_tip, rng)
         return SelectionResult(parents, BRANCH_P0)
 

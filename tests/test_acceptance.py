@@ -111,7 +111,7 @@ def test_criterion_7_ledger_invariants(reference_runs):
             parents = [r.parents for r in ledger.records()]
             w = [1 + f.bit_count() for f in future_cones(parents)]
             ledger.reveal(math.inf)
-            tips = ledger.tip_candidates()[0]
+            tips = ledger.pools.tips
             ok &= tips == sorted(brute_force_tips(parents))
             confirmed = ledger.confirmed_set
             ok &= confirmed == {i for i in range(n) if w[i] >= theta}

@@ -54,7 +54,7 @@ def test_traced_cli_runs_and_counts(command, tmp_path):
     header = json.loads(prefix.with_suffix(".json").read_text())
     assert "engine.run_simulation" in header["names"]
     assert "ledger.confirmation_sweep" in header["names"]
-    assert "ledger.priority_candidates" in header["names"]
+    assert "ledger.reveal" in header["names"]
     counters = header["counters"]
     assert counters["promoted"] > 0
     assert counters["priority_len_sum"] > 0  # the wrapper takes len() of the pool

@@ -325,7 +325,7 @@ class TestRunSimulation:
         ledger = trace.ledger
         parents = [r.parents for r in ledger.records()]
         ledger.reveal(math.inf)
-        assert series[-1][1] == len(ledger.tip_candidates()[0])
+        assert series[-1][1] == len(ledger.pools.tips)
         assert series[-1][1] == len(brute_force_tips(parents))
 
     def test_aging_promotion_recorded(self):

@@ -38,7 +38,7 @@ def build_diamond():
 def tips(ledger):
     """Every tip, in id order: the tip candidates with all ids revealed."""
     ledger.reveal(math.inf)
-    return ledger.tip_candidates()[0]
+    return ledger.pools.tips
 
 
 def parents_of(ledger):
@@ -120,7 +120,7 @@ class TestAddTransaction:
             ledger.add_transaction([ledger.genesis], 1.0)
         assert len(ledger) == 2
         ledger.reveal(2.0)  # genesis alone
-        assert ledger.tip_candidates()[0] == [ledger.genesis]
+        assert ledger.pools.tips == [ledger.genesis]
 
 
 class TestTips:
@@ -138,21 +138,20 @@ class TestTips:
 
 def pools(ledger):
     """Copies of the revealed priority ids, tips and common tips."""
-    tips, common = ledger.tip_candidates()
-    return list(ledger.priority_candidates()), list(tips), list(common)
+    return list(ledger.pools.priority), list(ledger.pools.tips), list(ledger.pools.common)
 
 
 class TestReveal:
     def test_fresh_view_is_genesis_alone(self):
         ledger = TangleLedger(8)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert ledger.newest_non_tip() is None
+        assert ledger.pools.newest_non_tip is None
         # an insertion touches nothing of the view, nor does a negative cutoff
         ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.reveal(-1.0)
         ledger.promote(-1.0, 5.0)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert ledger.newest_non_tip() is None
+        assert ledger.pools.newest_non_tip is None
         assert [r.promoted_at for r in ledger.records()] == [None, None]
 
     def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
@@ -167,13 +166,13 @@ class TestReveal:
         ledger, a, b = build_chain()
         ledger.reveal(0.0)  # genesis, approved by a, which is not revealed yet
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert ledger.newest_non_tip() is None
+        assert ledger.pools.newest_non_tip is None
         ledger.reveal(1.0)  # a, approved by b, which is not revealed yet
         assert pools(ledger) == ([], [a], [a])
-        assert ledger.newest_non_tip() == ledger.genesis
+        assert ledger.pools.newest_non_tip == ledger.genesis
         ledger.reveal(2.0)
         assert pools(ledger) == ([], [b], [b])
-        assert ledger.newest_non_tip() == a
+        assert ledger.pools.newest_non_tip == a
 
     def test_smaller_prefix_reveals_nothing(self):
         ledger, a, b = build_chain()

@@ -5,7 +5,7 @@ Each example draws one threshold, one visibility delay and one aging
 threshold (or aging off), and grows a random DAG with random flags and issue
 times (ties included). It sweeps after some insertions, so ids ripen over
 several insertions before a sweep, and after every insertion it queries the
-candidate snapshots at non-decreasing times, as the engine does. A
+candidate pools at non-decreasing times, as the engine does. A
 brute-force record of promotions stands beside the ledger: an id is promoted
 at the first query whose aged cutoff covers it, if it is then unconfirmed and
 unflagged. Every pool is checked against `reference_pools` at the query's
@@ -66,6 +66,11 @@ def check_candidates(ledger, now, config, parents, issued, flags, confirmed, pro
                 promoted.setdefault(i, now)
     c = build_candidates(ledger, now, config)
     assert c == reference_pools(parents, flags, visible, confirmed, promoted)
+    # the pools are the ledger's one standing object, and never empty: the
+    # newest revealed id is a tip, and a tip is a priority id or a common tip
+    assert c is ledger.pools
+    assert c.tips
+    assert c.priority or c.common
     # the promotion record gives the rule stated on the aged prefix alone
     assert c.priority == [
         i for i in range(visible) if i not in confirmed and (flags[i] or i < aged)
@@ -139,12 +144,12 @@ def test_priority_pool_same_whichever_comes_first(visible, aged, size, promote_f
     else:
         ledger.reveal(visible - 1)
         ledger.promote(aged - 1, 0.0)
-    pool = ledger.priority_candidates()
+    pool = ledger.pools.priority
     assert type(pool) is list
     assert pool == [i for i in range(visible) if i < aged or i % 3]
     assert len(pool) == size
     # the chain's one revealed tip is its newest revealed id, flagged
-    assert ledger.tip_candidates() == ([visible - 1], [])
+    assert (ledger.pools.tips, ledger.pools.common) == ([visible - 1], [])
 
 
 def test_every_derandomized_test_pins_its_seed():

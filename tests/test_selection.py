@@ -7,21 +7,19 @@ from collections import Counter
 import pytest
 
 from tanglesim.engine import SimConfig
-from tanglesim.ledger import TangleLedger
+from tanglesim.ledger import SelectionCandidates, TangleLedger
 from tanglesim.selection import (
     BRANCH_BASELINE,
     BRANCH_P0,
     BRANCH_P1,
     BRANCH_P2,
-    EmptyCandidates,
-    SelectionCandidates,
     _index,
     _two,
     build_candidates,
     select_ptsa,
     select_uniform,
 )
-from tanglesim.selfcheck import BRANCH_TABLE_COMMON, BRANCH_TABLE_P, branch_case_error
+from tanglesim.selfcheck import BRANCH_TABLE, branch_case_error
 
 AGING = SimConfig(visibility_delay=0.0, aging_enabled=True, aging_threshold=30.0)
 NO_AGING = SimConfig(visibility_delay=0.0, aging_enabled=False)
@@ -71,6 +69,16 @@ class TestEffectivePriority:
 
 
 class TestBuildCandidates:
+    def test_same_object_every_call(self):
+        ledger = TangleLedger(8)
+        config = dataclasses.replace(NO_AGING, visibility_delay=1.0)
+        a = ledger.add_transaction([ledger.genesis], 1.0)
+        c = build_candidates(ledger, 1.5, config)  # genesis alone is visible
+        assert c.newest_non_tip is None
+        ledger.add_transaction([a], 2.0)
+        assert build_candidates(ledger, 3.0, config) is c  # reveals a, then its approver
+        assert c.newest_non_tip == a
+
     def test_genesis_only(self):
         ledger = TangleLedger(8)
         c = build_candidates(ledger, 0.0, AGING)
@@ -218,11 +226,6 @@ class TestSelectUniform:
         c = make_candidates(common=[0])
         assert select_uniform(c, random.Random(0)).parents == [0]
 
-    def test_empty_snapshot(self):
-        c = make_candidates()
-        with pytest.raises(EmptyCandidates):
-            select_uniform(c, random.Random(0))
-
     def test_ignores_partition(self):
         # priority entries that happen to be tips are drawable by baseline
         c = make_candidates(priority=[9], common=[1], tips=[1, 9])
@@ -272,11 +275,6 @@ class TestSelectPtsa:
         c = make_candidates(priority=[7])
         assert select_ptsa(c, random.Random(0)).parents == [7]
 
-    def test_empty_raises(self):
-        c = make_candidates()
-        with pytest.raises(EmptyCandidates):
-            select_ptsa(c, random.Random(0))
-
     def test_determinism(self):
         c = make_candidates(priority=[10, 11, 12, 13], common=[1, 2, 3])
         a = select_ptsa(c, random.Random(5)).parents
@@ -291,10 +289,9 @@ class TestSelectPtsa:
 
 
 class TestBranchTable:
-    """Exactly one branch fires for every partition shape."""
+    """Exactly one branch fires for every shape a ledger's pools can take."""
 
-    @pytest.mark.parametrize("p", BRANCH_TABLE_P)
-    @pytest.mark.parametrize("n_common", BRANCH_TABLE_COMMON)
+    @pytest.mark.parametrize("n_common, p", [(c, p) for p, c in BRANCH_TABLE])
     def test_branch_and_arity(self, p, n_common):
         assert branch_case_error(p, n_common, random.Random(1)) is None
 
