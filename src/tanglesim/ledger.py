@@ -11,8 +11,8 @@ which the ledger takes once, at construction. Every ancestor of a
 transaction outweighs it, so a sweep that confirms a transaction confirms
 its unconfirmed ancestors too, and the confirmed set is closed under
 ancestry. An arrival therefore changes the weight of its unconfirmed
-ancestors only: an insertion walks parent edges from the new transaction's
-parents and stops at confirmed ones. A stored weight is exact while its
+ancestors only: an insertion walks parent edges from the new transaction
+itself and stops at confirmed ones. A stored weight is exact while its
 transaction is unconfirmed.
 
 Since ids are issued in time order, a time cutoff is an id prefix. An arrival
@@ -40,10 +40,11 @@ Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
 while its stamp is below the new id: once, and never a confirmed one.
 
-A stored weight starts at 1 and grows by one per insertion walk, so it
-equals θ at exactly one moment (θ is the config's validated integer >= 1).
-Then the id joins the ripe list (at its own insertion when θ is 1, genesis
-at construction), and a sweep confirms exactly that list.
+A new id is stored with weight 0, and its own insertion walk gives it its
+weight 1; each later walk to reach it adds one. So a stored weight equals θ
+at exactly one moment (θ is the config's validated integer >= 1). Then the id
+joins the ripe list (genesis at construction), and a sweep confirms exactly
+that list.
 """
 
 from __future__ import annotations
@@ -171,22 +172,15 @@ class TangleLedger:
         self._issued.append(issued_at)
         self._flag.append(priority_flag)
         self._approved.append(False)
-        self._weight.append(1)
+        self._weight.append(0)
         self._stamp.append(new_id)
         self._promoted_at.append(None)
-        theta, ripe = self._theta, self._ripe
-        if theta == 1:
-            ripe.append(new_id)
-        # every distinct unconfirmed ancestor gains one, in a walk seeded with
-        # the parents; confirmed ancestors have only confirmed ancestors, so
-        # the walk stops there
-        stamp = self._stamp
-        walk = []
-        for p in distinct:
-            if stamp[p] < new_id:
-                stamp[p] = new_id
-                walk.append(p)
+        # the new id and every distinct unconfirmed ancestor gain one, in a
+        # walk that starts at the new id; confirmed ancestors have only
+        # confirmed ancestors, so the walk stops there
+        theta, ripe, stamp = self._theta, self._ripe, self._stamp
         parents, weight = self._parents, self._weight
+        walk = [new_id]
         for i in walk:  # the walk appends to the list it iterates
             w = weight[i] = weight[i] + 1
             if w == theta:

@@ -53,6 +53,8 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
     """
     ledger.reveal(now - config.visibility_delay)
     if config.aging_enabled:
+        # not redundant with promote's revealed-prefix bound: genesis is
+        # revealed at construction, before it is visibility_delay old
         ledger.promote(now - max(config.visibility_delay, config.aging_threshold), now)
     return ledger.pools
 

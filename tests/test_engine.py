@@ -73,9 +73,15 @@ class TestConfigValidation:
         assert yaml.safe_load(block) == SimConfig().to_dict()
 
     def test_yaml_int_in_number_field_stored_as_float(self):
-        config = SimConfig.from_dict(yaml.safe_load("lambda: 10\nhorizon_seconds: 60"))
-        assert repr(config.to_dict()["lambda"]) == "10.0"
-        assert isinstance(config.horizon, float)
+        # every route to a config: YAML, the constructor and `replace`
+        for config in (
+            SimConfig.from_dict(yaml.safe_load("lambda: 10\nhorizon_seconds: 60")),
+            SimConfig(arrival_rate=10, horizon=60),
+            dataclasses.replace(SimConfig(), arrival_rate=10, horizon=60),
+        ):
+            assert repr(config.to_dict()["lambda"]) == "10.0"
+            assert repr(config.to_dict()["horizon_seconds"]) == "60.0"
+            assert isinstance(config.horizon, float)
 
     def test_million_tx_rung_accepted(self):
         config = SimConfig.from_dict({"lambda": 100.0, "horizon_seconds": 10000.0})
@@ -154,8 +160,8 @@ YAML_KEYS = (
     "pinned_priority",
 )
 NAN, INF = float("nan"), float("inf")
-# values no number field accepts
-NOT_A_NUMBER = [NAN, INF, -INF, True, False, "abc", None]
+# values no number field accepts; 10**400 is past a float's range
+NOT_A_NUMBER = [NAN, INF, -INF, True, False, "abc", None, 10**400]
 
 
 def _value(valid, invalid):
@@ -166,14 +172,16 @@ def _value(valid, invalid):
 
 
 # In-range values keep lambda * horizon_seconds <= 600 and theta <= 64, so an
-# accepted config runs in milliseconds.
+# accepted config runs in milliseconds. Both may be 1e-200, where their product
+# underflows to 0.0.
+TINY = st.just(1.0e-200)
 CONFIG_VALUES = st.fixed_dictionaries(
     {
         "lambda": _value(
-            st.floats(0.1, 30.0) | st.integers(1, 30), [*NOT_A_NUMBER, 0.0, -1.0, 1.0e12]
+            st.floats(0.1, 30.0) | st.integers(1, 30) | TINY, [*NOT_A_NUMBER, 0.0, -1.0, 1.0e12]
         ),
         "rho": _value(st.floats(0.0, 1.0), [*NOT_A_NUMBER, -0.1, 1.5]),
-        "horizon_seconds": _value(st.floats(0.5, 20.0), [*NOT_A_NUMBER, 0.0, -5.0]),
+        "horizon_seconds": _value(st.floats(0.5, 20.0) | TINY, [*NOT_A_NUMBER, 0.0, -5.0]),
         "visibility_delay_seconds": _value(st.floats(0.0, 5.0), [*NOT_A_NUMBER, -1.0]),
         "theta": _value(st.integers(1, 64), [NAN, INF, True, 0, -3, 2.0, "8"]),
         "strategy": _value(st.sampled_from(["uniform", "ptsa"]), ["mcmc", "", 1, None]),
@@ -289,7 +297,7 @@ def test_engine_equals_reference_model():
 
 class TestRunSimulation:
     def test_deterministic_replay(self):
-        assert run_simulation(SMALL) == run_simulation(SMALL)
+        assert run_simulation(SMALL).records == run_simulation(SMALL).records
 
     def test_records_in_issue_order(self):
         trace = run_simulation(SMALL)

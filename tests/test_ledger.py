@@ -84,7 +84,7 @@ class TestAddTransaction:
         assert ledger.weights() == [2, 1]
 
     def test_duplicate_parents_raise_weight_once(self):
-        # the walk starts at the distinct parents, each of them once
+        # the walk enters each distinct parent once
         ledger, a, b = build_chain()
         c = ledger.add_transaction([b, a, b], 3.0)
         assert parents_of(ledger)[c] == (a, b)
