@@ -35,7 +35,7 @@ def _load_config(path: str) -> SimConfig:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigInvalid("<file>", f"cannot read {path}: {exc}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigInvalid("<file>", f"cannot parse {path}: {exc}") from exc
     return SimConfig.from_dict({} if data is None else data)
 

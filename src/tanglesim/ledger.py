@@ -23,15 +23,16 @@ revealed at construction. The candidate pools are `ledger.pools`, one
 whole life. Its three id-sorted lists hold revealed ids only: the priority
 ids (unconfirmed, and flagged or promoted), the tips (approved by no revealed
 id) and the common tips (the tips that are not priority ids), so every pool
-is one of them, used whole and never copied. A newly revealed id joins those
-it belongs to, marks each parent it is the first to approve as approved, and
-takes it out of the tips by bisection; `newest_non_tip` is the running
-maximum of those parents. It is the ledger's own live object: a reader sees
-the lists change at the next mutation, and `newest_non_tip` at the next
-`reveal`. Confirmation is read as of now, not as of the cutoff. Aging
-promotes a transaction: `promote` bisects from its own cursor to the aged
-cutoff's prefix, bounded by the revealed one, and stamps each id it passes
-that is unconfirmed and unflagged with the time.
+is one of them, used whole and never copied; a reader sees the lists change
+at the ledger's next mutation. A newly revealed id joins the lists it belongs
+to, marks each parent it is the first to approve as approved, and takes it
+out of the tips by bisection. The newest revealed id is a tip, since what
+approves it is newer and not yet revealed; so a lone tip is the newest
+revealed id, and the id before it is the newest non-tip. Confirmation is
+read as of now, not as of the cutoff.
+Aging promotes a transaction: `promote` bisects from its own cursor to the
+aged cutoff's prefix, bounded by the revealed one, and stamps each id it
+passes that is unconfirmed and unflagged with the time.
 A promotion inserts an id into the priority list and takes it out of the
 common tips; a confirmation takes a revealed priority id out of the priority
 list and inserts it into the common tips if it is a tip.
@@ -87,15 +88,13 @@ class SelectionCandidates:
 
     `priority` holds unconfirmed effective-priority transactions, flagged or
     promoted by aging (not necessarily tips: they stay selectable until
-    confirmed). `common` holds the remaining selectable tips. `tips` is the
-    full selectable tip pool regardless of class, and `newest_non_tip` backs
-    the single-tip fallback; both exist so strategies need no ledger access.
+    confirmed). `common` holds the remaining selectable tips, and `tips` all
+    of them regardless of class, so strategies need no ledger access.
     """
 
     priority: list[int]
     common: list[int]
     tips: list[int]
-    newest_non_tip: int | None
 
 
 @dataclass(slots=True)
@@ -129,9 +128,8 @@ class TangleLedger:
         self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
         self._visible = 1  # reveal's cursor: it has passed every id below
         self._aged = 0  # promote's cursor, never past reveal's
-        # id-sorted indexes over the state above, of the revealed ids only,
-        # and the largest parent of a revealed id
-        self.pools = SelectionCandidates(priority=[], common=[0], tips=[0], newest_non_tip=None)
+        # id-sorted indexes over the state above, of the revealed ids only
+        self.pools = SelectionCandidates(priority=[], common=[0], tips=[0])
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -222,7 +220,7 @@ class TangleLedger:
             return
         approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
         promoted_at, pools = self._promoted_at, self.pools
-        tips, common, newest = pools.tips, pools.common, pools.newest_non_tip
+        tips, common = pools.tips, pools.common
         for j in range(self._visible, visible):
             tips.append(j)
             if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
@@ -236,9 +234,6 @@ class TangleLedger:
                     # a common tip: confirmed, or neither flagged nor promoted
                     if stamp[p] == _CONFIRMED or not (flag[p] or promoted_at[p] is not None):
                         del common[bisect_left(common, p)]
-                    if newest is None or p > newest:
-                        newest = p
-        pools.newest_non_tip = newest
         self._visible = visible
 
     def promote(self, cutoff: float, now: float) -> None:

@@ -71,15 +71,12 @@ def brute_force_tips(parents: list[tuple[int, ...]]) -> set[int]:
 def reference_pools(parents: list[tuple[int, ...]], flags: list[bool], visible: int,
                     confirmed: dict[int, float], promoted: dict[int, float]) -> SelectionCandidates:
     """The pools of the first `visible` ids: priority (unconfirmed, and
-    flagged or promoted), tips (approved by no visible id), common (the tips
-    not in priority) and the newest id that is not a tip."""
+    flagged or promoted), tips (approved by no visible id) and common (the
+    tips not in priority)."""
     unapproved = brute_force_tips(parents[:visible])
     tips = [i for i in range(visible) if i in unapproved]
     priority = [i for i in range(visible) if i not in confirmed and (flags[i] or i in promoted)]
-    return SelectionCandidates(
-        priority, [i for i in tips if i not in priority], tips,
-        max((i for i in range(visible) if i not in unapproved), default=None),
-    )
+    return SelectionCandidates(priority, [i for i in tips if i not in priority], tips)
 
 
 def reference_run(config: SimConfig) -> list[TxRecord]:

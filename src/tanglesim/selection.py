@@ -3,9 +3,9 @@
 Both strategies are pure functions of the candidate pools and a seeded
 random source; they never touch the ledger. `build_candidates` hands out
 `ledger.pools`, the ledger's own live `SelectionCandidates`: its lists are
-current only until the ledger's next mutation, and `newest_non_tip` until
-its next `reveal`. Every pool is sorted by id, so a given seed yields one result regardless of set
-iteration order, and holds genesis at least, so a strategy always draws.
+current only until the ledger's next mutation. Every pool is sorted by id,
+so a given seed yields one result regardless of set iteration order, and
+holds genesis at least, so a strategy always draws.
 
 The draws, `_index` and `_two`, return what CPython 3.11's `choice` and
 `sample(pool, 2)` return and leave the stream where they leave it, at less
@@ -59,9 +59,9 @@ def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> Sel
     return ledger.pools
 
 
-def _with_fallback(lone: int, fallback: int | None) -> list[int]:
-    """A lone parent, plus the fallback when it exists and differs from it."""
-    return [lone] if fallback is None or fallback == lone else [lone, fallback]
+def _with_fallback(lone: int) -> list[int]:
+    """A lone tip and the newest non-tip, the id before it; or genesis alone."""
+    return [lone, lone - 1] if lone else [lone]
 
 
 def _index(n: int, rng: random.Random) -> int:
@@ -90,12 +90,10 @@ def _two(pool: list[int], rng: random.Random) -> list[int]:
     return [pool[i], pool[j]]
 
 
-def _two_tips_or_fallback(
-    pool: list[int], fallback: int | None, rng: random.Random
-) -> list[int]:
+def _two_tips_or_fallback(pool: list[int], rng: random.Random) -> list[int]:
     if len(pool) >= 2:
         return _two(pool, rng)
-    return _with_fallback(pool[0], fallback)
+    return _with_fallback(pool[0])
 
 
 def select_uniform(
@@ -103,7 +101,7 @@ def select_uniform(
 ) -> SelectionResult:
     """Baseline: two distinct tips uniformly at random from the whole tip
     pool, ignoring the priority/common partition."""
-    parents = _two_tips_or_fallback(candidates.tips, candidates.newest_non_tip, rng)
+    parents = _two_tips_or_fallback(candidates.tips, rng)
     return SelectionResult(parents, BRANCH_BASELINE)
 
 
@@ -122,7 +120,7 @@ def select_ptsa(
     priority, common = candidates.priority, candidates.common
     p = len(priority)
     if p == 0:
-        parents = _two_tips_or_fallback(common, candidates.newest_non_tip, rng)
+        parents = _two_tips_or_fallback(common, rng)
         return SelectionResult(parents, BRANCH_P0)
 
     if p == 1:
@@ -134,6 +132,6 @@ def select_ptsa(
 
     if common:
         parents.append(common[_index(len(common), rng)])
-    elif len(parents) == 1:
-        parents = _with_fallback(parents[0], candidates.newest_non_tip)
+    elif len(parents) == 1:  # no common tip: the one priority id is the lone tip
+        parents = _with_fallback(parents[0])
     return SelectionResult(parents, branch)

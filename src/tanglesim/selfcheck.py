@@ -71,7 +71,6 @@ def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
         priority=list(range(100, 100 + p)),
         common=common,
         tips=common,
-        newest_non_tip=99,
     )
     result = select_ptsa(candidates, rng)
     parents = result.parents
@@ -81,8 +80,8 @@ def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
         result.branch != expect_branch
         or len(parents) != expect_arity
         or len(set(parents)) != len(parents)
-        or sum(1 for x in parents if 100 <= x < 200) != min(p, 2)
-        or (p >= 1 and n_common >= 1 and sum(1 for x in parents if x >= 200) != 1)
+        or sum(1 for x in parents if x in candidates.priority) != min(p, 2)
+        or (p >= 1 and n_common >= 1 and sum(1 for x in parents if x in common) != 1)
     ):
         return f"got branch={result.branch} parents={parents}"
     return None

@@ -90,12 +90,25 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
 
-    def test_undecodable_config_names_file(self, tmp_path, capsys):
-        path = tmp_path / "utf16.yaml"
-        path.write_bytes(b"\xff\xfe\x00")
+    # bytes that are not UTF-8, and YAML that PyYAML parses but cannot build
+    # into Python values: a date out of range, an int past Python's 4300-digit
+    # limit, nesting past the recursion limit
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe\x00",
+            b"seed: 2001-13-45\n",
+            b"seed: 1" + b"0" * 5000 + b"\n",
+            b"lambda: " + b"[" * 10_000 + b"]" * 10_000 + b"\n",
+        ],
+        ids=["utf16", "bad-date", "long-int", "deep-nesting"],
+    )
+    def test_undecodable_config_names_file(self, content, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert "<file>" in capsys.readouterr().err
+        assert "config error: invalid config field '<file>'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["false", "0", '""', "[]"])
     def test_falsy_root_names_root(self, text, tmp_path, capsys):

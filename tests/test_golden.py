@@ -49,6 +49,14 @@ CONFIGS = {
         **REFERENCE,
         "aging": {"enabled": False, "threshold_seconds": 30.0},
     },
+    # every arrival sees the one before it, so a pool often holds one tip and
+    # the single-tip fallback picks the second parent
+    **{
+        f"visibility-zero-{strategy}-seed42": {
+            **REFERENCE, "strategy": strategy, "visibility_delay_seconds": 0.0,
+        }
+        for strategy in ("uniform", "ptsa")
+    },
 }
 # the aging threshold lies below the visibility delay, so every visible id is
 # aged: the one regime where the aged cutoff is set by the delay, not the
@@ -107,6 +115,14 @@ GOLDEN = {
     "theta1-ptsa-seed42": (
         "f7392f0a362ec7a7714c5a7c7e0486343aa3ec5c3b4b6689af604a3d5ca77f5d",
         "0006903886c9064fc8f32983f0c41828fd0d1db84443a0ca3e17c259c9c6afb7",
+    ),
+    "visibility-zero-ptsa-seed42": (
+        "1e4c456d56f8e1a69849125cc79351da3b33bc934e41ad4ff5a6d5b63230ea5e",
+        "11e2f8f5d403fa44413e3c5285f34a892249d372837563035b0b27165279b92c",
+    ),
+    "visibility-zero-uniform-seed42": (
+        "e47e1de719714bcd1652887f17cefb124efb2c11fabe7bb8d20d90340d2af0cc",
+        "5b7ae08b09a0e00c4ec9b4fc2b13879f5f38c18b81d624a88f755da43f9b8953",
     ),
 }
 

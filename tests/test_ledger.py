@@ -145,13 +145,11 @@ class TestReveal:
     def test_fresh_view_is_genesis_alone(self):
         ledger = TangleLedger(8)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert ledger.pools.newest_non_tip is None
         # an insertion touches nothing of the view, nor does a negative cutoff
         ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.reveal(-1.0)
         ledger.promote(-1.0, 5.0)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert ledger.pools.newest_non_tip is None
         assert [r.promoted_at for r in ledger.records()] == [None, None]
 
     def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
@@ -166,13 +164,10 @@ class TestReveal:
         ledger, a, b = build_chain()
         ledger.reveal(0.0)  # genesis, approved by a, which is not revealed yet
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert ledger.pools.newest_non_tip is None
         ledger.reveal(1.0)  # a, approved by b, which is not revealed yet
         assert pools(ledger) == ([], [a], [a])
-        assert ledger.pools.newest_non_tip == ledger.genesis
         ledger.reveal(2.0)
         assert pools(ledger) == ([], [b], [b])
-        assert ledger.pools.newest_non_tip == a
 
     def test_smaller_prefix_reveals_nothing(self):
         ledger, a, b = build_chain()

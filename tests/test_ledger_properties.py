@@ -9,7 +9,8 @@ candidate pools at non-decreasing times, as the engine does. A
 brute-force record of promotions stands beside the ledger: an id is promoted
 at the first query whose aged cutoff covers it, if it is then unconfirmed and
 unflagged. Every pool is checked against `reference_pools` at the query's
-visible prefix, which only grows, as the ledger's reveal cursor requires.
+visible prefix, which only grows, as the ledger's reveal cursor requires, and
+the tips against the lemma the single-tip fallback rests on.
 """
 
 import ast
@@ -71,6 +72,12 @@ def check_candidates(ledger, now, config, parents, issued, flags, confirmed, pro
     assert c is ledger.pools
     assert c.tips
     assert c.priority or c.common
+    # the newest revealed id is a tip, since what approves it is newer; so a
+    # lone tip has every revealed id below it approved, and the single-tip
+    # fallback's partner, the newest non-tip, is the id before it
+    assert c.tips[-1] == visible - 1
+    if len(c.tips) == 1:
+        assert {p for ps in parents[:visible] for p in ps} == set(range(visible - 1))
     # the promotion record gives the rule stated on the aged prefix alone
     assert c.priority == [
         i for i in range(visible) if i not in confirmed and (flags[i] or i < aged)

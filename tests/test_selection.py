@@ -30,13 +30,12 @@ def promoted_at(ledger):
     return [r.promoted_at for r in ledger.records()]
 
 
-def make_candidates(priority=(), common=(), tips=None, newest_non_tip=None):
+def make_candidates(priority=(), common=(), tips=None):
     common = list(common)
     return SelectionCandidates(
         priority=list(priority),
         common=common,
         tips=common if tips is None else list(tips),
-        newest_non_tip=newest_non_tip,
     )
 
 
@@ -74,10 +73,8 @@ class TestBuildCandidates:
         config = dataclasses.replace(NO_AGING, visibility_delay=1.0)
         a = ledger.add_transaction([ledger.genesis], 1.0)
         c = build_candidates(ledger, 1.5, config)  # genesis alone is visible
-        assert c.newest_non_tip is None
         ledger.add_transaction([a], 2.0)
         assert build_candidates(ledger, 3.0, config) is c  # reveals a, then its approver
-        assert c.newest_non_tip == a
 
     def test_genesis_only(self):
         ledger = TangleLedger(8)
@@ -88,7 +85,7 @@ class TestBuildCandidates:
     def test_genesis_alone_before_anything_visible(self):
         ledger = TangleLedger(8)
         c = build_candidates(ledger, 0.5, dataclasses.replace(AGING, visibility_delay=1.0))
-        assert c == SelectionCandidates([], [ledger.genesis], [ledger.genesis], None)
+        assert c == SelectionCandidates([], [ledger.genesis], [ledger.genesis])
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
@@ -171,7 +168,6 @@ class TestBuildCandidates:
         # genesis is the one visible tip and no visible id is a non-tip
         assert c.tips == c.common == [ledger.genesis]
         assert recent not in c.tips
-        assert c.newest_non_tip is None
 
 
 class TestCount:
@@ -209,7 +205,7 @@ class TestSelectUniform:
         assert result.branch == BRANCH_BASELINE
 
     def test_seeded_draw_is_pinned(self):
-        c = make_candidates(common=[1, 2, 3, 4], newest_non_tip=0)
+        c = make_candidates(common=[1, 2, 3, 4])
         assert select_uniform(c, random.Random(7)).parents == [3, 1]
 
     def test_same_seed_same_result(self):
@@ -218,9 +214,9 @@ class TestSelectUniform:
         b = select_uniform(c, random.Random(99)).parents
         assert a == b
 
-    def test_single_tip_pairs_with_newest_non_tip(self):
-        c = make_candidates(common=[5], newest_non_tip=3)
-        assert select_uniform(c, random.Random(0)).parents == [5, 3]
+    def test_single_tip_pairs_with_the_id_before_it(self):
+        c = make_candidates(common=[5])
+        assert select_uniform(c, random.Random(0)).parents == [5, 4]
 
     def test_single_tip_no_fallback(self):
         c = make_candidates(common=[0])
@@ -268,12 +264,13 @@ class TestSelectPtsa:
         assert result.branch == BRANCH_P2
 
     def test_p1_no_common_uses_fallback(self):
-        c = make_candidates(priority=[7], newest_non_tip=3)
-        assert select_ptsa(c, random.Random(0)).parents == [7, 3]
+        c = make_candidates(priority=[7])
+        assert select_ptsa(c, random.Random(0)).parents == [7, 6]
 
     def test_p1_no_common_no_fallback(self):
-        c = make_candidates(priority=[7])
-        assert select_ptsa(c, random.Random(0)).parents == [7]
+        # genesis, promoted by aging, is the one lone tip with no id below it
+        c = make_candidates(priority=[0])
+        assert select_ptsa(c, random.Random(0)).parents == [0]
 
     def test_determinism(self):
         c = make_candidates(priority=[10, 11, 12, 13], common=[1, 2, 3])
