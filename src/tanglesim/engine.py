@@ -87,9 +87,9 @@ class SimConfig:
         "must be finite and >= 0", "propagation delay before a transaction is selectable")
     theta: int = _key(
         "theta", 8,
-        # divided in two steps: lambda * horizon_seconds may underflow to 0.0
-        lambda v, config: (
-            _is_int(v) and 1 <= v <= MAX_WALK_STEPS / config.arrival_rate / config.horizon),
+        # n = lambda * horizon_seconds, finite by the bound above unlike 10^9 / lambda, may be 0.0
+        lambda v, config: _is_int(v) and v >= 1 and (
+            (n := config.arrival_rate * config.horizon) == 0 or v <= MAX_WALK_STEPS / n),
         f"must be a positive integer, with theta * lambda * horizon_seconds <= {MAX_WALK_STEPS}",
         "cumulative-weight confirmation threshold")
     strategy: str = _key(
@@ -216,11 +216,12 @@ def run_simulation(config: SimConfig) -> SimTrace:
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
-    ledger = TangleLedger(config.theta)
+    ledger = TangleLedger(config.theta, config.visibility_delay,
+                          config.aging_threshold if config.aging_enabled else None)
     insert, sweep = ledger.add_transaction, ledger.confirmation_sweep
     # iterate the call itself: the arrival list is freed when the loop ends
     for now, flag in generate_workload(config):
-        insert(select(build_candidates(ledger, now, config), attach_rng).parents, now, flag)
+        insert(select(build_candidates(ledger, now), attach_rng).parents, now, flag)
         sweep(now)
     return SimTrace(config, ledger)
 

@@ -15,27 +15,27 @@ ancestors only: an insertion walks parent edges from the new transaction
 itself and stops at confirmed ones. A stored weight is exact while its
 transaction is unconfirmed.
 
-Since ids are issued in time order, a time cutoff is an id prefix. An arrival
-sees the DAG as it was at its visibility cutoff: `reveal` bisects the issue
-times from its cursor to the cutoff's prefix, which only grows, and genesis is
-revealed at construction. The candidate pools are `ledger.pools`, one
-`SelectionCandidates` that the ledger builds once and keeps current for its
-whole life. Its three id-sorted lists hold revealed ids only: the priority
+Since ids are issued in time order, a time cutoff is an id prefix. The ledger
+takes the visibility delay h and the aging threshold at construction too, and
+an arrival at `now` sees the DAG as it was at `now - h`: `reveal(now)` bisects
+the issue times from its cursor to that cutoff's prefix, which only grows, and
+genesis is revealed at construction. The candidate pools are `ledger.pools`,
+one `SelectionCandidates` that the ledger builds once and keeps current for
+its whole life. Its three id-sorted lists hold revealed ids only: the priority
 ids (unconfirmed, and flagged or promoted), the tips (approved by no revealed
-id) and the common tips (the tips that are not priority ids), so every pool
-is one of them, used whole and never copied; a reader sees the lists change
-at the ledger's next mutation. A newly revealed id joins the lists it belongs
-to, marks each parent it is the first to approve as approved, and takes it
-out of the tips by bisection. The newest revealed id is a tip, since what
-approves it is newer and not yet revealed; so a lone tip is the newest
-revealed id, and the id before it is the newest non-tip. Confirmation is
-read as of now, not as of the cutoff.
-Aging promotes a transaction: `promote` bisects from its own cursor to the
-aged cutoff's prefix, bounded by the revealed one, and stamps each id it
-passes that is unconfirmed and unflagged with the time.
-A promotion inserts an id into the priority list and takes it out of the
-common tips; a confirmation takes a revealed priority id out of the priority
-list and inserts it into the common tips if it is a tip.
+id) and the common tips (the tips that are not priority ids), so every pool is
+one of them, used whole and never copied; a reader sees the lists change at
+the ledger's next mutation. A newly revealed id joins the lists it belongs to,
+marks each parent it is the first to approve as approved, and takes it out of
+the tips by bisection. The newest revealed id is a tip, since what approves it
+is newer and not yet revealed; so a lone tip is the newest revealed id, and
+the id before it is the newest non-tip. Confirmation is read as of now, not as
+of the cutoff. With aging on, `reveal` then promotes: it bisects from a second
+cursor to the prefix of `now - max(h, threshold)`, which lies within the
+revealed one, and stamps each id it passes that is unconfirmed and unflagged
+with `now`. A promotion inserts an id into the priority list and takes it out
+of the common tips; a confirmation takes a revealed priority id out of the
+priority list and inserts it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -101,7 +101,7 @@ class SelectionCandidates:
 class TxRecord:
     """Lifecycle of one transaction: `tx_class` is CLASS_PRIORITY for a
     flagged one, else CLASS_COMMON. `promoted_at` is when aging promoted a
-    common one (see `TangleLedger.promote`), else None."""
+    common one (see `TangleLedger.reveal`), else None."""
 
     id: int
     tx_class: str
@@ -114,7 +114,8 @@ class TxRecord:
 class TangleLedger:
     """The DAG store: transactions, the revealed view, confirmation."""
 
-    def __init__(self, theta: int) -> None:
+    def __init__(self, theta: int, visibility_delay: float = 0.0,
+                 aging_threshold: float | None = None) -> None:
         # genesis: no parents, issued at time 0, common class
         self.genesis = 0
         self._parents: list[tuple[int, ...]] = [()]
@@ -127,7 +128,10 @@ class TangleLedger:
         self._stamp: list[int] = [0]
         self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
         self._visible = 1  # reveal's cursor: it has passed every id below
-        self._aged = 0  # promote's cursor, never past reveal's
+        self._aged = 0  # aging's cursor, never past the one above
+        self._delay = visibility_delay
+        # the age at which a visible id ages, or None with aging off
+        self._aging = None if aging_threshold is None else max(visibility_delay, aging_threshold)
         # id-sorted indexes over the state above, of the revealed ids only
         self.pools = SelectionCandidates(priority=[], common=[0], tips=[0])
         # the confirmation threshold, and the unconfirmed ids whose weight
@@ -211,40 +215,39 @@ class TangleLedger:
                     insort(self.pools.common, i)
         return newly
 
-    def reveal(self, cutoff: float) -> None:
-        """Make the ids issued at or before `cutoff` visible: each one not
+    def reveal(self, now: float) -> None:
+        """Make the ids issued at or before `now - h` visible: each one not
         reached by an earlier call becomes a tip, and each parent it is the
-        first to approve stops being one. An earlier cutoff reveals nothing."""
-        visible = bisect_right(self._issued, cutoff, self._visible)
-        if visible == self._visible:
+        first to approve stops being one. Then, with aging on, stamp each
+        visible id issued at or before `now - max(h, threshold)` and not
+        reached by an earlier call, if it is unconfirmed and unflagged, as
+        promoted at `now`, which makes it a priority id until it confirms.
+        An earlier `now` changes nothing."""
+        visible = bisect_right(self._issued, now - self._delay, self._visible)
+        pools = self.pools
+        if visible != self._visible:
+            approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
+            promoted_at, tips, common = self._promoted_at, pools.tips, pools.common
+            for j in range(self._visible, visible):
+                tips.append(j)
+                if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
+                    pools.priority.append(j)
+                else:
+                    common.append(j)
+                for p in parents[j]:
+                    if not approved[p]:
+                        approved[p] = True
+                        del tips[bisect_left(tips, p)]
+                        # a common tip: confirmed, or neither flagged nor promoted
+                        if stamp[p] == _CONFIRMED or not (flag[p] or promoted_at[p] is not None):
+                            del common[bisect_left(common, p)]
+            self._visible = visible
+        if self._aging is None:
             return
-        approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
-        promoted_at, pools = self._promoted_at, self.pools
-        tips, common = pools.tips, pools.common
-        for j in range(self._visible, visible):
-            tips.append(j)
-            if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
-                pools.priority.append(j)
-            else:
-                common.append(j)
-            for p in parents[j]:
-                if not approved[p]:
-                    approved[p] = True
-                    del tips[bisect_left(tips, p)]
-                    # a common tip: confirmed, or neither flagged nor promoted
-                    if stamp[p] == _CONFIRMED or not (flag[p] or promoted_at[p] is not None):
-                        del common[bisect_left(common, p)]
-        self._visible = visible
-
-    def promote(self, cutoff: float, now: float) -> None:
-        """Apply aging to the revealed ids issued at or before `cutoff`: stamp
-        each one not reached by an earlier call, if it is unconfirmed and
-        unflagged, as promoted at `now`, which makes it a priority id until
-        it confirms. An earlier cutoff promotes nothing."""
-        aged = bisect_right(self._issued, cutoff, self._aged, self._visible)
+        # the aged cutoff is at or below the visible one, so aged <= visible
+        aged = bisect_right(self._issued, now - self._aging, self._aged)
         if aged == self._aged:  # most calls promote none
             return
-        pools = self.pools
         for i in range(self._aged, aged):
             if self._stamp[i] != _CONFIRMED and not self._flag[i]:
                 self._promoted_at[i] = now

@@ -16,12 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from tanglesim.ledger import SelectionCandidates, TangleLedger
-
-if TYPE_CHECKING:  # the engine imports this module
-    from tanglesim.engine import SimConfig
 
 BRANCH_P0 = "p=0"
 BRANCH_P1 = "p=1"
@@ -40,22 +36,14 @@ class SelectionResult:
     branch: str
 
 
-def build_candidates(ledger: TangleLedger, now: float, config: SimConfig) -> SelectionCandidates:
-    """Reveal the transactions visible at `now` and apply aging up to `now`,
-    then hand out `ledger.pools`, the same object on every call.
-
-    A transaction is visible once its age reaches the visibility delay, and
-    aged once it is visible and its age reaches the aging threshold; the
-    ledger promotes an aged one while it is unconfirmed and unflagged (see
-    `TangleLedger.promote`). So `now` must not decrease between calls on
-    one ledger. Genesis is revealed from the start, so before anything else
-    is visible the pools hold genesis alone.
+def build_candidates(ledger: TangleLedger, now: float) -> SelectionCandidates:
+    """Reveal the transactions visible at `now` and apply aging at `now` (see
+    `TangleLedger.reveal`), then hand out `ledger.pools`, the same object on
+    every call. So `now` must not decrease between calls on one ledger.
+    Genesis is revealed from the start, so before anything else is visible
+    the pools hold genesis alone.
     """
-    ledger.reveal(now - config.visibility_delay)
-    if config.aging_enabled:
-        # not redundant with promote's revealed-prefix bound: genesis is
-        # revealed at construction, before it is visibility_delay old
-        ledger.promote(now - max(config.visibility_delay, config.aging_threshold), now)
+    ledger.reveal(now)
     return ledger.pools
 
 

@@ -12,7 +12,8 @@ Under PTSA with aging off, the visible unconfirmed priority ids form a
 processor-sharing queue: jobs arrive at ρλ, each needs θ − 1 direct
 approvals, and arrivals serve one job at λ or two or more at 2λ in total.
 With x = ρ(θ − 1), y = x/2 and π₀ = 1/(1 + x/(1 − y)), stable iff y < 1,
-the priority class's mean latency is h + π₀·x/((1 − y)²·ρλ).
+the priority class's mean latency is h + π₀·x/((1 − y)²·ρλ), and the share
+of arrivals that find the queue busy, and so take a p ≥ 1 branch, is 1 − π₀.
 """
 
 import math
@@ -110,25 +111,27 @@ def test_theta_two_latency_is_twice_delay(steady_runs):
     assert abs(sum(ratios) / len(ratios) - 1) <= MEAN_TOLERANCE, ratios
 
 
-# (ρ, θ) -> the per-seed standard deviation of the mean priority latency,
-# measured over 16 seeds; the model ignores indirect approvals, so these are
-# points of light load (x <= 0.35), where it held within about 1%
-PS_POINTS = {(0.05, 4): 0.0165, (0.05, 8): 0.024}
+# (ρ, θ) -> the per-seed standard deviations of the mean priority latency
+# and of q, the share of arrivals that take a p >= 1 branch, measured over 16
+# seeds; the model ignores indirect approvals, so these are points of light
+# load (x <= 0.35), where it held within about 1%
+PS_POINTS = {(0.05, 4): (0.0165, 0.0129), (0.05, 8): (0.024, 0.0250)}
 PS_SEEDS = range(16)
 PS_ISSUED = (20.0, 250.0)  # issue window, well before the 300 s horizon
 
 
-def processor_sharing_latency(rho, theta, rate, delay):
+def processor_sharing(rho, theta, rate, delay):
+    """The model's mean priority latency and its q = 1 − π₀."""
     x = rho * (theta - 1)
     y = x / 2
     pi0 = 1 / (1 + x / (1 - y))
-    return delay + pi0 * x / ((1 - y) ** 2 * rho * rate)
+    return delay + pi0 * x / ((1 - y) ** 2 * rho * rate), 1 - pi0
 
 
 @pytest.mark.parametrize("rho, theta", sorted(PS_POINTS))
 def test_ptsa_priority_latency_is_processor_sharing(rho, theta):
     low, high = PS_ISSUED
-    latencies = []
+    latencies, shares = [], []
     for seed in PS_SEEDS:
         config = SimConfig(
             arrival_rate=RATE,
@@ -140,11 +143,23 @@ def test_ptsa_priority_latency_is_processor_sharing(rho, theta):
             aging_enabled=False,
             seed=seed,
         )
-        issued, flags, _, confirmed_at = run_simulation(config).ledger.columns()
+        issued, flags, parents, confirmed_at = run_simulation(config).ledger.columns()
         window = [i for i, t in enumerate(issued) if flags[i] and low <= t <= high]
         assert all(i in confirmed_at for i in window)
         latencies += [confirmed_at[i] - issued[i] for i in window]
-    model = processor_sharing_latency(rho, theta, RATE, 1.0)
+        # with aging off, arrival j took a p >= 1 branch iff it approved a
+        # flagged id that was still unconfirmed when j arrived
+        arrivals = [j for j, t in enumerate(issued) if j and low <= t <= high]
+        took = [j for j in arrivals if any(
+            flags[i] and confirmed_at.get(i, math.inf) >= issued[j] for i in parents[j])]
+        shares.append(len(took) / len(arrivals))
+    model_latency, model_q = processor_sharing(rho, theta, RATE, 1.0)
+    latency_sd, q_sd = PS_POINTS[rho, theta]
     # three standard errors of a 16-seed mean: 0.012 s at θ = 4, 0.018 s at θ = 8
-    tolerance = 3 * PS_POINTS[rho, theta] / math.sqrt(len(PS_SEEDS))
-    assert abs(sum(latencies) / len(latencies) - model) <= tolerance, (model, tolerance)
+    tolerance = 3 * latency_sd / math.sqrt(len(PS_SEEDS))
+    assert abs(sum(latencies) / len(latencies) - model_latency) <= tolerance, (
+        model_latency, tolerance)
+    # q's mean over the seeds, to three standard errors: 0.0097 at θ = 4,
+    # 0.0188 at θ = 8
+    tolerance = 3 * q_sd / math.sqrt(len(PS_SEEDS))
+    assert abs(sum(shares) / len(shares) - model_q) <= tolerance, (model_q, tolerance)

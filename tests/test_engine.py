@@ -46,6 +46,9 @@ class TestConfigValidation:
             ({"arrival_rate": 1.0e12}, "horizon_seconds"),
             # one past the walk budget: theta * lambda * horizon_seconds > 10^9
             ({"horizon": 100.0, "theta": MAX_WALK_STEPS // 1000 + 1}, "theta"),
+            # 2M expected arrivals at a lambda so small that 10^9 / lambda
+            # overflows to inf: the budget still binds
+            ({"arrival_rate": 5.0e-300, "horizon": 4.0e305, "theta": 10**15}, "theta"),
         ],
     )
     def test_bounds_rejected_naming_field(self, changes, field):
@@ -97,6 +100,11 @@ class TestConfigValidation:
         assert time.process_time() - start < 1.0
         assert len(trace.records) > 1000
         assert all(r.confirmed_at is None for r in trace.records)
+
+    def test_underflowing_expected_count_runs(self):
+        # lambda * horizon_seconds underflows to 0.0, which bounds no theta
+        config = SimConfig(arrival_rate=1.0e-200, horizon=1.0e-200, theta=10**15)
+        assert run_simulation(config).records == []
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):

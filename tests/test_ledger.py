@@ -18,9 +18,9 @@ from tanglesim.oracle import (
 )
 
 
-def build_chain(theta=8):
-    """genesis <- A <- B"""
-    ledger = TangleLedger(theta)
+def build_chain(theta=8, visibility_delay=0.0, aging_threshold=None):
+    """genesis <- A <- B, issued at 0, 1 and 2"""
+    ledger = TangleLedger(theta, visibility_delay, aging_threshold)
     a = ledger.add_transaction([ledger.genesis], 1.0)
     b = ledger.add_transaction([a], 2.0)
     return ledger, a, b
@@ -143,12 +143,12 @@ def pools(ledger):
 
 class TestReveal:
     def test_fresh_view_is_genesis_alone(self):
-        ledger = TangleLedger(8)
+        ledger = TangleLedger(8, 1.0, 3.0)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        # an insertion touches nothing of the view, nor does a negative cutoff
+        # an insertion touches nothing of the view, nor do negative visible
+        # and aged cutoffs (-0.5 and -2.5)
         ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
-        ledger.reveal(-1.0)
-        ledger.promote(-1.0, 5.0)
+        ledger.reveal(0.5)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
         assert [r.promoted_at for r in ledger.records()] == [None, None]
 
@@ -181,26 +181,24 @@ class TestReveal:
         assert pools(ledger) == ([], [b, c], [b, c])
 
     def test_promote_never_reaches_unrevealed_id(self):
-        ledger, a, b = build_chain()
-        ledger.reveal(0.0)
+        # a threshold below the delay: the aged cutoff is the visible one
+        ledger, a, b = build_chain(visibility_delay=5.0, aging_threshold=1.0)
+        ledger.reveal(5.0)
         # promotion stops at the revealed prefix: genesis, approved by no revealed id
-        ledger.promote(math.inf, 5.0)
         assert [r.promoted_at for r in ledger.records()] == [5.0, None, None]
         assert pools(ledger) == ([ledger.genesis], [ledger.genesis], [])
-        ledger.reveal(1.0)
-        ledger.promote(math.inf, 6.0)  # and resumes from its cursor as the prefix grows
+        ledger.reveal(6.0)  # and resumes from its cursor as the prefix grows
         assert [r.promoted_at for r in ledger.records()] == [5.0, 6.0, None]
         assert pools(ledger) == ([ledger.genesis, a], [a], [])
 
     def test_promote_at_or_below_cursor_changes_nothing(self):
-        ledger, a, b = build_chain()
-        ledger.reveal(2.0)
-        ledger.promote(1.0, 5.0)
+        ledger, a, b = build_chain(aging_threshold=4.0)
+        ledger.reveal(5.0)  # reveals all three, and ages genesis and a
         before = pools(ledger), ledger.records()
-        ledger.promote(1.0, 9.0)
-        ledger.promote(0.0, 9.0)
+        ledger.reveal(5.0)
+        ledger.reveal(4.0)
         assert (pools(ledger), ledger.records()) == before
-        ledger.promote(2.0, 9.0)
+        ledger.reveal(9.0)  # reveals nothing, and still ages b
         assert [r.promoted_at for r in ledger.records()] == [5.0, 5.0, 9.0]
         assert pools(ledger) == ([ledger.genesis, a, b], [b], [])
 

@@ -65,7 +65,7 @@ def check_candidates(ledger, now, config, parents, issued, flags, confirmed, pro
         for i in range(aged):
             if i not in confirmed and not flags[i]:
                 promoted.setdefault(i, now)
-    c = build_candidates(ledger, now, config)
+    c = build_candidates(ledger, now)
     assert c == reference_pools(parents, flags, visible, confirmed, promoted)
     # the pools are the ledger's one standing object, and never empty: the
     # newest revealed id is a tip, and a tip is a priority id or a common tip
@@ -101,7 +101,7 @@ def test_indexes_match_brute_force(history, delay, threshold):
         aging_enabled=threshold is not None,
         aging_threshold=threshold or 30.0,
     )
-    ledger = TangleLedger(theta)
+    ledger = TangleLedger(theta, delay, threshold)
     parents, flags, issued = [()], [False], [0.0]
     confirmed: dict[int, float] = {}  # id -> the sweep that confirmed it
     promoted: dict[int, float] = {}  # id -> the query that promoted it
@@ -136,21 +136,25 @@ def test_indexes_match_brute_force(history, delay, threshold):
     "visible, aged, size",
     [(3, 1, 3), (5, 5, 5), (30, 3, 21), (32, 0, 21), (33, 0, 22), (33, 2, 23), (200, 80, 160)],
 )
-@pytest.mark.parametrize("promote_first", [False, True])
-def test_priority_pool_same_whichever_comes_first(visible, aged, size, promote_first):
-    """Promoting the first `aged` ids before or after revealing the rest
-    leaves the same sorted pool: promote inserts in place, reveal appends."""
-    ledger = TangleLedger(10**6)  # nothing confirms
+@pytest.mark.parametrize("age_first", [False, True])
+def test_priority_pool_same_whichever_comes_first(visible, aged, size, age_first):
+    """One arrival that ages the first `aged` ids and reveals the first
+    `visible`, and an arrival that ages them followed by a later one that
+    reveals the rest, leave the same sorted pool: aging inserts in place,
+    revealing appends."""
+    # id i is issued at i below `aged`, and at i + gap from there, so an
+    # arrival at k - 1 + gap reveals the first k ids (genesis at least) and,
+    # with the aging threshold at gap, ages the first `aged`. Genesis, issued
+    # at 0, would age too, so with `aged` = 0 the threshold is past every id.
+    gap = 1000.0
+    ledger = TangleLedger(10**6, 0.0, gap if aged else 2 * gap)  # nothing confirms
     for i in range(1, 200):
-        ledger.add_transaction([i - 1], float(i), priority_flag=i % 3 != 0)
-    # id i is issued at i, so the first k ids are those issued at or before k - 1
-    if promote_first:
-        ledger.reveal(aged - 1)
-        ledger.promote(aged - 1, 0.0)
-        ledger.reveal(visible - 1)
-    else:
-        ledger.reveal(visible - 1)
-        ledger.promote(aged - 1, 0.0)
+        ledger.add_transaction([i - 1], i + (i >= aged) * gap, priority_flag=i % 3 != 0)
+    if age_first:
+        ledger.reveal(aged - 1 + gap)  # reveals the aged ids only (genesis at least)
+        assert ledger.pools.priority == list(range(aged))
+        assert ledger.pools.tips == [max(aged - 1, 0)]
+    ledger.reveal(visible - 1 + gap)
     pool = ledger.pools.priority
     assert type(pool) is list
     assert pool == [i for i in range(visible) if i < aged or i % 3]

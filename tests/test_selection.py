@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -21,11 +20,12 @@ from tanglesim.selection import (
 )
 from tanglesim.selfcheck import BRANCH_TABLE, branch_case_error
 
-AGING = SimConfig(visibility_delay=0.0, aging_enabled=True, aging_threshold=30.0)
-NO_AGING = SimConfig(visibility_delay=0.0, aging_enabled=False)
+# a ledger's (visibility delay, aging threshold), as the engine passes them
+AGING = (0.0, 30.0)
+NO_AGING = (0.0, None)
 
 
-def promoted_at(ledger):
+def promotion_times(ledger):
     """Every id's promotion time, in id order."""
     return [r.promoted_at for r in ledger.records()]
 
@@ -39,11 +39,11 @@ def make_candidates(priority=(), common=(), tips=None):
     )
 
 
-def is_priority(flag, now, config):
+def is_priority(flag, now, aging):
     """Whether a transaction issued at 0 is a priority candidate at `now`."""
-    ledger = TangleLedger(8)
+    ledger = TangleLedger(8, *aging)
     tx = ledger.add_transaction([ledger.genesis], 0.0, priority_flag=flag)
-    return tx in build_candidates(ledger, now, config).priority
+    return tx in build_candidates(ledger, now).priority
 
 
 class TestEffectivePriority:
@@ -69,101 +69,100 @@ class TestEffectivePriority:
 
 class TestBuildCandidates:
     def test_same_object_every_call(self):
-        ledger = TangleLedger(8)
-        config = dataclasses.replace(NO_AGING, visibility_delay=1.0)
+        ledger = TangleLedger(8, 1.0)
         a = ledger.add_transaction([ledger.genesis], 1.0)
-        c = build_candidates(ledger, 1.5, config)  # genesis alone is visible
+        c = build_candidates(ledger, 1.5)  # genesis alone is visible
         ledger.add_transaction([a], 2.0)
-        assert build_candidates(ledger, 3.0, config) is c  # reveals a, then its approver
+        assert build_candidates(ledger, 3.0) is c  # reveals a, then its approver
 
     def test_genesis_only(self):
-        ledger = TangleLedger(8)
-        c = build_candidates(ledger, 0.0, AGING)
+        ledger = TangleLedger(8, *AGING)
+        c = build_candidates(ledger, 0.0)
         assert list(c.priority) == []
         assert c.common == [ledger.genesis]
 
     def test_genesis_alone_before_anything_visible(self):
-        ledger = TangleLedger(8)
-        c = build_candidates(ledger, 0.5, dataclasses.replace(AGING, visibility_delay=1.0))
+        ledger = TangleLedger(8, 1.0, 30.0)
+        c = build_candidates(ledger, 0.5)
         assert c == SelectionCandidates([], [ledger.genesis], [ledger.genesis])
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
         # remain in the priority list
-        ledger = TangleLedger(8)
+        ledger = TangleLedger(8, *NO_AGING)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
-        c = build_candidates(ledger, 10.0, NO_AGING)
+        c = build_candidates(ledger, 10.0)
         assert list(c.priority) == [hp]
         assert c.common == sorted([t1, t2])
 
     def test_confirmed_priority_excluded(self):
-        ledger = TangleLedger(2)
+        ledger = TangleLedger(2, *AGING)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         child = ledger.add_transaction([hp], 2.0)
         ledger.confirmation_sweep(2.0)  # genesis and hp now confirmed
-        c = build_candidates(ledger, 10.0, NO_AGING)
+        c = build_candidates(ledger, 10.0)  # nothing is 30 s old yet
         assert hp not in c.priority
         # aging stamps no confirmed id, only the unconfirmed common child
-        c = build_candidates(ledger, 40.0, AGING)
+        c = build_candidates(ledger, 40.0)
         assert list(c.priority) == [child]
-        assert promoted_at(ledger) == [None, None, 40.0]  # genesis, hp, child
+        assert promotion_times(ledger) == [None, None, 40.0]  # genesis, hp, child
 
     def test_theta_one_confirmed_tip_is_common(self):
         # a tip weighs 1, so only at theta=1 can a sweep confirm a tip; every
         # id below is old enough for aging to promote it
-        ledger = TangleLedger(1)
+        ledger = TangleLedger(1, *AGING)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
-        c = build_candidates(ledger, 40.0, AGING)
+        c = build_candidates(ledger, 40.0)
         assert hp in c.priority and hp not in c.common  # ripe, not yet swept
         # aging stamps the unconfirmed genesis, but never the flagged hp
-        assert promoted_at(ledger) == [40.0, None]  # genesis, hp
+        assert promotion_times(ledger) == [40.0, None]  # genesis, hp
         ledger.confirmation_sweep(1.0)
         fresh = ledger.add_transaction([ledger.genesis], 2.0)  # unswept
-        c = build_candidates(ledger, 40.0, AGING)
-        assert promoted_at(ledger) == [40.0, None, 40.0]  # genesis, hp, fresh
+        c = build_candidates(ledger, 40.0)
+        assert promotion_times(ledger) == [40.0, None, 40.0]  # genesis, hp, fresh
         assert hp in c.common and hp not in c.priority
         # the promoted tip leaves the common tips
         assert fresh in c.tips and fresh in c.priority and fresh not in c.common
         ledger.confirmation_sweep(2.0)
-        c = build_candidates(ledger, 40.0, AGING)
+        c = build_candidates(ledger, 40.0)
         # and comes back once it confirms
         assert fresh in c.common and fresh not in c.priority
         ledger.add_transaction([hp], 3.0)  # approving the confirmed tip drops it
-        c = build_candidates(ledger, 40.0, AGING)
+        c = build_candidates(ledger, 40.0)
         assert hp not in c.tips and hp not in c.common
         assert fresh in c.common
 
     def test_partition_disjoint_and_sorted(self):
-        ledger = TangleLedger(8)
+        ledger = TangleLedger(8, *NO_AGING)
         for i in range(6):
             ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
-        c = build_candidates(ledger, 10.0, NO_AGING)
+        c = build_candidates(ledger, 10.0)
         assert not set(c.priority) & set(c.common)
         assert list(c.priority) == sorted(c.priority)
         assert c.common == sorted(c.common)
 
     def test_aging_promotes_old_common(self):
-        ledger = TangleLedger(8)
+        ledger = TangleLedger(8, *AGING)
         old = ledger.add_transaction([ledger.genesis], 1.0)
         young = ledger.add_transaction([old], 20.0)
-        c = build_candidates(ledger, 40.0, AGING)
+        c = build_candidates(ledger, 40.0)
         assert old in c.priority  # age 39 >= 30
         assert young not in c.priority  # age 20
         # genesis is also old and unconfirmed, hence promoted too
         assert ledger.genesis in c.priority
-        ledger.promote(-1.0, 45.0)  # an earlier cutoff promotes nothing
-        ledger.promote(1.0, 46.0)  # nor does it rewind the cursor
-        assert promoted_at(ledger) == [40.0, 40.0, None]  # genesis, old, young
-        c = build_candidates(ledger, 50.0, AGING)
+        ledger.reveal(29.0)  # an earlier aged cutoff, -1, promotes nothing
+        ledger.reveal(31.0)  # nor does one of 1 rewind the cursor
+        assert promotion_times(ledger) == [40.0, 40.0, None]  # genesis, old, young
+        c = build_candidates(ledger, 50.0)
         assert young in c.priority  # age 30
-        assert promoted_at(ledger) == [40.0, 40.0, 50.0]
+        assert promotion_times(ledger) == [40.0, 40.0, 50.0]
 
     def test_visibility_delay_hides_recent(self):
-        ledger = TangleLedger(8)
+        ledger = TangleLedger(8, 1.0)
         recent = ledger.add_transaction([ledger.genesis], 5.0)
-        c = build_candidates(ledger, 5.5, dataclasses.replace(NO_AGING, visibility_delay=1.0))
+        c = build_candidates(ledger, 5.5)
         # genesis is the one visible id, and its approver is not visible, so
         # genesis is the one visible tip and no visible id is a non-tip
         assert c.tips == c.common == [ledger.genesis]
