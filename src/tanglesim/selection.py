@@ -47,11 +47,6 @@ def build_candidates(ledger: TangleLedger, now: float) -> SelectionCandidates:
     return ledger.pools
 
 
-def _with_fallback(lone: int) -> list[int]:
-    """A lone tip and the newest non-tip, the id before it; or genesis alone."""
-    return [lone, lone - 1] if lone else [lone]
-
-
 def _index(n: int, rng: random.Random) -> int:
     """A uniform index below n > 0: CPython's `_randbelow_with_getrandbits`,
     which `choice` and `sample` draw with."""
@@ -79,9 +74,12 @@ def _two(pool: list[int], rng: random.Random) -> list[int]:
 
 
 def _two_tips_or_fallback(pool: list[int], rng: random.Random) -> list[int]:
+    """Two distinct entries of the pool; from a lone entry, it and the newest
+    non-tip, the id before it, with no draw; or genesis alone."""
     if len(pool) >= 2:
         return _two(pool, rng)
-    return _with_fallback(pool[0])
+    lone = pool[0]
+    return [lone, lone - 1] if lone else [lone]
 
 
 def select_uniform(
@@ -102,24 +100,16 @@ def select_ptsa(
     p = 0: two common tips uniformly at random.
     p = 1: the priority transaction plus one common tip.
     p >= 2: two priority transactions plus one common tip.
-    When a required pool is empty the arity shrinks, down to the lone-tip
-    fallback of the baseline.
+    With no common tip the common slot goes, and a lone priority id takes
+    the baseline's lone-tip fallback.
     """
     priority, common = candidates.priority, candidates.common
     p = len(priority)
     if p == 0:
-        parents = _two_tips_or_fallback(common, rng)
-        return SelectionResult(parents, BRANCH_P0)
-
-    if p == 1:
-        parents = [priority[0]]
-        branch = BRANCH_P1
-    else:
-        parents = _two(priority, rng)
-        branch = BRANCH_P2
-
+        return SelectionResult(_two_tips_or_fallback(common, rng), BRANCH_P0)
     if common:
+        parents = [priority[0]] if p == 1 else _two(priority, rng)
         parents.append(common[_index(len(common), rng)])
-    elif len(parents) == 1:  # no common tip: the one priority id is the lone tip
-        parents = _with_fallback(parents[0])
-    return SelectionResult(parents, branch)
+    else:
+        parents = _two_tips_or_fallback(priority, rng)
+    return SelectionResult(parents, BRANCH_P1 if p == 1 else BRANCH_P2)

@@ -12,7 +12,7 @@ import random
 
 from tanglesim.ledger import SelectionCandidates, TangleLedger
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips, random_dag
-from tanglesim.selection import BRANCH_P0, BRANCH_P1, BRANCH_P2, select_ptsa
+from tanglesim.selection import select_ptsa
 
 ORACLE_TRIALS = 100
 ORACLE_MAX_SIZE = 200
@@ -64,26 +64,24 @@ BRANCH_TABLE = tuple((p, c) for p in (0, 1, 2, 5) for c in (0, 1, 2, 10) if p or
 
 def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
     """What `select_ptsa` gets wrong with p priority candidates (ids 100..)
-    and n_common common tips (ids 200..), or None if the branch, arity,
-    priority and common-tip inclusion and distinctness all hold."""
+    and n_common common tips (ids 200..), or None. The parents fix the branch
+    by pool membership: min(p, 2) priority ids, one common tip when p >= 1
+    has one to take, all distinct, and three of them only when p >= 2 does."""
     common = list(range(200, 200 + n_common))
     candidates = SelectionCandidates(
         priority=list(range(100, 100 + p)),
         common=common,
         tips=common,
     )
-    result = select_ptsa(candidates, rng)
-    parents = result.parents
-    expect_branch = {0: BRANCH_P0, 1: BRANCH_P1}.get(p, BRANCH_P2)
+    parents = select_ptsa(candidates, rng).parents
     expect_arity = 3 if p >= 2 and n_common >= 1 else 2
     if (
-        result.branch != expect_branch
-        or len(parents) != expect_arity
+        len(parents) != expect_arity
         or len(set(parents)) != len(parents)
         or sum(1 for x in parents if x in candidates.priority) != min(p, 2)
         or (p >= 1 and n_common >= 1 and sum(1 for x in parents if x in common) != 1)
     ):
-        return f"got branch={result.branch} parents={parents}"
+        return f"got parents={parents}"
     return None
 
 

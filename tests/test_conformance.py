@@ -11,9 +11,11 @@ the DAG as it was h seconds ago, after adaptation:
 Under PTSA with aging off, the visible unconfirmed priority ids form a
 processor-sharing queue: jobs arrive at ρλ, each needs θ − 1 direct
 approvals, and arrivals serve one job at λ or two or more at 2λ in total.
-With x = ρ(θ − 1), y = x/2 and π₀ = 1/(1 + x/(1 − y)), stable iff y < 1,
-the priority class's mean latency is h + π₀·x/((1 − y)²·ρλ), and the share
-of arrivals that find the queue busy, and so take a p ≥ 1 branch, is 1 − π₀.
+With x = ρ(θ − 1), y = x/2 and π₀ = 1/(1 + x/(1 − y)), the model is stable
+iff y < 1; the priority class's mean latency is h + π₀·x/((1 − y)²·ρλ), and
+the share of arrivals that find the queue busy, and so take a p ≥ 1 branch,
+is 1 − π₀. The bound y < 1 is the model's: it counts direct approvals only,
+and the simulated class stays stationary well past it.
 """
 
 import math
@@ -163,3 +165,35 @@ def test_ptsa_priority_latency_is_processor_sharing(rho, theta):
     # 0.0188 at θ = 8
     tolerance = 3 * q_sd / math.sqrt(len(PS_SEEDS))
     assert abs(sum(shares) / len(shares) - model_q) <= tolerance, (model_q, tolerance)
+
+
+def test_ptsa_priority_class_stays_stationary_past_the_model_bound():
+    # (ρ, θ) = (0.5, 8): y = 1.75, where the model's backlog would grow by
+    # ρλ − 2λ/(θ − 1) ≈ 2.14 ids/s, some 340 ids between the two windows
+    early, late = (20.0, 90.0), (180.0, 250.0)
+    rises = []
+    for seed in range(8):
+        config = SimConfig(
+            arrival_rate=RATE,
+            priority_fraction=0.5,
+            horizon=300.0,
+            visibility_delay=1.0,
+            theta=8,
+            strategy="ptsa",
+            aging_enabled=False,
+            seed=seed,
+        )
+        issued, flags, _, confirmed_at = run_simulation(config).ledger.columns()
+        window = [i for i, t in enumerate(issued) if flags[i] and early[0] <= t <= late[1]]
+        assert all(i in confirmed_at for i in window)
+
+        def mean_latency(low, high):
+            ids = [i for i in window if low <= issued[i] <= high]
+            return sum(confirmed_at[i] - issued[i] for i in ids) / len(ids)
+
+        rises.append(mean_latency(*late) - mean_latency(*early))
+    # measured: 4.80 s early, 5.02 s late, per-seed rises −0.35 to +0.71 s
+    # (mean 0.22, standard error 0.12); 1 s is about 6 standard errors above
+    # that mean, and a backlog growing as the model says would add tens of
+    # seconds of latency between the windows
+    assert sum(rises) / len(rises) < 1.0, rises

@@ -195,6 +195,31 @@ class TestDraw:
                 assert pool[_index(n, ours)] == theirs.choice(pool), n
             assert ours.getstate() == theirs.getstate(), n
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strategies_draw_as_sample_and_choice(self, seed):
+        # each branch against a twin `Random` making the named calls, on pool
+        # sizes either side of `sample`'s switch at 21 entries
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (2, 3, 21, 22, 100, 1300):
+            common = list(range(5000, 5000 + 3 * n, 3))
+            priority = list(range(100, 100 + 2 * n, 2))
+            draws = [
+                (select_ptsa(make_candidates(common=common), ours), theirs.sample(common, 2)),
+                (select_ptsa(make_candidates([7], common), ours), [7, theirs.choice(common)]),
+                (select_ptsa(make_candidates(priority, common), ours),
+                 theirs.sample(priority, 2) + [theirs.choice(common)]),
+                (select_ptsa(make_candidates(priority), ours), theirs.sample(priority, 2)),
+                (select_uniform(make_candidates(common=common), ours), theirs.sample(common, 2)),
+            ]
+            for result, expected in draws:
+                assert result.parents == expected, n
+            assert ours.getstate() == theirs.getstate(), n
+        # the lone-tip fallback draws nothing
+        for lone in (make_candidates(common=[5]), make_candidates([7], tips=[7])):
+            select_ptsa(lone, ours)
+            select_uniform(lone, ours)
+        assert ours.getstate() == theirs.getstate()
+
 
 class TestSelectUniform:
     def test_two_tips_forced_pair(self):
