@@ -211,16 +211,18 @@ def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:
         out.append((t, flag))
 
 
-def run_simulation(config: SimConfig) -> SimTrace:
-    """Deterministic simulation run: a pure function of the configuration."""
+def run_simulation(config: SimConfig, arrivals: list[tuple[float, bool]] | None = None) -> SimTrace:
+    """Deterministic simulation run: a pure function of the configuration.
+    `arrivals`, if given, must equal `generate_workload(config)`; the run
+    reads it and never mutates it, so runs of one workload can share it."""
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
     ledger = TangleLedger(config.theta, config.visibility_delay,
                           config.aging_threshold if config.aging_enabled else None)
     insert, sweep = ledger.add_transaction, ledger.confirmation_sweep
-    # iterate the call itself: the arrival list is freed when the loop ends
-    for now, flag in generate_workload(config):
+    # with no list handed in, iterate the call itself: its list is freed when the loop ends
+    for now, flag in generate_workload(config) if arrivals is None else arrivals:
         insert(select(build_candidates(ledger, now), attach_rng).parents, now, flag)
         sweep(now)
     return SimTrace(config, ledger)
@@ -230,8 +232,10 @@ def paired_runs(config: SimConfig) -> tuple[SimTrace, SimTrace]:
     """Run the identical workload under both strategies.
 
     Returns (uniform trace, ptsa trace); the two differ only in attachment
-    choices because the arrival stream is derived from its own sub-seed.
+    choices. The strategy is not part of the arrival stream's sub-seed, so
+    the workload is drawn once and both runs read the same list.
     """
-    uniform_trace = run_simulation(dataclasses.replace(config, strategy="uniform"))
-    ptsa_trace = run_simulation(dataclasses.replace(config, strategy="ptsa"))
+    arrivals = generate_workload(config)
+    uniform_trace = run_simulation(dataclasses.replace(config, strategy="uniform"), arrivals)
+    ptsa_trace = run_simulation(dataclasses.replace(config, strategy="ptsa"), arrivals)
     return uniform_trace, ptsa_trace

@@ -33,7 +33,8 @@ the id before it is the newest non-tip. Confirmation is read as of now, not as
 of the cutoff. With aging on, `reveal` then promotes: it bisects from a second
 cursor to the prefix of `now - max(h, threshold)`, which lies within the
 revealed one, and stamps each id it passes that is unconfirmed and unflagged
-with `now`. A promotion inserts an id into the priority list and takes it out
+with `now`; one comparison skips that when the id at the cursor is unrevealed
+or younger. A promotion inserts an id into the priority list and takes it out
 of the common tips; a confirmation takes a revealed priority id out of the
 priority list and inserts it into the common tips if it is a tip.
 
@@ -158,7 +159,11 @@ class TangleLedger:
         if not 1 <= len(parents) <= MAX_PARENTS:
             raise ParentArity(f"got {len(parents)} parents, need 1..{MAX_PARENTS}")
         new_id = len(self._parents)
-        distinct = tuple(sorted(set(parents)))
+        if len(parents) == 2:  # the common arity: one comparison sorts and de-duplicates
+            a, b = parents
+            distinct = (a, b) if a < b else (b, a) if b < a else (a,)
+        else:
+            distinct = tuple(sorted(set(parents)))
         low, high = distinct[0], distinct[-1]  # they bound every parent
         if low < 0 or high >= new_id:
             raise UnknownParent(f"parent {low if low < 0 else high} does not exist")
@@ -244,12 +249,15 @@ class TangleLedger:
             self._visible = visible
         if self._aging is None:
             return
-        # the aged cutoff is at or below the visible one, so aged <= visible
-        aged = bisect_right(self._issued, now - self._aging, self._aged)
-        if aged == self._aged:  # most calls promote none
+        # aged <= visible, as the aged cutoff is at or below the visible one.
+        # Most calls promote none: one comparison tells, reading no unrevealed id
+        start, issued, cutoff = self._aged, self._issued, now - self._aging
+        if start == self._visible or issued[start] > cutoff:
             return
-        for i in range(self._aged, aged):
-            if self._stamp[i] != _CONFIRMED and not self._flag[i]:
+        aged = bisect_right(issued, cutoff, start)
+        stamp, flag = self._stamp, self._flag
+        for i in range(start, aged):
+            if stamp[i] != _CONFIRMED and not flag[i]:
                 self._promoted_at[i] = now
                 insort(pools.priority, i)
                 if not self._approved[i]:

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import tanglesim.engine as engine
 from tanglesim.engine import (
     _FIELDS,
     MAX_WALK_STEPS,
@@ -20,6 +21,7 @@ from tanglesim.engine import (
     run_simulation,
 )
 from tanglesim.ledger import CLASS_COMMON
+from tanglesim.metrics import export_csv
 from tanglesim.oracle import brute_force_tips, reference_run
 from test_golden import tip_pool_series
 
@@ -391,6 +393,34 @@ class TestPairedRuns:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigInvalid):
             paired_runs(dataclasses.replace(SMALL, priority_fraction=2.0))
+
+    def test_workload_drawn_once_per_pair(self, monkeypatch):
+        # counted at the module global that paired_runs looks up, where a
+        # tracer would wrap it
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return generate_workload(config)
+
+        monkeypatch.setattr(engine, "generate_workload", counted)
+        paired_runs(BACKLOG)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_handed_in_arrivals_give_the_same_run(self, strategy, tmp_path):
+        config = dataclasses.replace(BACKLOG, strategy=strategy)
+        arrivals = generate_workload(config)
+        before = list(arrivals)
+        shared, own = run_simulation(config, arrivals), run_simulation(config)
+        assert arrivals == before  # read, not mutated
+        assert shared.ledger.columns() == own.ledger.columns()
+        assert shared.ledger.weights() == own.ledger.weights()
+        assert shared.records == own.records
+        a, b = tmp_path / "shared.csv", tmp_path / "own.csv"
+        export_csv(shared, a)
+        export_csv(own, b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestMetamorphic:

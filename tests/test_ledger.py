@@ -96,6 +96,27 @@ class TestAddTransaction:
         with pytest.raises(UnknownParent):
             ledger.add_transaction([99], 1.0)
 
+    @pytest.mark.parametrize("order", [[1, 2], [2, 1], (2, 1)])
+    def test_two_parents_stored_sorted(self, order):
+        # two parents take a path of their own: one comparison, no set or sort
+        ledger = TangleLedger(8)
+        a = ledger.add_transaction([ledger.genesis], 1.0)
+        b = ledger.add_transaction([ledger.genesis], 2.0)
+        c = ledger.add_transaction(order, 3.0)
+        assert parents_of(ledger)[c] == (a, b) == (1, 2)
+        assert ledger.weights() == [4, 2, 2, 1]
+        assert tips(ledger) == [c]
+
+    @pytest.mark.parametrize("bad", [-1, 2])  # 2 is the id the insertion would take
+    def test_unknown_one_of_two_parents(self, bad):
+        ledger = TangleLedger(8)
+        a = ledger.add_transaction([ledger.genesis], 1.0)
+        for order in ([a, bad], [bad, a]):
+            with pytest.raises(UnknownParent):
+                ledger.add_transaction(order, 2.0)
+        assert len(ledger) == 2
+        assert ledger.weights() == [2, 1]
+
     @pytest.mark.parametrize("count", [0, 9])
     def test_parent_arity(self, count):
         ledger = TangleLedger(8)
@@ -201,6 +222,16 @@ class TestReveal:
         ledger.reveal(9.0)  # reveals nothing, and still ages b
         assert [r.promoted_at for r in ledger.records()] == [5.0, 5.0, 9.0]
         assert pools(ledger) == ([ledger.genesis, a, b], [b], [])
+
+    def test_aging_cursor_at_the_end_changes_nothing(self):
+        # every id visible and aged: aging's cursor stands at the visible one,
+        # past the last issue time, and must not read beyond it
+        ledger, a, b = build_chain(visibility_delay=1.0, aging_threshold=2.0)
+        ledger.reveal(math.inf)
+        before = pools(ledger), ledger.records()
+        assert before[0] == ([ledger.genesis, a, b], [b], [])
+        ledger.reveal(math.inf)
+        assert (pools(ledger), ledger.records()) == before
 
 
 class TestColumns:
