@@ -1,9 +1,10 @@
 """Append-only DAG ledger with incremental cumulative-weight maintenance.
 
 Transaction ids are insertion ordinals starting at 0 (the genesis), so id
-order equals issue-time order. Each transaction's state is stored once, in
-per-field lists indexed by id. `TangleLedger.columns` hands out the lists a
-run's outputs read, and `TangleLedger.records` reads it all out as
+order equals issue-time order. Each transaction's state is stored once: in
+per-id lists, plus two id -> time dicts for the confirmation and promotion
+times that not every id has. The outputs read the columns `issued`, `flags`,
+`parents` and `confirmed_at` by name; `records` reads it all out as
 `TxRecord`s, the one type that describes a transaction's lifecycle.
 
 A transaction confirms once its cumulative weight reaches the threshold θ,
@@ -19,24 +20,27 @@ Since ids are issued in time order, a time cutoff is an id prefix. The ledger
 takes the visibility delay h and the aging threshold at construction too, and
 an arrival at `now` sees the DAG as it was at `now - h`: `reveal(now)` bisects
 the issue times from its cursor to that cutoff's prefix, which only grows, and
-genesis is revealed at construction. The candidate pools are `ledger.pools`,
-one `SelectionCandidates` that the ledger builds once and keeps current for
-its whole life. Its three id-sorted lists hold revealed ids only: the priority
-ids (unconfirmed, and flagged or promoted), the tips (approved by no revealed
-id) and the common tips (the tips that are not priority ids), so every pool is
-one of them, used whole and never copied; a reader sees the lists change at
-the ledger's next mutation. A newly revealed id joins the lists it belongs to,
-marks each parent it is the first to approve as approved, and takes it out of
-the tips by bisection. The newest revealed id is a tip, since what approves it
-is newer and not yet revealed; so a lone tip is the newest revealed id, and
-the id before it is the newest non-tip. Confirmation is read as of now, not as
-of the cutoff. With aging on, `reveal` then promotes: it bisects from a second
-cursor to the prefix of `now - max(h, threshold)`, which lies within the
-revealed one, and stamps each id it passes that is unconfirmed and unflagged
-with `now`; one comparison skips that when the id at the cursor is unrevealed
-or younger. A promotion inserts an id into the priority list and takes it out
-of the common tips; a confirmation takes a revealed priority id out of the
-priority list and inserts it into the common tips if it is a tip.
+genesis is revealed at construction. With aging on, `reveal` then promotes: it
+bisects from a second cursor, the aged one, to the prefix of
+`now - max(h, threshold)`, which lies within the revealed one, and records each
+id it passes that is unconfirmed and unflagged as promoted at `now`; one
+comparison skips that when the id at the cursor is unrevealed or younger.
+
+The pool rule: the priority ids are the revealed, unconfirmed ids that are
+flagged or below the aged cursor; a tip is a revealed id that no revealed id
+approves; the common tips are the tips that are not priority ids. The
+candidate pools are `ledger.pools`, one `SelectionCandidates` that the ledger
+builds once and keeps current for its whole life. Its three id-sorted lists
+hold those three sets, so every pool is one of them, used whole and never
+copied; a reader sees the lists change at the ledger's next mutation. A newly
+revealed id joins the lists it belongs to, marks each parent it is the first
+to approve as approved, and takes it out of the tips by bisection. The newest
+revealed id is a tip, since what approves it is newer and not yet revealed; so
+a lone tip is the newest revealed id, and the id before it is the newest
+non-tip. Confirmation is read as of now, not as of the cutoff. A promotion
+inserts an id into the priority list and takes it out of the common tips; a
+confirmation takes a revealed priority id out of the priority list and inserts
+it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -85,13 +89,9 @@ _CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # indexed by the flag
 
 @dataclass(slots=True)
 class SelectionCandidates:
-    """The selectable transactions, partitioned by effective priority.
-
-    `priority` holds unconfirmed effective-priority transactions, flagged or
-    promoted by aging (not necessarily tips: they stay selectable until
-    confirmed). `common` holds the remaining selectable tips, and `tips` all
-    of them regardless of class, so strategies need no ledger access.
-    """
+    """The selectable transactions, as the module docstring's pool rule
+    defines them, so strategies need no ledger access: the priority ids
+    (selectable until confirmed, tips or not), the common tips and all tips."""
 
     priority: list[int]
     common: list[int]
@@ -119,17 +119,16 @@ class TangleLedger:
                  aging_threshold: float | None = None) -> None:
         # genesis: no parents, issued at time 0, common class
         self.genesis = 0
-        self._parents: list[tuple[int, ...]] = [()]
-        self._issued: list[float] = [0.0]
-        self._flag: list[bool] = [False]
+        self.parents: list[tuple[int, ...]] = [()]
+        self.issued: list[float] = [0.0]
+        self.flags: list[bool] = [False]
         self._approved: list[bool] = [False]  # approved by a revealed id
         # cumulative weight per id, kept exact until the id confirms
         self._weight: list[int] = [1]
         # the last insertion walk to reach each id, or _CONFIRMED
         self._stamp: list[int] = [0]
-        self._promoted_at: list[float | None] = [None]  # None unless aging promoted it
         self._visible = 1  # reveal's cursor: it has passed every id below
-        self._aged = 0  # aging's cursor, never past the one above
+        self._aged = 0  # aging's cursor, never past the one above: see the pool rule
         self._delay = visibility_delay
         # the age at which a visible id ages, or None with aging off
         self._aging = None if aging_threshold is None else max(visibility_delay, aging_threshold)
@@ -139,12 +138,13 @@ class TangleLedger:
         # reached it since the last sweep
         self._theta = theta
         self._ripe: list[int] = [0] if theta == 1 else []
-        # confirmed id -> confirmation time
-        self._confirmed_at: dict[int, float] = {}
-        self.confirmed_set = self._confirmed_at.keys()
+        # confirmed id -> confirmation time, and promoted id -> promotion time
+        self.confirmed_at: dict[int, float] = {}
+        self._promoted_at: dict[int, float] = {}
+        self.confirmed_set = self.confirmed_at.keys()  # read by tsbench/traced_cli.py
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self.parents)
 
     # -- mutation ---------------------------------------------------------
 
@@ -158,7 +158,7 @@ class TangleLedger:
         """
         if not 1 <= len(parents) <= MAX_PARENTS:
             raise ParentArity(f"got {len(parents)} parents, need 1..{MAX_PARENTS}")
-        new_id = len(self._parents)
+        new_id = len(self.parents)
         if len(parents) == 2:  # the common arity: one comparison sorts and de-duplicates
             a, b = parents
             distinct = (a, b) if a < b else (b, a) if b < a else (a,)
@@ -169,24 +169,23 @@ class TangleLedger:
             raise UnknownParent(f"parent {low if low < 0 else high} does not exist")
         if not math.isfinite(issued_at):
             raise TimeRegression(f"issued_at {issued_at} is not finite")
-        last = self._issued[-1]
+        last = self.issued[-1]
         if issued_at < last:
             raise TimeRegression(
                 f"issued_at {issued_at} precedes stored time {last}"
             )
 
-        self._parents.append(distinct)
-        self._issued.append(issued_at)
-        self._flag.append(priority_flag)
+        self.parents.append(distinct)
+        self.issued.append(issued_at)
+        self.flags.append(priority_flag)
         self._approved.append(False)
         self._weight.append(0)
         self._stamp.append(new_id)
-        self._promoted_at.append(None)
         # the new id and every distinct unconfirmed ancestor gain one, in a
         # walk that starts at the new id; confirmed ancestors have only
         # confirmed ancestors, so the walk stops there
         theta, ripe, stamp = self._theta, self._ripe, self._stamp
-        parents, weight = self._parents, self._weight
+        parents, weight = self.parents, self._weight
         walk = [new_id]
         for i in walk:  # the walk appends to the list it iterates
             w = weight[i] = weight[i] + 1
@@ -207,14 +206,13 @@ class TangleLedger:
             return set()
         newly = set(self._ripe)
         self._ripe = []
-        priority, visible = self.pools.priority, self._visible
-        confirmed_at, stamp = self._confirmed_at, self._stamp
-        flag, promoted_at = self._flag, self._promoted_at
+        priority, visible, aged = self.pools.priority, self._visible, self._aged
+        confirmed_at, stamp, flag = self.confirmed_at, self._stamp, self.flags
         for i in newly:
             confirmed_at[i] = now
             stamp[i] = _CONFIRMED
-            # a revealed priority id: flagged or promoted
-            if i < visible and (flag[i] or promoted_at[i] is not None):
+            # a revealed priority id: aged (so promoted unless flagged), or flagged
+            if i < aged or i < visible and flag[i]:
                 del priority[bisect_left(priority, i)]
                 if not self._approved[i]:  # a confirmed tip is common
                     insort(self.pools.common, i)
@@ -228,11 +226,11 @@ class TangleLedger:
         reached by an earlier call, if it is unconfirmed and unflagged, as
         promoted at `now`, which makes it a priority id until it confirms.
         An earlier `now` changes nothing."""
-        visible = bisect_right(self._issued, now - self._delay, self._visible)
+        visible = bisect_right(self.issued, now - self._delay, self._visible)
         pools = self.pools
         if visible != self._visible:
-            approved, stamp, flag, parents = self._approved, self._stamp, self._flag, self._parents
-            promoted_at, tips, common = self._promoted_at, pools.tips, pools.common
+            approved, stamp, flag, parents = self._approved, self._stamp, self.flags, self.parents
+            aged, tips, common = self._aged, pools.tips, pools.common
             for j in range(self._visible, visible):
                 tips.append(j)
                 if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
@@ -243,19 +241,19 @@ class TangleLedger:
                     if not approved[p]:
                         approved[p] = True
                         del tips[bisect_left(tips, p)]
-                        # a common tip: confirmed, or neither flagged nor promoted
-                        if stamp[p] == _CONFIRMED or not (flag[p] or promoted_at[p] is not None):
+                        # a common tip: confirmed, or neither flagged nor aged
+                        if stamp[p] == _CONFIRMED or not (flag[p] or p < aged):
                             del common[bisect_left(common, p)]
             self._visible = visible
         if self._aging is None:
             return
         # aged <= visible, as the aged cutoff is at or below the visible one.
         # Most calls promote none: one comparison tells, reading no unrevealed id
-        start, issued, cutoff = self._aged, self._issued, now - self._aging
+        start, issued, cutoff = self._aged, self.issued, now - self._aging
         if start == self._visible or issued[start] > cutoff:
             return
         aged = bisect_right(issued, cutoff, start)
-        stamp, flag = self._stamp, self._flag
+        stamp, flag = self._stamp, self.flags
         for i in range(start, aged):
             if stamp[i] != _CONFIRMED and not flag[i]:
                 self._promoted_at[i] = now
@@ -269,19 +267,11 @@ class TangleLedger:
     def records(self) -> list[TxRecord]:
         """A snapshot of every transaction's stored state, in id order
         (genesis first, so `records()[i].id == i`)."""
-        ids = range(len(self._parents))
+        ids = range(len(self.parents))
         return list(map(
-            TxRecord, ids, map(_CLASSES.__getitem__, self._flag), self._issued,
-            self._parents, map(self._confirmed_at.get, ids), self._promoted_at,
+            TxRecord, ids, map(_CLASSES.__getitem__, self.flags), self.issued,
+            self.parents, map(self.confirmed_at.get, ids), map(self._promoted_at.get, ids),
         ))
-
-    def columns(
-        self,
-    ) -> tuple[list[float], list[bool], list[tuple[int, ...]], dict[int, float]]:
-        """Every id's issue time, priority flag and distinct sorted parents, in
-        id order (genesis first), and the confirmation time of each confirmed
-        id. The ledger's own lists, valid until the next mutation."""
-        return self._issued, self._flag, self._parents, self._confirmed_at
 
     def weights(self) -> list[int]:
         """The stored cumulative weight of every id, in id order: 1 + the

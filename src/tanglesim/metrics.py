@@ -72,8 +72,8 @@ def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
     """Confirmation statistics over one class, CLASS_PRIORITY or
     CLASS_COMMON; unconfirmed transactions are censored out of the latency
     quantiles."""
-    issued_at, flags, _, confirmed_at = trace.ledger.columns()
-    flag = tx_class == CLASS_PRIORITY
+    ledger, flag = trace.ledger, tx_class == CLASS_PRIORITY
+    issued_at, flags, confirmed_at = ledger.issued, ledger.flags, ledger.confirmed_at
     latencies = sorted(
         t - issued_at[i] for i, t in confirmed_at.items() if i and flags[i] == flag
     )
@@ -95,9 +95,8 @@ def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
 
 def compare(uniform_trace: SimTrace, ptsa_trace: SimTrace) -> ComparisonReport:
     """Build the strategy comparison from one paired run."""
-    u_issued_at, u_flags, _, _ = uniform_trace.ledger.columns()
-    p_issued_at, p_flags, _, _ = ptsa_trace.ledger.columns()
-    if u_issued_at != p_issued_at or u_flags != p_flags:
+    u, p = uniform_trace.ledger, ptsa_trace.ledger
+    if u.issued != p.issued or u.flags != p.flags:
         raise WorkloadMismatch("traces carry different arrival sequences")
 
     uniform = {c: class_stats(uniform_trace, c) for c in (CLASS_PRIORITY, CLASS_COMMON)}
@@ -144,7 +143,9 @@ def aggregate(config: SimConfig, reports: list[ComparisonReport]) -> dict:
 
 def _csv_rows(trace: SimTrace):
     """The rows of `trace.csv` after its header, one per arrival in id order."""
-    issued_at, flags, parents, confirmed_at = trace.ledger.columns()
+    ledger = trace.ledger
+    issued_at, flags, parents, confirmed_at = (
+        ledger.issued, ledger.flags, ledger.parents, ledger.confirmed_at)
     for i in range(1, len(issued_at)):
         t, c = issued_at[i], confirmed_at.get(i)
         times = f"{t:.6f},," if c is None else f"{t:.6f},{c:.6f},{c - t:.6f}"

@@ -242,6 +242,12 @@ class TestGenConfig:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text() == reference_config_text() == REFERENCE_YAML
 
+    def test_readme_config_reference_is_gen_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config reference", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert block == reference_config_text()
+
     def test_unwritable_destination(self, tmp_path):
         code = main(["gen-config", "--out", str(tmp_path / "missing" / "ref.yaml")])
         assert code == EXIT_IO

@@ -63,7 +63,7 @@ MEAN_TOLERANCE = 0.05  # relative, on the mean of the five seeds' ratios
 @pytest.fixture(scope="module", params=POINTS, ids=lambda p: f"lambda{p[0]:g}-h{p[1]:g}")
 def steady_runs(request):
     rate, delay = request.param
-    runs = [
+    ledgers = [
         run_simulation(SimConfig(
             arrival_rate=rate,
             priority_fraction=0.0,
@@ -72,9 +72,10 @@ def steady_runs(request):
             theta=2,
             strategy="uniform",
             seed=seed,
-        )).ledger.columns()
+        )).ledger
         for seed in SEEDS
     ]
+    runs = [(ledger.issued, ledger.flags, ledger.parents, ledger.confirmed_at) for ledger in ledgers]
     return rate, delay, runs
 
 
@@ -145,7 +146,9 @@ def test_ptsa_priority_latency_is_processor_sharing(rho, theta):
             aging_enabled=False,
             seed=seed,
         )
-        issued, flags, parents, confirmed_at = run_simulation(config).ledger.columns()
+        ledger = run_simulation(config).ledger
+        issued, flags, parents, confirmed_at = (
+            ledger.issued, ledger.flags, ledger.parents, ledger.confirmed_at)
         window = [i for i, t in enumerate(issued) if flags[i] and low <= t <= high]
         assert all(i in confirmed_at for i in window)
         latencies += [confirmed_at[i] - issued[i] for i in window]
@@ -183,7 +186,8 @@ def test_ptsa_priority_class_stays_stationary_past_the_model_bound():
             aging_enabled=False,
             seed=seed,
         )
-        issued, flags, _, confirmed_at = run_simulation(config).ledger.columns()
+        ledger = run_simulation(config).ledger
+        issued, flags, confirmed_at = ledger.issued, ledger.flags, ledger.confirmed_at
         window = [i for i, t in enumerate(issued) if flags[i] and early[0] <= t <= late[1]]
         assert all(i in confirmed_at for i in window)
 

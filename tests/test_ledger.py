@@ -239,7 +239,8 @@ class TestColumns:
         ledger, a, b = build_chain(theta=3)
         ledger.add_transaction([b], 3.0, priority_flag=True)
         ledger.confirmation_sweep(3.0)  # genesis and a
-        issued_at, flags, parents, confirmed_at = ledger.columns()
+        issued_at, flags, parents, confirmed_at = (
+            ledger.issued, ledger.flags, ledger.parents, ledger.confirmed_at)
         assert [
             (r.issued_at, r.tx_class == "priority", r.parents, r.confirmed_at)
             for r in ledger.records()
