@@ -64,7 +64,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for offset in range(args.seeds):
         run_config = dataclasses.replace(config, seed=config.seed + offset)
         report = compare(*paired_runs(run_config))
-        export_json(report.to_dict(), out / f"compare_seed{run_config.seed}.json")
+        export_json(report, out / f"compare_seed{run_config.seed}.json")
         reports.append(report)
     export_json(aggregate(config, reports), out / "aggregate.json")
     return EXIT_OK

@@ -1,77 +1,31 @@
-"""Per-class confirmation statistics and trace/report serialization."""
+"""Per-class confirmation statistics and trace/report serialization.
+
+`class_stats`, `compare`, `aggregate` and `trace_summary` return plain
+dicts of unrounded values. `export_json` writes every JSON output and rounds
+once, there: each float outside the top-level `config` block to 6 places.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from tanglesim.engine import SimConfig, SimTrace
 from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
+_CLASSES = (CLASS_PRIORITY, CLASS_COMMON)  # the report's key order
 
 
 class WorkloadMismatch(ValueError):
     """The two traces do not share the same arrival sequence."""
 
 
-@dataclass
-class ClassStats:
-    tx_class: str
-    issued: int
-    confirmed: int
-    mean_latency: float | None
-    median_latency: float | None
-    p95_latency: float | None
-    unconfirmed_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "class": self.tx_class,
-            "issued": self.issued,
-            "confirmed": self.confirmed,
-            "mean_latency": _round6(self.mean_latency),
-            "median_latency": _round6(self.median_latency),
-            "p95_latency": _round6(self.p95_latency),
-            "unconfirmed_fraction": _round6(self.unconfirmed_fraction),
-        }
-
-
-@dataclass
-class ComparisonReport:
-    config: SimConfig
-    uniform: dict[str, ClassStats]
-    ptsa: dict[str, ClassStats]
-    latency_reduction: float | None
-    starvation_delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "uniform": {c: s.to_dict() for c, s in self.uniform.items()},
-            "ptsa": {c: s.to_dict() for c, s in self.ptsa.items()},
-            "latency_reduction": _round6(self.latency_reduction),
-            "starvation_delta": _round6(self.starvation_delta),
-        }
-
-
-def _round6(value: float | None) -> float | None:
-    if value is None:
-        return None
-    return round(value, 6)
-
-
-def _nearest_rank_p95(sorted_latencies: list[float]) -> float:
-    rank = math.ceil(0.95 * len(sorted_latencies))
-    return sorted_latencies[rank - 1]
-
-
-def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
+def class_stats(trace: SimTrace, tx_class: str) -> dict:
     """Confirmation statistics over one class, CLASS_PRIORITY or
-    CLASS_COMMON; unconfirmed transactions are censored out of the latency
-    quantiles."""
+    CLASS_COMMON, unrounded; unconfirmed transactions are censored out of the
+    latency quantiles."""
     ledger, flag = trace.ledger, tx_class == CLASS_PRIORITY
     issued_at, flags, confirmed_at = ledger.issued, ledger.flags, ledger.confirmed_at
     latencies = sorted(
@@ -86,30 +40,37 @@ def class_stats(trace: SimTrace, tx_class: str) -> ClassStats:
         median = (
             latencies[half] if confirmed % 2 else (latencies[half - 1] + latencies[half]) / 2
         )
-        p95 = _nearest_rank_p95(latencies)
+        p95 = latencies[math.ceil(0.95 * confirmed) - 1]  # nearest rank
     else:
         mean = median = p95 = None
-    fraction = 1.0 - confirmed / issued if issued else 0.0
-    return ClassStats(tx_class, issued, confirmed, mean, median, p95, fraction)
+    return {
+        "class": tx_class,
+        "issued": issued,
+        "confirmed": confirmed,
+        "mean_latency": mean,
+        "median_latency": median,
+        "p95_latency": p95,
+        "unconfirmed_fraction": 1.0 - confirmed / issued if issued else 0.0,
+    }
 
 
-def compare(uniform_trace: SimTrace, ptsa_trace: SimTrace) -> ComparisonReport:
-    """Build the strategy comparison from one paired run."""
+def compare(uniform_trace: SimTrace, ptsa_trace: SimTrace) -> dict:
+    """The strategy comparison of one paired run, unrounded."""
     u, p = uniform_trace.ledger, ptsa_trace.ledger
     if u.issued != p.issued or u.flags != p.flags:
         raise WorkloadMismatch("traces carry different arrival sequences")
-
-    uniform = {c: class_stats(uniform_trace, c) for c in (CLASS_PRIORITY, CLASS_COMMON)}
-    ptsa = {c: class_stats(ptsa_trace, c) for c in (CLASS_PRIORITY, CLASS_COMMON)}
-
-    reduction = _reduction(
-        uniform[CLASS_PRIORITY].mean_latency, ptsa[CLASS_PRIORITY].mean_latency
-    )
-    starvation_delta = (
-        ptsa[CLASS_COMMON].unconfirmed_fraction
-        - uniform[CLASS_COMMON].unconfirmed_fraction
-    )
-    return ComparisonReport(ptsa_trace.config, uniform, ptsa, reduction, starvation_delta)
+    uniform = {c: class_stats(uniform_trace, c) for c in _CLASSES}
+    ptsa = {c: class_stats(ptsa_trace, c) for c in _CLASSES}
+    return {
+        "config": ptsa_trace.config.to_dict(),
+        "uniform": uniform,
+        "ptsa": ptsa,
+        "latency_reduction": _reduction(
+            uniform[CLASS_PRIORITY]["mean_latency"], ptsa[CLASS_PRIORITY]["mean_latency"]
+        ),
+        "starvation_delta": ptsa[CLASS_COMMON]["unconfirmed_fraction"]
+        - uniform[CLASS_COMMON]["unconfirmed_fraction"],
+    }
 
 
 def _reduction(mean_u: float | None, mean_p: float | None) -> float | None:
@@ -120,12 +81,13 @@ def _reduction(mean_u: float | None, mean_p: float | None) -> float | None:
     return (mean_u - mean_p) / mean_u
 
 
-def aggregate(config: SimConfig, reports: list[ComparisonReport]) -> dict:
+def aggregate(config: SimConfig, reports: list[dict]) -> dict:
     """The batch summary of `compare` reports for consecutive seeds from
     `config.seed`; the wins and the reduction of the mean latencies count
     the seeds where both strategies confirmed a priority transaction."""
     means = [
-        (r.uniform[CLASS_PRIORITY].mean_latency, r.ptsa[CLASS_PRIORITY].mean_latency)
+        (r["uniform"][CLASS_PRIORITY]["mean_latency"],
+         r["ptsa"][CLASS_PRIORITY]["mean_latency"])
         for r in reports
     ]
     means = [(u, p) for u, p in means if u is not None and p is not None]
@@ -137,7 +99,7 @@ def aggregate(config: SimConfig, reports: list[ComparisonReport]) -> dict:
         "base_seed": config.seed,
         "seeds": len(reports),
         "ptsa_wins": sum(p < u for u, p in means),
-        "mean_latency_reduction": _round6(reduction),
+        "mean_latency_reduction": reduction,
     }
 
 
@@ -163,8 +125,20 @@ def export_csv(trace: SimTrace, destination: str | Path) -> None:
         fh.writelines(_csv_rows(trace))
 
 
+def _round6(value):
+    """`value` with every float in it rounded to 6 places, through nested dicts."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {k: _round6(v) for k, v in value.items()}
+    return value
+
+
 def export_json(payload: dict, destination: str | Path) -> None:
-    """Write a report or summary as indented JSON with a final newline."""
+    """Write a report or summary as indented JSON with a final newline. Every
+    float outside the top-level `config` block is rounded to 6 places; the
+    config block is written as `SimConfig.to_dict` gives it."""
+    payload = {k: v if k == "config" else _round6(v) for k, v in payload.items()}
     with open(destination, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -175,8 +149,5 @@ def trace_summary(trace: SimTrace) -> dict:
     return {
         "config": trace.config.to_dict(),
         "records": len(trace.ledger) - 1,  # genesis is no arrival
-        "stats": {
-            c: class_stats(trace, c).to_dict()
-            for c in (CLASS_PRIORITY, CLASS_COMMON)
-        },
+        "stats": {c: class_stats(trace, c) for c in _CLASSES},
     }

@@ -9,7 +9,9 @@ holds genesis at least, so a strategy always draws.
 
 The draws, `_index` and `_two`, return what CPython 3.11's `choice` and
 `sample(pool, 2)` return and leave the stream where they leave it, at less
-overhead per call; the golden outputs rest on that stream.
+overhead per call; the golden outputs rest on that stream. `_two` is also
+the one lone-tip fallback: from a pool of one entry it returns that entry
+and the id before it, or genesis alone, with no draw.
 """
 
 from __future__ import annotations
@@ -58,11 +60,16 @@ def _index(n: int, rng: random.Random) -> int:
 
 
 def _two(pool: list[int], rng: random.Random) -> list[int]:
-    """Two distinct entries of a pool of at least two, as CPython 3.11's
+    """Two distinct entries of the pool, as CPython 3.11's
     `rng.sample(pool, 2)` draws them: up to 21 entries it draws the second
     index below n - 1, with the last entry standing in for the first draw;
-    above 21 it redraws below n until the two indexes differ."""
+    above 21 it redraws below n until the two indexes differ. From a lone
+    entry, it and the newest non-tip, the id before it, with no draw; or
+    genesis alone."""
     n = len(pool)
+    if n < 2:
+        lone = pool[0]
+        return [lone, lone - 1] if lone else [lone]
     i = _index(n, rng)
     if n <= 21:
         j = _index(n - 1, rng)
@@ -73,22 +80,12 @@ def _two(pool: list[int], rng: random.Random) -> list[int]:
     return [pool[i], pool[j]]
 
 
-def _two_tips_or_fallback(pool: list[int], rng: random.Random) -> list[int]:
-    """Two distinct entries of the pool; from a lone entry, it and the newest
-    non-tip, the id before it, with no draw; or genesis alone."""
-    if len(pool) >= 2:
-        return _two(pool, rng)
-    lone = pool[0]
-    return [lone, lone - 1] if lone else [lone]
-
-
 def select_uniform(
     candidates: SelectionCandidates, rng: random.Random
 ) -> SelectionResult:
     """Baseline: two distinct tips uniformly at random from the whole tip
     pool, ignoring the priority/common partition."""
-    parents = _two_tips_or_fallback(candidates.tips, rng)
-    return SelectionResult(parents, BRANCH_BASELINE)
+    return SelectionResult(_two(candidates.tips, rng), BRANCH_BASELINE)
 
 
 def select_ptsa(
@@ -106,10 +103,8 @@ def select_ptsa(
     priority, common = candidates.priority, candidates.common
     p = len(priority)
     if p == 0:
-        return SelectionResult(_two_tips_or_fallback(common, rng), BRANCH_P0)
+        return SelectionResult(_two(common, rng), BRANCH_P0)
+    parents = [priority[0]] if p == 1 and common else _two(priority, rng)
     if common:
-        parents = [priority[0]] if p == 1 else _two(priority, rng)
         parents.append(common[_index(len(common), rng)])
-    else:
-        parents = _two_tips_or_fallback(priority, rng)
     return SelectionResult(parents, BRANCH_P1 if p == 1 else BRANCH_P2)

@@ -55,8 +55,8 @@ def test_criterion_3_priority_latency_ordering(reference_runs):
     wins = 0
     means_u, means_p = [], []
     for u_trace, _, p_trace, _ in reference_runs:
-        mean_u = class_stats(u_trace, "priority").mean_latency
-        mean_p = class_stats(p_trace, "priority").mean_latency
+        mean_u = class_stats(u_trace, "priority")["mean_latency"]
+        mean_p = class_stats(p_trace, "priority")["mean_latency"]
         means_u.append(mean_u)
         means_p.append(mean_p)
         if mean_p < mean_u:
@@ -73,8 +73,8 @@ def test_criterion_4_no_starvation(reference_runs):
     ok = True
     for u_trace, _, p_trace, _ in reference_runs:
         delta = (
-            class_stats(p_trace, "common").unconfirmed_fraction
-            - class_stats(u_trace, "common").unconfirmed_fraction
+            class_stats(p_trace, "common")["unconfirmed_fraction"]
+            - class_stats(u_trace, "common")["unconfirmed_fraction"]
         )
         ok &= delta <= 0.10
     report("criterion 4 (no starvation of common transactions)", ok)
@@ -130,7 +130,7 @@ def test_criterion_7_ledger_invariants(reference_runs):
 def test_aging_turns_ptsa_win_into_loss_at_theta_16(theta, aging, ptsa_wins):
     config = dataclasses.replace(REFERENCE, horizon=240.0, theta=theta, aging_enabled=aging)
     reductions = [
-        compare(*paired_runs(dataclasses.replace(config, seed=seed))).latency_reduction
+        compare(*paired_runs(dataclasses.replace(config, seed=seed)))["latency_reduction"]
         for seed in range(100, 104)
     ]
     assert all((r > 0) == ptsa_wins for r in reductions), reductions

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from tanglesim.cli import (
     EXIT_CONFIG,
@@ -218,6 +220,44 @@ def test_outputs_build_no_records(command, config_path, tmp_path, monkeypatch):
     monkeypatch.setattr(TangleLedger, "records", no_records)
     assert main([*args, str(tmp_path / "patched")]) == EXIT_OK
     assert output_files(tmp_path / "patched") == output_files(tmp_path / "normal")
+
+
+# float fields with more decimals than the reports keep
+LONG_DECIMALS_CONFIG = (
+    SMALL_CONFIG.replace("lambda: 10.0", "lambda: 10.1234567891")
+    .replace("rho: 0.05", "rho: 0.0512345678")
+    .replace("horizon_seconds: 30.0", "horizon_seconds: 30.1234567891")
+)
+
+
+def floats_in(value):
+    """Every float in `value`, through nested dicts."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from floats_in(v)
+
+
+def test_reports_round_every_float_but_the_config(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text(LONG_DECIMALS_CONFIG)
+    config = SimConfig.from_dict(yaml.safe_load(LONG_DECIMALS_CONFIG))
+    fields = (config.arrival_rate, config.priority_fraction, config.horizon)
+    assert all(round(x, 6) != x for x in fields)
+    sim, cmp = tmp_path / "sim", tmp_path / "cmp"
+    assert main(["simulate", "--config", str(path), "--out", str(sim)]) == EXIT_OK
+    assert main(["compare", "--config", str(path), "--seeds", "2", "--out", str(cmp)]) == EXIT_OK
+
+    summary = json.loads((sim / "summary.json").read_text())
+    assert summary["config"] == config.to_dict()
+    rounded = [*floats_in(summary["stats"])]
+    for seed in (42, 43):
+        report = json.loads((cmp / f"compare_seed{seed}.json").read_text())
+        assert report["config"] == dataclasses.replace(config, seed=seed).to_dict()
+        rounded += [*floats_in(report["uniform"]), *floats_in(report["ptsa"])]
+    rounded.append(json.loads((cmp / "aggregate.json").read_text())["mean_latency_reduction"])
+    assert all(isinstance(x, float) and round(x, 6) == x for x in rounded)
 
 
 class TestGenConfig:

@@ -40,7 +40,7 @@ def median_latency(theta, seed):
         strategy="uniform",
         seed=seed,
     )
-    return class_stats(run_simulation(config), CLASS_COMMON).median_latency
+    return class_stats(run_simulation(config), CLASS_COMMON)["median_latency"]
 
 
 def test_linear_phase_latency_slope_is_inverse_rate():

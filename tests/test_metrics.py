@@ -47,40 +47,40 @@ class TestClassStats:
     def test_empty_class(self):
         trace = SimTrace(CONFIG, TangleLedger(8))
         stats = class_stats(trace, "priority")
-        assert stats.issued == 0
-        assert stats.confirmed == 0
-        assert stats.unconfirmed_fraction == 0.0
-        assert stats.mean_latency is None
-        assert stats.median_latency is None
-        assert stats.p95_latency is None
+        assert stats["issued"] == 0
+        assert stats["confirmed"] == 0
+        assert stats["unconfirmed_fraction"] == 0.0
+        assert stats["mean_latency"] is None
+        assert stats["median_latency"] is None
+        assert stats["p95_latency"] is None
 
     def test_hand_computed_fixture(self):
         stats = class_stats(fixture_trace(), "priority")
-        assert stats.issued == 3
-        assert stats.confirmed == 3
-        assert stats.mean_latency == pytest.approx(7.0 / 3.0)
-        assert stats.median_latency == pytest.approx(2.0)
-        assert stats.p95_latency == pytest.approx(4.0)  # nearest rank
-        assert stats.unconfirmed_fraction == 0.0
+        assert stats["issued"] == 3
+        assert stats["confirmed"] == 3
+        assert stats["mean_latency"] == pytest.approx(7.0 / 3.0)
+        assert stats["median_latency"] == pytest.approx(2.0)
+        assert stats["p95_latency"] == pytest.approx(4.0)  # nearest rank
+        assert stats["unconfirmed_fraction"] == 0.0
 
     def test_censoring(self):
         stats = class_stats(fixture_trace(), "common")
-        assert stats.issued == 2
-        assert stats.confirmed == 1
-        assert stats.mean_latency == pytest.approx(3.0)
-        assert stats.unconfirmed_fraction == pytest.approx(0.5)
+        assert stats["issued"] == 2
+        assert stats["confirmed"] == 1
+        assert stats["mean_latency"] == pytest.approx(3.0)
+        assert stats["unconfirmed_fraction"] == pytest.approx(0.5)
 
     def test_theta_one_latencies_zero(self):
         trace = run_simulation(dataclasses.replace(CONFIG, theta=1))
         for cls in ("priority", "common"):
             stats = class_stats(trace, cls)
-            if stats.confirmed:
-                assert stats.mean_latency == 0.0
-                assert stats.p95_latency == 0.0
+            if stats["confirmed"]:
+                assert stats["mean_latency"] == 0.0
+                assert stats["p95_latency"] == 0.0
 
     def test_classes_partition_records(self):
         trace = run_simulation(CONFIG)
-        total = sum(class_stats(trace, c).issued for c in ("priority", "common"))
+        total = sum(class_stats(trace, c)["issued"] for c in ("priority", "common"))
         assert total == len(trace.records)
 
 
@@ -88,8 +88,8 @@ class TestCompare:
     def test_identical_traces_give_zero_deltas(self):
         trace = run_simulation(CONFIG)
         report = compare(trace, trace)
-        assert report.latency_reduction == 0.0
-        assert report.starvation_delta == 0.0
+        assert report["latency_reduction"] == 0.0
+        assert report["starvation_delta"] == 0.0
 
     def test_mismatched_workloads_rejected(self):
         a = run_simulation(CONFIG)
@@ -100,12 +100,12 @@ class TestCompare:
     def test_paired_report_fields(self):
         uniform_trace, ptsa_trace = paired_runs(CONFIG)
         report = compare(uniform_trace, ptsa_trace)
-        mean_u = report.uniform["priority"].mean_latency
-        mean_p = report.ptsa["priority"].mean_latency
-        assert report.latency_reduction == pytest.approx((mean_u - mean_p) / mean_u)
-        assert report.starvation_delta == pytest.approx(
-            report.ptsa["common"].unconfirmed_fraction
-            - report.uniform["common"].unconfirmed_fraction
+        mean_u = report["uniform"]["priority"]["mean_latency"]
+        mean_p = report["ptsa"]["priority"]["mean_latency"]
+        assert report["latency_reduction"] == pytest.approx((mean_u - mean_p) / mean_u)
+        assert report["starvation_delta"] == pytest.approx(
+            report["ptsa"]["common"]["unconfirmed_fraction"]
+            - report["uniform"]["common"]["unconfirmed_fraction"]
         )
 
 
@@ -134,7 +134,7 @@ class TestJsonExport:
         uniform_trace, ptsa_trace = paired_runs(CONFIG)
         report = compare(uniform_trace, ptsa_trace)
         path = tmp_path / "report.json"
-        export_json(report.to_dict(), path)
+        export_json(report, path)
         data = json.loads(path.read_text())
         assert set(data) == {
             "config",
@@ -154,7 +154,7 @@ class TestJsonExport:
             "p95_latency",
             "unconfirmed_fraction",
         }
-        assert data["latency_reduction"] == round(report.latency_reduction, 6)
+        assert data["latency_reduction"] == round(report["latency_reduction"], 6)
 
     def test_summary_shape(self):
         trace = run_simulation(CONFIG)
