@@ -77,7 +77,7 @@ def cmd_gen_config(args: argparse.Namespace) -> int:
 
 
 def cmd_self_check(args: argparse.Namespace) -> int:
-    from tanglesim.selfcheck import run_self_check  # only this command needs the oracle
+    from tanglesim.oracle import run_self_check  # only this command needs the oracle
 
     ok = run_self_check(fault_inject=args.inject_fault)
     return EXIT_OK if ok else EXIT_ORACLE

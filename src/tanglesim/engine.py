@@ -34,12 +34,9 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value: object) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
 def _finite(v: object) -> bool:
-    return _is_number(v) and math.isfinite(v)
+    """A finite float: `__post_init__` has already stored an int as one."""
+    return isinstance(v, float) and math.isfinite(v)
 
 
 # The most transactions a config may expect (lambda * horizon_seconds); a run
@@ -75,7 +72,7 @@ class SimConfig:
         "lambda", 10.0, lambda v, _: _finite(v) and v > 0,
         "must be finite and > 0", "arrival rate, transactions per second")
     priority_fraction: float = _key(
-        "rho", 0.05, lambda v, _: _is_number(v) and 0 <= v <= 1,
+        "rho", 0.05, lambda v, _: isinstance(v, float) and 0 <= v <= 1,
         "must be within [0, 1]", "fraction of arrivals flagged high-priority")
     horizon: float = _key(
         "horizon_seconds", 300.0,

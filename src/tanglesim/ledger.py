@@ -66,25 +66,21 @@ MAX_PARENTS = 8
 _CONFIRMED = sys.maxsize
 
 
-class TangleError(Exception):
-    """Base class for ledger errors."""
-
-
-class UnknownParent(TangleError):
+class UnknownParent(Exception):
     """A parent id does not exist in the ledger."""
 
 
-class ParentArity(TangleError):
+class ParentArity(Exception):
     """Parent count outside the allowed 1..8 range."""
 
 
-class TimeRegression(TangleError):
+class TimeRegression(Exception):
     """Issue time not finite, or earlier than an already-stored transaction."""
 
 
 CLASS_PRIORITY = "priority"
 CLASS_COMMON = "common"
-_CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # indexed by the flag
+CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # a transaction's class, indexed by its flag
 
 
 @dataclass(slots=True)
@@ -269,7 +265,7 @@ class TangleLedger:
         (genesis first, so `records()[i].id == i`)."""
         ids = range(len(self.parents))
         return list(map(
-            TxRecord, ids, map(_CLASSES.__getitem__, self.flags), self.issued,
+            TxRecord, ids, map(CLASSES.__getitem__, self.flags), self.issued,
             self.parents, map(self.confirmed_at.get, ids), map(self._promoted_at.get, ids),
         ))
 

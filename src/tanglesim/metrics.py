@@ -12,10 +12,10 @@ import math
 from pathlib import Path
 
 from tanglesim.engine import SimConfig, SimTrace
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, CLASSES
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
-_CLASSES = (CLASS_PRIORITY, CLASS_COMMON)  # the report's key order
+REPORT_CLASSES = (CLASS_PRIORITY, CLASS_COMMON)  # the report's key order
 
 
 class WorkloadMismatch(ValueError):
@@ -59,8 +59,8 @@ def compare(uniform_trace: SimTrace, ptsa_trace: SimTrace) -> dict:
     u, p = uniform_trace.ledger, ptsa_trace.ledger
     if u.issued != p.issued or u.flags != p.flags:
         raise WorkloadMismatch("traces carry different arrival sequences")
-    uniform = {c: class_stats(uniform_trace, c) for c in _CLASSES}
-    ptsa = {c: class_stats(ptsa_trace, c) for c in _CLASSES}
+    uniform = {c: class_stats(uniform_trace, c) for c in REPORT_CLASSES}
+    ptsa = {c: class_stats(ptsa_trace, c) for c in REPORT_CLASSES}
     return {
         "config": ptsa_trace.config.to_dict(),
         "uniform": uniform,
@@ -111,8 +111,7 @@ def _csv_rows(trace: SimTrace):
     for i in range(1, len(issued_at)):
         t, c = issued_at[i], confirmed_at.get(i)
         times = f"{t:.6f},," if c is None else f"{t:.6f},{c:.6f},{c - t:.6f}"
-        tx_class = CLASS_PRIORITY if flags[i] else CLASS_COMMON
-        yield f"{i},{tx_class},{times},{';'.join(map(str, parents[i]))}\n"
+        yield f"{i},{CLASSES[flags[i]]},{times},{';'.join(map(str, parents[i]))}\n"
 
 
 def export_csv(trace: SimTrace, destination: str | Path) -> None:
@@ -149,5 +148,5 @@ def trace_summary(trace: SimTrace) -> dict:
     return {
         "config": trace.config.to_dict(),
         "records": len(trace.ledger) - 1,  # genesis is no arrival
-        "stats": {c: class_stats(trace, c) for c in _CLASSES},
+        "stats": {c: class_stats(trace, c) for c in REPORT_CLASSES},
     }

@@ -13,8 +13,12 @@ import pytest
 from tanglesim.cli import main
 from tanglesim.engine import SimConfig, paired_runs, run_simulation
 from tanglesim.metrics import class_stats, compare
-from tanglesim.oracle import brute_force_tips, future_cones
-from tanglesim.selfcheck import check_branch_table, check_cumulative_weights
+from tanglesim.oracle import (
+    brute_force_tips,
+    check_branch_table,
+    check_cumulative_weights,
+    future_cones,
+)
 
 REFERENCE = SimConfig()  # the defaults are the reference experiment
 N_SEEDS = 10

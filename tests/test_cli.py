@@ -15,8 +15,11 @@ from tanglesim.cli import (
     EXIT_ORACLE,
     main,
 )
+from tanglesim import oracle
 from tanglesim.engine import SimConfig, reference_config_text
-from tanglesim.ledger import TangleLedger
+from tanglesim.ledger import SelectionCandidates, TangleLedger
+from tanglesim.oracle import brute_force_tips
+from tanglesim.selection import select_ptsa
 
 SMALL_CONFIG = """\
 lambda: 10.0
@@ -306,6 +309,31 @@ class TestSelfCheck:
         assert "FAIL" in out
         assert "dag edges:" in out
 
+    def test_branch_table_mutant_detected(self, capsys, monkeypatch):
+        def common_from_priority(candidates, rng):
+            # the common slot drawn from the priority pool instead
+            pools = SelectionCandidates(
+                candidates.priority, candidates.priority or candidates.common, candidates.tips)
+            return select_ptsa(pools, rng)
+
+        monkeypatch.setattr(oracle, "select_ptsa", common_from_priority)
+        assert main(["self-check"]) == EXIT_ORACLE
+        out = capsys.readouterr().out
+        assert "PASS cumulative-weight oracle" in out
+        assert "FAIL branch table" in out
+
+    def test_tip_set_mutant_detected(self, capsys, monkeypatch):
+        def one_tip_dropped(parents):
+            tips = brute_force_tips(parents)
+            return tips - {min(tips)}
+
+        monkeypatch.setattr(oracle, "brute_force_tips", one_tip_dropped)
+        assert main(["self-check"]) == EXIT_ORACLE
+        out = capsys.readouterr().out
+        assert "FAIL tip-set oracle" in out
+        assert "dag edges:" in out
+        assert "PASS branch table" in out
+
 
 NO_NUMPY_SCRIPT = """\
 import sys
@@ -332,12 +360,22 @@ class TestNoNumpy:
         assert (tmp_path / "o" / "trace.csv").exists()
 
 
-def test_start_imports_no_oracle():
+COMMANDS_SCRIPT = """\
+import sys
+from tanglesim.cli import main
+config, out = sys.argv[1:]
+assert main(["simulate", "--config", config, "--out", out]) == 0
+assert main(["compare", "--config", config, "--seeds", "1", "--out", out]) == 0
+print(*sorted(sys.modules))
+"""
+
+
+def test_start_imports_no_oracle(config_path, tmp_path):
     # only `self-check` needs the oracle, so no other command pays its import
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, tanglesim.cli; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", COMMANDS_SCRIPT, str(config_path), str(tmp_path / "o")],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -345,7 +383,6 @@ def test_start_imports_no_oracle():
     )
     loaded = result.stdout.split()
     assert "tanglesim.cli" in loaded, result.stderr
-    assert "tanglesim.selfcheck" not in loaded
     assert "tanglesim.oracle" not in loaded
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from tanglesim.engine import SimConfig
 from tanglesim.ledger import SelectionCandidates, TangleLedger
+from tanglesim.oracle import BRANCH_TABLE, branch_case_error
 from tanglesim.selection import (
     BRANCH_BASELINE,
     BRANCH_P0,
@@ -18,7 +19,6 @@ from tanglesim.selection import (
     select_ptsa,
     select_uniform,
 )
-from tanglesim.selfcheck import BRANCH_TABLE, branch_case_error
 
 # a ledger's (visibility delay, aging threshold), as the engine passes them
 AGING = (0.0, 30.0)
