@@ -32,18 +32,26 @@ EXIT_ORACLE = 3
 def _load_config(path: str) -> SimConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            loader = yaml.SafeLoader(fh)
+            node = loader.get_single_node()
+            data = None if node is None else loader.construct_document(node)
     except OSError as exc:
         raise ConfigInvalid("<file>", f"cannot read {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigInvalid("<file>", f"cannot parse {path}: {exc}") from exc
+    seen, todo = set(), [("", node)]  # PyYAML alone keeps a repeated key's last value
+    for prefix, mapping in todo:  # the root, then `aging`: no deeper, as aliases may loop
+        for key, value in mapping.value if isinstance(mapping, yaml.MappingNode) else ():
+            name = prefix + str(key.value)  # construct_document put `<<` merges in node.value
+            if name in seen:
+                raise ConfigInvalid(name, "given more than once")
+            seen.add(name)
+            todo += [("aging.", value)] if name == "aging" else []
     return SimConfig.from_dict({} if data is None else data)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     trace = run_simulation(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -79,7 +87,7 @@ def cmd_gen_config(args: argparse.Namespace) -> int:
 def cmd_self_check(args: argparse.Namespace) -> int:
     from tanglesim.oracle import run_self_check  # only this command needs the oracle
 
-    ok = run_self_check(fault_inject=args.inject_fault)
+    ok = run_self_check()
     return EXIT_OK if ok else EXIT_ORACLE
 
 
@@ -92,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
     p_sim.add_argument("--config", required=True, help="config file (YAML)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -107,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen_config)
 
     p_chk = sub.add_parser("self-check", help="run the built-in oracle checks")
-    p_chk.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="corrupt one cumulative weight to exercise the failure path",
-    )
     p_chk.set_defaults(func=cmd_self_check)
     return parser
 

@@ -126,7 +126,7 @@ def _format_edges(parents: list[tuple[int, ...]]) -> str:
     return " ".join(edges)
 
 
-def check_cumulative_weights(fault_inject: bool = False) -> bool:
+def check_cumulative_weights() -> bool:
     """Incremental CW == brute-force reverse-reachability on random DAGs."""
     rng = random.Random(ORACLE_SEED)
     for trial in range(ORACLE_TRIALS):
@@ -135,10 +135,6 @@ def check_cumulative_weights(fault_inject: bool = False) -> bool:
         ledger = TangleLedger(theta=1)  # never swept, so theta is unused
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
-        if fault_inject:
-            # test-only hook: corrupt one maintained weight (no sweep ran,
-            # so every stored weight is still maintained)
-            ledger._weight[rng.randrange(size)] += 1
         expected = brute_force_cumulative_weights(parents)
         actual = dict(enumerate(ledger.weights()))
         if actual != expected:
@@ -197,7 +193,7 @@ def check_branch_table() -> bool:
     return ok
 
 
-def run_self_check(fault_inject: bool = False) -> bool:
-    ok = check_cumulative_weights(fault_inject=fault_inject)
+def run_self_check() -> bool:
+    ok = check_cumulative_weights()
     ok = check_branch_table() and ok
     return ok

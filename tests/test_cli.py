@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +15,13 @@ from tanglesim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_ORACLE,
+    build_parser,
     main,
 )
 from tanglesim import oracle
 from tanglesim.engine import SimConfig, reference_config_text
 from tanglesim.ledger import SelectionCandidates, TangleLedger
-from tanglesim.oracle import brute_force_tips
+from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips
 from tanglesim.selection import select_ptsa
 
 SMALL_CONFIG = """\
@@ -115,6 +118,44 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "config error: invalid config field '<file>'" in capsys.readouterr().err
 
+    # PyYAML alone would keep the last value of a repeated key
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            (SMALL_CONFIG.replace("theta: 8", "theta: 0\ntheta: 8"), "theta"),
+            (SMALL_CONFIG.replace("  enabled: true", "  enabled: false\n  enabled: true"),
+             "aging.enabled"),
+            (SMALL_CONFIG + "aging:\n  enabled: false\n", "aging"),
+        ],
+        ids=["top-level", "inside-aging", "aging-section"],
+    )
+    def test_repeated_key_names_field(self, content, field, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(content)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"config error: invalid config field '{field}'" in capsys.readouterr().err
+
+    # an alias may point back into its own mapping, or a chain of them may
+    # double at each level; the repeated-key check reads only the root and
+    # `aging`, so neither file makes it loop or visit 2**40 nodes
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            ("aging: &x {enabled: *x}\n", "aging.enabled"),
+            ("a0: &a0 {x: 1}\n"
+             + "".join(f"a{i}: &a{i} {{p: *a{i - 1}, q: *a{i - 1}}}\n" for i in range(1, 40))
+             + "aging: {p: *a39, q: *a39}\n", "a0"),
+        ],
+        ids=["self-referential", "doubling-chain"],
+    )
+    def test_aliases_end_the_key_check(self, content, field, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(content)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"config error: invalid config field '{field}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["false", "0", '""', "[]"])
     def test_falsy_root_names_root(self, text, tmp_path, capsys):
         path = tmp_path / "falsy.yaml"
@@ -145,14 +186,6 @@ class TestSimulate:
         main(["simulate", "--config", str(config_path), "--out", str(out_b)])
         assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-
-    def test_seed_override_changes_output(self, config_path, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(config_path), "--out", str(out_a)])
-        main(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(out_b)])
-        assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
-        summary = json.loads((out_b / "summary.json").read_text())
-        assert summary["config"]["seed"] == 7
 
     def test_config_file_not_mutated(self, config_path, tmp_path):
         before = config_path.read_bytes()
@@ -303,8 +336,14 @@ class TestSelfCheck:
         assert "PASS cumulative-weight oracle" in out
         assert "PASS branch table" in out
 
-    def test_fault_injection_detected(self, capsys):
-        assert main(["self-check", "--inject-fault"]) == EXIT_ORACLE
+    def test_fault_injection_detected(self, capsys, monkeypatch):
+        def one_weight_off(parents):
+            weights = brute_force_cumulative_weights(parents)
+            weights[len(parents) // 2] += 1
+            return weights
+
+        monkeypatch.setattr(oracle, "brute_force_cumulative_weights", one_weight_off)
+        assert main(["self-check"]) == EXIT_ORACLE
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "dag edges:" in out
@@ -388,7 +427,35 @@ def test_start_imports_no_oracle(config_path, tmp_path):
 
 class TestUsage:
     def test_unknown_flag_rejected(self, capsys):
-        assert main(["simulate", "--bogus"]) != EXIT_OK
+        for argv in (
+            ["simulate", "--bogus"],
+            ["simulate", "--config", "config.yaml", "--seed", "7", "--out", "out"],
+            ["self-check", "--inject-fault"],
+        ):
+            assert main(argv) == 2, argv  # argparse's usage-error status
 
     def test_unknown_command_rejected(self):
         assert main(["frobnicate"]) != EXIT_OK
+
+
+def readme_cli_lines():
+    """Each `tanglesim ...` command in README's CLI block, split into words
+    with its trailing comment left out."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("tanglesim ")]
+
+
+def test_options_are_readme_cli_block():
+    parser = build_parser()
+    shown: dict[str, set[str]] = {}
+    for words in readme_cli_lines():
+        parser.parse_args(words[1:])  # argparse exits 2 on a line it rejects
+        shown.setdefault(words[1], set()).update(w for w in words if w.startswith("--"))
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert options == shown

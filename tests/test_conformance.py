@@ -16,9 +16,15 @@ iff y < 1; the priority class's mean latency is h + π₀·x/((1 − y)²·ρλ)
 the share of arrivals that find the queue busy, and so take a p ≥ 1 branch,
 is 1 − π₀. The bound y < 1 is the model's: it counts direct approvals only,
 and the simulated class stays stationary well past it.
+
+Under uniform selection, each arrival draws a given visible tip with
+probability 2/L ≈ 1/(λh), a rate of 1/h. A tip stays one in arrivals' view
+until its first approver is revealed, h after that approver's issue, so an
+id's direct approvers number 1 + Poisson(1): P(k) = e⁻¹/(k − 1)! for k ≥ 1.
 """
 
 import math
+import statistics
 
 import pytest
 
@@ -201,3 +207,35 @@ def test_ptsa_priority_class_stays_stationary_past_the_model_bound():
     # that mean, and a backlog growing as the model says would add tens of
     # seconds of latency between the windows
     assert sum(rises) / len(rises) < 1.0, rises
+
+
+APPROVER_SEEDS = range(12)
+APPROVER_ISSUED = (250.0, 750.0)  # issue window, well inside the 1000 s horizon
+
+
+def test_uniform_direct_approvers_are_one_plus_poisson():
+    low, high = APPROVER_ISSUED
+    shares = []  # per seed, P(k) for k = 1..4
+    for seed in APPROVER_SEEDS:
+        config = SimConfig(
+            arrival_rate=RATE,
+            priority_fraction=0.0,
+            horizon=1000.0,
+            visibility_delay=1.0,
+            theta=2,  # uniform selection reads no confirmation
+            strategy="uniform",
+            aging_enabled=False,
+            seed=seed,
+        )
+        ledger = run_simulation(config).ledger
+        approvers = [0] * len(ledger.issued)
+        for parents in ledger.parents:
+            for p in parents:
+                approvers[p] += 1
+        window = [approvers[i] for i, t in enumerate(ledger.issued) if low <= t <= high]
+        shares.append([window.count(k) / len(window) for k in range(1, 5)])
+    # measured: 0.3698, 0.3670, 0.1816, 0.0615 (z = +1.2, −0.4, −1.4, +0.1)
+    for k, per_seed in enumerate(zip(*shares), start=1):
+        model = math.exp(-1) / math.factorial(k - 1)
+        standard_error = statistics.stdev(per_seed) / math.sqrt(len(per_seed))
+        assert abs(statistics.mean(per_seed) - model) <= 3 * standard_error, (k, per_seed)

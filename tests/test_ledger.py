@@ -233,6 +233,17 @@ class TestReveal:
         ledger.reveal(math.inf)
         assert (pools(ledger), ledger.records()) == before
 
+    def test_aging_off_at_infinite_now_promotes_nothing(self):
+        # aging off is no infinite threshold: inf - inf is NaN, and a NaN
+        # cutoff bisects to the end, which would promote every unflagged id
+        ledger = TangleLedger(8)
+        a = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        b = ledger.add_transaction([a], 2.0)
+        c = ledger.add_transaction([ledger.genesis, b], 3.0, priority_flag=True)
+        ledger.reveal(math.inf)
+        assert [r.promoted_at for r in ledger.records()] == [None] * 4
+        assert ledger.pools.priority == [a, c]
+
 
 class TestColumns:
     def test_columns_are_the_ledger_own_lists(self):
