@@ -44,7 +44,11 @@ it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
-while its stamp is below the new id: once, and never a confirmed one.
+while its stamp is below the new id: once, and never a confirmed one. The
+sentinel is 2**30 - 1, the largest int that CPython stores in one digit, so
+the stamp comparisons take the interpreter's small-int fast path. It stays
+above every id: a config admits at most `engine.MAX_EXPECTED_TX` (2M)
+expected arrivals, and a ledger of 2**30 ids would need over 100 GB.
 
 A new id is stored with weight 0, and its own insertion walk gives it its
 weight 1; each later walk to reach it adds one. So a stored weight equals θ
@@ -56,14 +60,13 @@ that list.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 MAX_PARENTS = 8
 
 # the stamp of a confirmed id: above every id, so no insertion walk enters it
-_CONFIRMED = sys.maxsize
+_CONFIRMED = 2**30 - 1  # one CPython digit: see the module docstring
 
 
 class UnknownParent(Exception):

@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 from tanglesim.engine import SimConfig, SimTrace
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, CLASSES
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, CLASSES, MAX_PARENTS
 
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
 REPORT_CLASSES = (CLASS_PRIORITY, CLASS_COMMON)  # the report's key order
+
+# A trace.csv row's `%` format, by confirmed (0 or 1) and parent count
+# (1..MAX_PARENTS); `%d` and `%.6f` write what `str` and `:.6f` write
+_ROW_FORMATS = tuple(
+    (None,) + tuple(head + ";".join(["%d"] * n) + "\n" for n in range(1, MAX_PARENTS + 1))
+    for head in ("%d,%s,%.6f,,,", "%d,%s,%.6f,%.6f,%.6f,")
+)
+_CSV_CHUNK = 1024  # rows joined per write: the memory export_csv holds is fixed
 
 
 class WorkloadMismatch(ValueError):
@@ -108,20 +117,26 @@ def _csv_rows(trace: SimTrace):
     ledger = trace.ledger
     issued_at, flags, parents, confirmed_at = (
         ledger.issued, ledger.flags, ledger.parents, ledger.confirmed_at)
+    unconfirmed, confirmed = _ROW_FORMATS
     for i in range(1, len(issued_at)):
-        t, c = issued_at[i], confirmed_at.get(i)
-        times = f"{t:.6f},," if c is None else f"{t:.6f},{c:.6f},{c - t:.6f}"
-        yield f"{i},{CLASSES[flags[i]]},{times},{';'.join(map(str, parents[i]))}\n"
+        t, c, p = issued_at[i], confirmed_at.get(i), parents[i]
+        if c is None:
+            yield unconfirmed[len(p)] % ((i, CLASSES[flags[i]], t) + p)
+        else:
+            yield confirmed[len(p)] % ((i, CLASSES[flags[i]], t, c, c - t) + p)
 
 
 def export_csv(trace: SimTrace, destination: str | Path) -> None:
     """Write the per-transaction trace, one row per arrival in issue order.
 
-    Rows are streamed as plain text: no field holds a comma, quote or line
-    break, so none needs CSV quoting."""
+    Rows are written as plain text, joined in chunks of a fixed number of
+    rows: no field holds a comma, quote or line break, so none needs CSV
+    quoting."""
+    rows = _csv_rows(trace)
     with open(destination, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(_csv_rows(trace))
+        while chunk := "".join(islice(rows, _CSV_CHUNK)):
+            fh.write(chunk)
 
 
 def _round6(value):

@@ -4,7 +4,9 @@ from collections import deque
 
 import pytest
 
+from tanglesim.engine import MAX_EXPECTED_TX
 from tanglesim.ledger import (
+    _CONFIRMED,
     ParentArity,
     TimeRegression,
     UnknownParent,
@@ -273,6 +275,12 @@ class TestCumulativeWeight:
 
 
 class TestConfirmationSweep:
+    def test_confirmed_stamp_is_a_small_int_above_every_id(self):
+        # one CPython digit, so the stamp comparisons take the int fast path;
+        # and far above the ids of any run a config admits
+        assert _CONFIRMED < 2**30
+        assert _CONFIRMED > 100 * MAX_EXPECTED_TX
+
     def test_theta_one_confirms_everything(self):
         ledger, a, b = build_chain(theta=1)
         newly = ledger.confirmation_sweep(2.0)

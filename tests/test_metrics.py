@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
 from tanglesim.engine import SimConfig, SimTrace, paired_runs, run_simulation
-from tanglesim.ledger import TangleLedger
+from tanglesim.ledger import CLASSES, MAX_PARENTS, TangleLedger
 from tanglesim.metrics import (
+    _CSV_CHUNK,
     WorkloadMismatch,
     class_stats,
     compare,
@@ -120,6 +122,29 @@ class TestCsvExport:
         path = tmp_path / "trace.csv"
         export_csv(fixture_trace(), path)
         assert path.read_text() == GOLDEN_CSV
+
+    def test_rows_equal_f_string_formatting(self, tmp_path):
+        # every parent count, confirmed and unconfirmed rows (the last
+        # 2 * MAX_PARENTS arrivals get no sweep), and more rows than one
+        # written chunk holds
+        ledger, rng = TangleLedger(8), random.Random(5)
+        t, n = 0.0, 2 * _CSV_CHUNK + 100
+        for i in range(1, n):
+            t += rng.expovariate(40.0)
+            parents = rng.sample(range(max(0, i - 12), i), min(1 + i % MAX_PARENTS, i))
+            ledger.add_transaction(parents, t, rng.random() < 0.3)
+            if i < n - 2 * MAX_PARENTS:
+                ledger.confirmation_sweep(t + rng.random())
+        rows = []
+        for i in range(1, len(ledger)):
+            t, c, parents = ledger.issued[i], ledger.confirmed_at.get(i), ledger.parents[i]
+            times = f"{t:.6f},," if c is None else f"{t:.6f},{c:.6f},{c - t:.6f}"
+            rows.append(f"{i},{CLASSES[ledger.flags[i]]},{times},{';'.join(map(str, parents))}\n")
+        kinds = {(len(p), i in ledger.confirmed_at) for i, p in enumerate(ledger.parents) if i}
+        assert kinds == {(k, c) for k in range(1, MAX_PARENTS + 1) for c in (False, True)}
+        path = tmp_path / "trace.csv"
+        export_csv(SimTrace(CONFIG, ledger), path)
+        assert path.read_text() == "id,class,issued_at,confirmed_at,latency,parents\n" + "".join(rows)
 
     def test_re_export_identical_bytes(self, tmp_path):
         trace = run_simulation(CONFIG)
