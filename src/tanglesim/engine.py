@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from tanglesim.ledger import TangleLedger, TxRecord
+from tanglesim.ledger import CLASSES, TangleLedger, TxRecord
 from tanglesim.selection import build_candidates, select_ptsa, select_uniform
 
 STRATEGIES = ("uniform", "ptsa")
@@ -183,8 +183,13 @@ class SimTrace:
     @property
     def records(self) -> list[TxRecord]:
         """Every arrival's record in id order, genesis left out; built from
-        the ledger on each read."""
-        return self.ledger.records()[1:]
+        the ledger's columns on each read."""
+        ledger = self.ledger
+        ids = range(1, len(ledger))
+        return list(map(
+            TxRecord, ids, map(CLASSES.__getitem__, ledger.flags[1:]), ledger.issued[1:],
+            ledger.parents[1:], map(ledger.confirmed_at.get, ids), map(ledger.promoted_at.get, ids),
+        ))
 
 
 def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:

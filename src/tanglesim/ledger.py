@@ -2,10 +2,10 @@
 
 Transaction ids are insertion ordinals starting at 0 (the genesis), so id
 order equals issue-time order. Each transaction's state is stored once: in
-per-id lists, plus two id -> time dicts for the confirmation and promotion
-times that not every id has. The outputs read the columns `issued`, `flags`,
-`parents` and `confirmed_at` by name; `records` reads it all out as
-`TxRecord`s, the one type that describes a transaction's lifecycle.
+per-id lists (`parents`, `issued`, `flags`, `weight`), plus two id -> time
+dicts (`confirmed_at`, `promoted_at`) for the times that not every id has.
+Readers read these columns by name; the public methods are the mutators.
+`engine.SimTrace.records` builds the arrivals' `TxRecord`s from them.
 
 A transaction confirms once its cumulative weight reaches the threshold θ,
 which the ledger takes once, at construction. Every ancestor of a
@@ -123,7 +123,7 @@ class TangleLedger:
         self.flags: list[bool] = [False]
         self._approved: list[bool] = [False]  # approved by a revealed id
         # cumulative weight per id, kept exact until the id confirms
-        self._weight: list[int] = [1]
+        self.weight: list[int] = [1]
         # the last insertion walk to reach each id, or _CONFIRMED
         self._stamp: list[int] = [0]
         self._visible = 1  # reveal's cursor: it has passed every id below
@@ -139,13 +139,11 @@ class TangleLedger:
         self._ripe: list[int] = [0] if theta == 1 else []
         # confirmed id -> confirmation time, and promoted id -> promotion time
         self.confirmed_at: dict[int, float] = {}
-        self._promoted_at: dict[int, float] = {}
+        self.promoted_at: dict[int, float] = {}
         self.confirmed_set = self.confirmed_at.keys()  # read by tsbench/traced_cli.py
 
     def __len__(self) -> int:
         return len(self.parents)
-
-    # -- mutation ---------------------------------------------------------
 
     def add_transaction(
         self, parents: list[int], issued_at: float, priority_flag: bool = False
@@ -178,13 +176,13 @@ class TangleLedger:
         self.issued.append(issued_at)
         self.flags.append(priority_flag)
         self._approved.append(False)
-        self._weight.append(0)
+        self.weight.append(0)
         self._stamp.append(new_id)
         # the new id and every distinct unconfirmed ancestor gain one, in a
         # walk that starts at the new id; confirmed ancestors have only
         # confirmed ancestors, so the walk stops there
         theta, ripe, stamp = self._theta, self._ripe, self._stamp
-        parents, weight = self.parents, self._weight
+        parents, weight = self.parents, self.weight
         walk = [new_id]
         for i in walk:  # the walk appends to the list it iterates
             w = weight[i] = weight[i] + 1
@@ -196,15 +194,15 @@ class TangleLedger:
                     walk.append(p)
         return new_id
 
-    def confirmation_sweep(self, now: float) -> set[int]:
+    def confirmation_sweep(self, now: float) -> list[int]:
         """Confirm every transaction whose cumulative weight reached theta.
 
-        Returns the newly confirmed ids; idempotent at a fixed instant.
+        Returns the newly confirmed ids in the order they ripened;
+        idempotent at a fixed instant.
         """
-        if not self._ripe:
-            return set()
-        newly = set(self._ripe)
-        self._ripe = []
+        newly, self._ripe = self._ripe, []
+        if not newly:
+            return newly
         priority, visible, aged = self.pools.priority, self._visible, self._aged
         confirmed_at, stamp, flag = self.confirmed_at, self._stamp, self.flags
         for i in newly:
@@ -255,25 +253,8 @@ class TangleLedger:
         stamp, flag = self._stamp, self.flags
         for i in range(start, aged):
             if stamp[i] != _CONFIRMED and not flag[i]:
-                self._promoted_at[i] = now
+                self.promoted_at[i] = now
                 insort(pools.priority, i)
                 if not self._approved[i]:
                     del pools.common[bisect_left(pools.common, i)]
         self._aged = aged
-
-    # -- queries ----------------------------------------------------------
-
-    def records(self) -> list[TxRecord]:
-        """A snapshot of every transaction's stored state, in id order
-        (genesis first, so `records()[i].id == i`)."""
-        ids = range(len(self.parents))
-        return list(map(
-            TxRecord, ids, map(CLASSES.__getitem__, self.flags), self.issued,
-            self.parents, map(self.confirmed_at.get, ids), map(self._promoted_at.get, ids),
-        ))
-
-    def weights(self) -> list[int]:
-        """The stored cumulative weight of every id, in id order: 1 + the
-        number of distinct transactions approving it transitively. Exact
-        while the id is unconfirmed; once it confirms, the value stops growing."""
-        return self._weight.copy()

@@ -136,7 +136,7 @@ def check_cumulative_weights() -> bool:
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
         expected = brute_force_cumulative_weights(parents)
-        actual = dict(enumerate(ledger.weights()))
+        actual = dict(enumerate(ledger.weight))
         if actual != expected:
             bad = sorted(i for i in expected if actual[i] != expected[i])
             print(f"FAIL cumulative-weight oracle: trial {trial}, nodes {bad}")

@@ -112,14 +112,14 @@ def test_criterion_7_ledger_invariants(reference_runs):
     for _, u_ledger, _, p_ledger in reference_runs:
         for ledger in (u_ledger, p_ledger):
             n = len(ledger)
-            parents = [r.parents for r in ledger.records()]
+            parents = ledger.parents
             w = [1 + f.bit_count() for f in future_cones(parents)]
             ledger.reveal(math.inf)
             tips = ledger.pools.tips
             ok &= tips == sorted(brute_force_tips(parents))
             confirmed = ledger.confirmed_set
             ok &= confirmed == {i for i in range(n) if w[i] >= theta}
-            stored = ledger.weights()
+            stored = ledger.weight
             ok &= all(stored[i] == w[i] for i in range(n) if i not in confirmed)
     report("criterion 7 (ledger invariants after simulation)", ok)
 

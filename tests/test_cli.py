@@ -19,8 +19,8 @@ from tanglesim.cli import (
     main,
 )
 from tanglesim import oracle
-from tanglesim.engine import SimConfig, reference_config_text
-from tanglesim.ledger import SelectionCandidates, TangleLedger
+from tanglesim.engine import SimConfig, SimTrace, reference_config_text
+from tanglesim.ledger import SelectionCandidates
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips
 from tanglesim.selection import select_ptsa
 
@@ -251,9 +251,9 @@ def test_outputs_build_no_records(command, config_path, tmp_path, monkeypatch):
     assert main([*args, str(tmp_path / "normal")]) == EXIT_OK
 
     def no_records(self):
-        raise AssertionError("records() called")
+        raise AssertionError("SimTrace.records read")
 
-    monkeypatch.setattr(TangleLedger, "records", no_records)
+    monkeypatch.setattr(SimTrace, "records", property(no_records))
     assert main([*args, str(tmp_path / "patched")]) == EXIT_OK
     assert output_files(tmp_path / "patched") == output_files(tmp_path / "normal")
 

@@ -20,7 +20,7 @@ from tanglesim.engine import (
     paired_runs,
     run_simulation,
 )
-from tanglesim.ledger import CLASS_COMMON
+from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
 from tanglesim.metrics import export_csv
 from tanglesim.oracle import brute_force_tips, reference_run
 from test_golden import tip_pool_series
@@ -341,7 +341,7 @@ class TestRunSimulation:
         assert [t for t, _ in series] == [r.issued_at for r in trace.records]
         assert all(n >= 1 for _, n in series)
         ledger = trace.ledger
-        parents = [r.parents for r in ledger.records()]
+        parents = ledger.parents
         ledger.reveal(math.inf)
         assert series[-1][1] == len(ledger.pools.tips)
         assert series[-1][1] == len(brute_force_tips(parents))
@@ -368,7 +368,12 @@ class TestRunSimulation:
         promoted = [r for r in trace.records if r.promoted_at is not None]
         assert promoted
         assert all(r.tx_class == CLASS_COMMON for r in promoted)
-        assert trace.records == ledger.records()[1:]
+        classes = {False: CLASS_COMMON, True: CLASS_PRIORITY}
+        assert [dataclasses.astuple(r) for r in trace.records] == [
+            (i, classes[ledger.flags[i]], ledger.issued[i], ledger.parents[i],
+             ledger.confirmed_at.get(i), ledger.promoted_at.get(i))
+            for i in range(1, len(ledger))
+        ]
 
 
 class TestPairedRuns:
@@ -414,9 +419,8 @@ class TestPairedRuns:
         before = list(arrivals)
         shared, own = run_simulation(config, arrivals), run_simulation(config)
         assert arrivals == before  # read, not mutated
-        for column in ("issued", "flags", "parents", "confirmed_at"):
+        for column in ("issued", "flags", "parents", "weight", "confirmed_at", "promoted_at"):
             assert getattr(shared.ledger, column) == getattr(own.ledger, column)
-        assert shared.ledger.weights() == own.ledger.weights()
         assert shared.records == own.records
         a, b = tmp_path / "shared.csv", tmp_path / "own.csv"
         export_csv(shared, a)

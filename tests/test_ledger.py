@@ -43,10 +43,6 @@ def tips(ledger):
     return ledger.pools.tips
 
 
-def parents_of(ledger):
-    return [r.parents for r in ledger.records()]
-
-
 class TestGenesis:
     def test_fresh_ledger_has_only_genesis_tip(self):
         ledger = TangleLedger(8)
@@ -56,11 +52,11 @@ class TestGenesis:
 
     def test_genesis_weight_is_one(self):
         ledger = TangleLedger(8)
-        assert ledger.weights() == [1]
+        assert ledger.weight == [1]
 
     def test_no_confirmation_below_threshold(self):
         ledger = TangleLedger(8)
-        assert ledger.confirmation_sweep(0.0) == set()
+        assert ledger.confirmation_sweep(0.0) == []
         assert ledger.confirmed_set == set()
 
 
@@ -72,25 +68,25 @@ class TestAddTransaction:
 
     def test_chain_weights(self):
         ledger, a, b = build_chain()
-        assert ledger.weights() == [3, 2, 1]
+        assert ledger.weight == [3, 2, 1]
 
     def test_diamond_counts_shared_ancestor_once(self):
         ledger, a, b, c = build_diamond()
-        assert ledger.weights() == [4, 2, 2, 1]
+        assert ledger.weight == [4, 2, 2, 1]
 
     def test_duplicate_parents_deduplicated(self):
         ledger = TangleLedger(8)
         new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
-        assert parents_of(ledger) == [(), (ledger.genesis,)]
+        assert ledger.parents == [(), (ledger.genesis,)]
         assert tips(ledger) == [new]
-        assert ledger.weights() == [2, 1]
+        assert ledger.weight == [2, 1]
 
     def test_duplicate_parents_raise_weight_once(self):
         # the walk enters each distinct parent once
         ledger, a, b = build_chain()
         c = ledger.add_transaction([b, a, b], 3.0)
-        assert parents_of(ledger)[c] == (a, b)
-        assert ledger.weights() == [4, 3, 2, 1]
+        assert ledger.parents[c] == (a, b)
+        assert ledger.weight == [4, 3, 2, 1]
         assert tips(ledger) == [c]
 
     def test_unknown_parent(self):
@@ -105,8 +101,8 @@ class TestAddTransaction:
         a = ledger.add_transaction([ledger.genesis], 1.0)
         b = ledger.add_transaction([ledger.genesis], 2.0)
         c = ledger.add_transaction(order, 3.0)
-        assert parents_of(ledger)[c] == (a, b) == (1, 2)
-        assert ledger.weights() == [4, 2, 2, 1]
+        assert ledger.parents[c] == (a, b) == (1, 2)
+        assert ledger.weight == [4, 2, 2, 1]
         assert tips(ledger) == [c]
 
     @pytest.mark.parametrize("bad", [-1, 2])  # 2 is the id the insertion would take
@@ -117,7 +113,7 @@ class TestAddTransaction:
             with pytest.raises(UnknownParent):
                 ledger.add_transaction(order, 2.0)
         assert len(ledger) == 2
-        assert ledger.weights() == [2, 1]
+        assert ledger.weight == [2, 1]
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_parent_arity(self, count):
@@ -164,6 +160,12 @@ def pools(ledger):
     return list(ledger.pools.priority), list(ledger.pools.tips), list(ledger.pools.common)
 
 
+def columns(ledger):
+    """Copies of every column: the per-id lists, then the two id -> time dicts."""
+    return (list(ledger.parents), list(ledger.issued), list(ledger.flags), list(ledger.weight),
+            dict(ledger.confirmed_at), dict(ledger.promoted_at))
+
+
 class TestReveal:
     def test_fresh_view_is_genesis_alone(self):
         ledger = TangleLedger(8, 1.0, 3.0)
@@ -173,7 +175,7 @@ class TestReveal:
         ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.reveal(0.5)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
-        assert [r.promoted_at for r in ledger.records()] == [None, None]
+        assert ledger.promoted_at == {}
 
     def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
         ledger = TangleLedger(1)  # a tip weighs 1, so a sweep confirms it
@@ -208,21 +210,21 @@ class TestReveal:
         ledger, a, b = build_chain(visibility_delay=5.0, aging_threshold=1.0)
         ledger.reveal(5.0)
         # promotion stops at the revealed prefix: genesis, approved by no revealed id
-        assert [r.promoted_at for r in ledger.records()] == [5.0, None, None]
+        assert ledger.promoted_at == {ledger.genesis: 5.0}
         assert pools(ledger) == ([ledger.genesis], [ledger.genesis], [])
         ledger.reveal(6.0)  # and resumes from its cursor as the prefix grows
-        assert [r.promoted_at for r in ledger.records()] == [5.0, 6.0, None]
+        assert ledger.promoted_at == {ledger.genesis: 5.0, a: 6.0}
         assert pools(ledger) == ([ledger.genesis, a], [a], [])
 
     def test_promote_at_or_below_cursor_changes_nothing(self):
         ledger, a, b = build_chain(aging_threshold=4.0)
         ledger.reveal(5.0)  # reveals all three, and ages genesis and a
-        before = pools(ledger), ledger.records()
+        before = pools(ledger), columns(ledger)
         ledger.reveal(5.0)
         ledger.reveal(4.0)
-        assert (pools(ledger), ledger.records()) == before
+        assert (pools(ledger), columns(ledger)) == before
         ledger.reveal(9.0)  # reveals nothing, and still ages b
-        assert [r.promoted_at for r in ledger.records()] == [5.0, 5.0, 9.0]
+        assert ledger.promoted_at == {ledger.genesis: 5.0, a: 5.0, b: 9.0}
         assert pools(ledger) == ([ledger.genesis, a, b], [b], [])
 
     def test_aging_cursor_at_the_end_changes_nothing(self):
@@ -230,10 +232,10 @@ class TestReveal:
         # past the last issue time, and must not read beyond it
         ledger, a, b = build_chain(visibility_delay=1.0, aging_threshold=2.0)
         ledger.reveal(math.inf)
-        before = pools(ledger), ledger.records()
+        before = pools(ledger), columns(ledger)
         assert before[0] == ([ledger.genesis, a, b], [b], [])
         ledger.reveal(math.inf)
-        assert (pools(ledger), ledger.records()) == before
+        assert (pools(ledger), columns(ledger)) == before
 
     def test_aging_off_at_infinite_now_promotes_nothing(self):
         # aging off is no infinite threshold: inf - inf is NaN, and a NaN
@@ -243,7 +245,7 @@ class TestReveal:
         b = ledger.add_transaction([a], 2.0)
         c = ledger.add_transaction([ledger.genesis, b], 3.0, priority_flag=True)
         ledger.reveal(math.inf)
-        assert [r.promoted_at for r in ledger.records()] == [None] * 4
+        assert ledger.promoted_at == {}
         assert ledger.pools.priority == [a, c]
 
 
@@ -252,26 +254,23 @@ class TestColumns:
         ledger, a, b = build_chain(theta=3)
         ledger.add_transaction([b], 3.0, priority_flag=True)
         ledger.confirmation_sweep(3.0)  # genesis and a
-        issued_at, flags, parents, confirmed_at = (
-            ledger.issued, ledger.flags, ledger.parents, ledger.confirmed_at)
-        assert [
-            (r.issued_at, r.tx_class == "priority", r.parents, r.confirmed_at)
-            for r in ledger.records()
-        ] == [(issued_at[i], flags[i], parents[i], confirmed_at.get(i)) for i in range(4)]
+        issued_at, flags, parents, weight, confirmed_at = (
+            ledger.issued, ledger.flags, ledger.parents, ledger.weight, ledger.confirmed_at)
         assert confirmed_at == {ledger.genesis: 3.0, a: 3.0}
         ledger.add_transaction([a], 4.0)
-        assert len(issued_at) == len(flags) == len(parents) == len(ledger) == 5
+        assert len(issued_at) == len(flags) == len(parents) == len(weight) == len(ledger) == 5
+
+    def test_public_methods_are_the_three_mutators(self):
+        # readers read the columns; no method snapshots them
+        public = {name for name, f in vars(TangleLedger).items()
+                  if callable(f) and not name.startswith("_")}
+        assert public == {"add_transaction", "reveal", "confirmation_sweep"}
 
 
 class TestCumulativeWeight:
     def test_tip_weight_is_one(self):
         ledger, a, b, c = build_diamond()
-        assert ledger.weights()[c] == 1
-
-    def test_weights_is_a_copy(self):
-        ledger, a, b = build_chain()
-        ledger.weights()[0] = 99
-        assert ledger.weights() == [3, 2, 1]
+        assert ledger.weight[c] == 1
 
 
 class TestConfirmationSweep:
@@ -284,26 +283,26 @@ class TestConfirmationSweep:
     def test_theta_one_confirms_everything(self):
         ledger, a, b = build_chain(theta=1)
         newly = ledger.confirmation_sweep(2.0)
-        assert newly == {ledger.genesis, a, b}
-        assert [r.confirmed_at for r in ledger.records()] == [2.0, 2.0, 2.0]
+        assert newly == [ledger.genesis, a, b]
+        assert ledger.confirmed_at == {ledger.genesis: 2.0, a: 2.0, b: 2.0}
 
     def test_theta_one_confirms_each_arrival(self):
         # genesis weighs theta from construction, and each new id from insertion
         ledger = TangleLedger(1)
-        assert ledger.confirmation_sweep(0.0) == {ledger.genesis}
+        assert ledger.confirmation_sweep(0.0) == [ledger.genesis]
         new = ledger.add_transaction([ledger.genesis], 1.0)
-        assert ledger.confirmation_sweep(1.0) == {new}
-        assert [r.confirmed_at for r in ledger.records()] == [0.0, 1.0]
+        assert ledger.confirmation_sweep(1.0) == [new]
+        assert ledger.confirmed_at == {ledger.genesis: 0.0, new: 1.0}
 
     def test_theta_one_new_id_ripe_at_insertion(self):
         # the new id is ripe though its walk reaches no unconfirmed id
         ledger = TangleLedger(1)
         a = ledger.add_transaction([ledger.genesis], 1.0)
-        assert ledger.confirmation_sweep(1.0) == {ledger.genesis, a}
+        assert ledger.confirmation_sweep(1.0) == [ledger.genesis, a]
         b = ledger.add_transaction([ledger.genesis, a], 2.0)
-        assert ledger.weights() == [2, 1, 1]  # confirmed parents stop growing
-        assert ledger.confirmation_sweep(2.0) == {b}
-        assert [r.confirmed_at for r in ledger.records()] == [1.0, 1.0, 2.0]
+        assert ledger.weight == [2, 1, 1]  # confirmed parents stop growing
+        assert ledger.confirmation_sweep(2.0) == [b]
+        assert ledger.confirmed_at == {ledger.genesis: 1.0, a: 1.0, b: 2.0}
 
     def test_nothing_ripe_changes_nothing(self):
         ledger, a, b = build_chain(theta=3)
@@ -311,21 +310,19 @@ class TestConfirmationSweep:
         ledger.add_transaction([b], 3.0, priority_flag=True)
         ledger.reveal(3.0)
         ledger.confirmation_sweep(3.0)  # genesis and a
-        before = ledger.records(), ledger.weights(), pools(ledger), set(ledger.confirmed_set)
-        newly = ledger.confirmation_sweep(5.0)
-        assert newly == set() and isinstance(newly, set)
-        after = ledger.records(), ledger.weights(), pools(ledger), set(ledger.confirmed_set)
-        assert after == before
-        assert before[2] == ([3], [3], [])
+        before = columns(ledger), pools(ledger), set(ledger.confirmed_set)
+        assert ledger.confirmation_sweep(5.0) == []
+        assert (columns(ledger), pools(ledger), set(ledger.confirmed_set)) == before
+        assert before[1] == ([3], [3], [])
 
     def test_chain_theta_three(self):
         ledger, a, b = build_chain(theta=3)
-        assert ledger.confirmation_sweep(2.0) == {ledger.genesis}
+        assert ledger.confirmation_sweep(2.0) == [ledger.genesis]
 
     def test_idempotent(self):
         ledger, a, b = build_chain(theta=3)
         ledger.confirmation_sweep(2.0)
-        assert ledger.confirmation_sweep(2.0) == set()
+        assert ledger.confirmation_sweep(2.0) == []
 
 
 def bits(ids):
@@ -338,30 +335,30 @@ class TestCones:
 
     def test_tip_has_empty_future(self):
         ledger, a, b = build_chain()
-        assert future_cones(parents_of(ledger))[b] == 0
+        assert future_cones(ledger.parents)[b] == 0
 
     def test_genesis_has_empty_past(self):
         # genesis approves nothing, so it lies in no transaction's future cone
         assert future_cones([()]) == [0]
         ledger, a, b, c = build_diamond()
-        parents = parents_of(ledger)
+        parents = ledger.parents
         assert parents[ledger.genesis] == ()
         assert reachable(ledger.genesis, parents) == set()
         assert all(not cone & bits({ledger.genesis}) for cone in future_cones(parents))
 
     def test_diamond_future_cones(self):
         ledger, a, b, c = build_diamond()
-        assert future_cones(parents_of(ledger)) == [bits({a, b, c}), bits({c}), bits({c}), 0]
+        assert future_cones(ledger.parents) == [bits({a, b, c}), bits({c}), bits({c}), 0]
 
     def test_chain_future_cone(self):
         ledger, a, b = build_chain()
-        assert future_cones(parents_of(ledger))[ledger.genesis] == bits({a, b})
+        assert future_cones(ledger.parents)[ledger.genesis] == bits({a, b})
 
     def test_unknown(self):
         # the cone oracle and the ledger's readers have one entry per known id
         ledger, a, b, c = build_diamond()
-        assert len(future_cones(parents_of(ledger))) == len(ledger) == c + 1
-        assert len(ledger.records()) == len(ledger.weights()) == len(ledger)
+        assert len(future_cones(ledger.parents)) == len(ledger) == c + 1
+        assert len(ledger.issued) == len(ledger.weight) == len(ledger)
 
 
 def replay(parents, theta=8):
@@ -380,7 +377,7 @@ class TestRandomizedInvariants:
             parents = random_dag(rng, rng.randint(2, 200))
             ledger = replay(parents)
             expected = brute_force_cumulative_weights(parents)
-            assert dict(enumerate(ledger.weights())) == expected
+            assert dict(enumerate(ledger.weight)) == expected
 
     def test_tip_set_matches_recomputation(self):
         rng = random.Random(99)
@@ -394,7 +391,7 @@ class TestRandomizedInvariants:
         rng = random.Random(7)
         parents = random_dag(rng, 150)
         ledger = replay(parents)
-        total_cw = sum(ledger.weights())
+        total_cw = sum(ledger.weight)
         total_cones = sum(1 + len(reachable(i, parents)) for i in range(len(parents)))
         assert total_cw == total_cones
 
@@ -402,7 +399,7 @@ class TestRandomizedInvariants:
         rng = random.Random(11)
         parents = random_dag(rng, 150)
         ledger = replay(parents)
-        weights = ledger.weights()
+        weights = ledger.weight
         for tip in tips(ledger):
             assert weights[tip] == 1
 
@@ -413,7 +410,7 @@ class TestRandomizedInvariants:
         previous = [1]
         for ps in parents[1:]:
             ledger.add_transaction(list(ps), float(len(ledger)))
-            current = ledger.weights()
+            current = list(ledger.weight)
             for i, w in enumerate(previous):
                 assert current[i] >= w
             previous = current
@@ -422,7 +419,7 @@ class TestRandomizedInvariants:
         rng = random.Random(31)
         parents = random_dag(rng, 200)
         ledger = replay(parents)
-        for i, ps in enumerate(parents_of(ledger)):
+        for i, ps in enumerate(ledger.parents):
             for p in ps:
                 assert p < i
 
@@ -430,7 +427,7 @@ class TestRandomizedInvariants:
         rng = random.Random(41)
         parents = random_dag(rng, 100)
         ledger = replay(parents)
-        stored = parents_of(ledger)
+        stored = ledger.parents
         for i in range(1, len(parents)):
             assert ledger.genesis in reachable(i, stored)
 
@@ -442,7 +439,7 @@ class TestRandomizedInvariants:
         ledger.confirmation_sweep(200.0)
         weights = [1 + f.bit_count() for f in future_cones(parents)]
         assert ledger.confirmed_set == {i for i, w in enumerate(weights) if w >= theta}
-        stored = ledger.weights()
+        stored = ledger.weight
         for i, w in enumerate(weights):
             assert i in ledger.confirmed_set or stored[i] == w
 
@@ -480,16 +477,15 @@ class TestInterleavedSweeps:
                 if rng.random() < 0.5:
                     newly = ledger.confirmation_sweep(float(new))
                     before, cut = cut, {i for i, w in expected.items() if w >= theta}
-                    assert newly == cut - before
-                    records, weights = ledger.records(), ledger.weights()
+                    assert sorted(newly) == sorted(cut - before)
                     for i in newly:
-                        assert records[i].confirmed_at == float(new)
-                        frozen[i] = weights[i]
+                        assert ledger.confirmed_at[i] == float(new)
+                        frozen[i] = ledger.weight[i]
                         assert frozen[i] >= theta
                 confirmed = ledger.confirmed_set
                 assert confirmed == cut
                 cones = future_cones(parents[: new + 1])
-                weights = ledger.weights()
+                weights = ledger.weight
                 for i in range(new + 1):
                     assert cones[i] == bits(reachable(i, approvers))
                     if i in confirmed:

@@ -27,7 +27,7 @@ NO_AGING = (0.0, None)
 
 def promotion_times(ledger):
     """Every id's promotion time, in id order."""
-    return [r.promoted_at for r in ledger.records()]
+    return [ledger.promoted_at.get(i) for i in range(len(ledger))]
 
 
 def make_candidates(priority=(), common=(), tips=None):
