@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
@@ -136,7 +137,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    status = main()
+    # The outputs are closed by now. The interpreter's final collections at
+    # shutdown, which `gc.disable()` does not stop, skip frozen objects, and
+    # the OS takes their memory back with the process: about 8 ms per command.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import shlex
@@ -18,7 +19,7 @@ from tanglesim.cli import (
     build_parser,
     main,
 )
-from tanglesim import oracle
+from tanglesim import cli, oracle
 from tanglesim.engine import SimConfig, SimTrace, reference_config_text
 from tanglesim.ledger import SelectionCandidates
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips
@@ -374,6 +375,19 @@ class TestSelfCheck:
         assert "PASS branch table" in out
 
 
+def run_python(*args):
+    """A fresh interpreter on this checkout's `src/`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 NO_NUMPY_SCRIPT = """\
 import sys
 sys.modules["numpy"] = None  # any import of numpy now fails
@@ -386,15 +400,7 @@ assert main(["simulate", "--config", config, "--out", out]) == 0
 
 class TestNoNumpy:
     def test_runs_with_numpy_blocked(self, config_path, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_SCRIPT, str(config_path), str(tmp_path / "o")],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_python("-c", NO_NUMPY_SCRIPT, str(config_path), str(tmp_path / "o"))
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "o" / "trace.csv").exists()
 
@@ -411,18 +417,42 @@ print(*sorted(sys.modules))
 
 def test_start_imports_no_oracle(config_path, tmp_path):
     # only `self-check` needs the oracle, so no other command pays its import
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", COMMANDS_SCRIPT, str(config_path), str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_python("-c", COMMANDS_SCRIPT, str(config_path), str(tmp_path / "o"))
     loaded = result.stdout.split()
     assert "tanglesim.cli" in loaded, result.stderr
     assert "tanglesim.oracle" not in loaded
+
+
+class TestEntryPoint:
+    def test_freezes_the_collector_after_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "exit", lambda status: calls.append(("exit", status)))
+        frozen = gc.get_freeze_count()
+        cli.entry_point()
+        assert calls == ["main", "freeze", ("exit", 3)]
+        assert gc.get_freeze_count() == frozen  # this process keeps its collector
+
+    def test_module_run_writes_main_outputs(self, config_path, tmp_path):
+        result = run_python(
+            "-m", "tanglesim.cli", "simulate",
+            "--config", str(config_path), "--out", str(tmp_path / "child"),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        here = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "here")]
+        assert main(here) == EXIT_OK
+        assert output_files(tmp_path / "child") == output_files(tmp_path / "here")
+        assert set(output_files(tmp_path / "child")) == {"trace.csv", "summary.json"}
+
+    def test_module_run_exit_status_names_field(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG.replace("rho: 0.05", "rho: 1.5"))
+        result = run_python(
+            "-m", "tanglesim.cli", "simulate", "--config", str(path), "--out", str(tmp_path / "o"),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert "config error: invalid config field 'rho'" in result.stderr
 
 
 class TestUsage:
