@@ -63,9 +63,9 @@ class SimConfig:
 
     `pinned_priority` lists 1-based arrival ordinals forced to high
     priority, mirroring a hand-picked set of marked transactions. With
-    aging enabled, a transaction unconfirmed for `aging_threshold` seconds
-    is treated as high-priority. Building one, by any route, checks every
-    field against its bound.
+    aging enabled, a ptsa run treats a transaction unconfirmed for
+    `aging_threshold` seconds as high-priority. Building one, by any
+    route, checks every field against its bound.
     """
 
     arrival_rate: float = _key(
@@ -221,7 +221,8 @@ def run_simulation(config: SimConfig, arrivals: list[tuple[float, bool]] | None 
     select = select_uniform if config.strategy == "uniform" else select_ptsa
 
     ledger = TangleLedger(config.theta, config.visibility_delay,
-                          config.aging_threshold if config.aging_enabled else None)
+                          config.aging_threshold if config.aging_enabled else None,
+                          config.strategy == "ptsa")
     insert, sweep = ledger.add_transaction, ledger.confirmation_sweep
     # with no list handed in, iterate the call itself: its list is freed when the loop ends
     for now, flag in generate_workload(config) if arrivals is None else arrivals:

@@ -20,27 +20,29 @@ Since ids are issued in time order, a time cutoff is an id prefix. The ledger
 takes the visibility delay h and the aging threshold at construction too, and
 an arrival at `now` sees the DAG as it was at `now - h`: `reveal(now)` bisects
 the issue times from its cursor to that cutoff's prefix, which only grows, and
-genesis is revealed at construction. With aging on, `reveal` then promotes: it
-bisects from a second cursor, the aged one, to the prefix of
-`now - max(h, threshold)`, which lies within the revealed one, and records each
-id it passes that is unconfirmed and unflagged as promoted at `now`; one
+genesis is revealed at construction. Aging is ptsa's rule: with it on, a
+ranked ledger's `reveal` then bisects from a second cursor, the aged one, to
+the prefix of `now - max(h, threshold)`, within the revealed one, and records
+each id it passes that is unconfirmed and unflagged as promoted at `now`; one
 comparison skips that when the id at the cursor is unrevealed or younger.
 
-The pool rule: the priority ids are the revealed, unconfirmed ids that are
-flagged or below the aged cursor; a tip is a revealed id that no revealed id
-approves; the common tips are the tips that are not priority ids. The
-candidate pools are `ledger.pools`, one `SelectionCandidates` that the ledger
-builds once and keeps current for its whole life. Its three id-sorted lists
-hold those three sets, so every pool is one of them, used whole and never
-copied; a reader sees the lists change at the ledger's next mutation. A newly
-revealed id joins the lists it belongs to, marks each parent it is the first
-to approve as approved, and takes it out of the tips by bisection. The newest
-revealed id is a tip, since what approves it is newer and not yet revealed; so
-a lone tip is the newest revealed id, and the id before it is the newest
-non-tip. Confirmation is read as of now, not as of the cutoff. A promotion
-inserts an id into the priority list and takes it out of the common tips; a
-confirmation takes a revealed priority id out of the priority list and inserts
-it into the common tips if it is a tip.
+The pool rule: a tip is a revealed id that no revealed id approves; the
+priority ids are the revealed, unconfirmed ids that are flagged or below the
+aged cursor in a ranked ledger (ptsa's), and none in an unranked one
+(uniform's); the common tips are the tips that are not priority ids. The
+pools are `ledger.pools`, one `SelectionCandidates` built once and kept
+current, of id-sorted lists used whole, never copied: a reader sees them
+change at the next mutation. A ledger keeps only its strategy's pools: a
+ranked one the priority and common lists, its tip list left empty; an
+unranked one the tips, which are its common tips (`pools.tips is
+pools.common`). A newly revealed id joins its list, marks each parent it is
+the first to approve as approved, and takes that parent out of the common
+tips by bisection. The newest revealed id is a tip, since what approves it is
+newer and not yet revealed; so a lone tip is the newest revealed id, and the
+id before it is the newest non-tip. Confirmation is read as of now, not as of
+the cutoff. A promotion inserts an id into the priority list and takes it out
+of the common tips; a confirmation takes a revealed priority id out of the
+priority list and inserts it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -89,8 +91,8 @@ CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # a transaction's class, indexed by it
 @dataclass(slots=True)
 class SelectionCandidates:
     """The selectable transactions, as the module docstring's pool rule
-    defines them, so strategies need no ledger access: the priority ids
-    (selectable until confirmed, tips or not), the common tips and all tips."""
+    defines and keeps them, so strategies need no ledger access: the priority
+    ids (selectable until confirmed, tips or not), the common tips and all tips."""
 
     priority: list[int]
     common: list[int]
@@ -115,7 +117,7 @@ class TangleLedger:
     """The DAG store: transactions, the revealed view, confirmation."""
 
     def __init__(self, theta: int, visibility_delay: float = 0.0,
-                 aging_threshold: float | None = None) -> None:
+                 aging_threshold: float | None = None, ranked: bool = False) -> None:
         # genesis: no parents, issued at time 0, common class
         self.genesis = 0
         self.parents: list[tuple[int, ...]] = [()]
@@ -129,10 +131,12 @@ class TangleLedger:
         self._visible = 1  # reveal's cursor: it has passed every id below
         self._aged = 0  # aging's cursor, never past the one above: see the pool rule
         self._delay = visibility_delay
-        # the age at which a visible id ages, or None with aging off
-        self._aging = None if aging_threshold is None else max(visibility_delay, aging_threshold)
+        self._ranked = ranked  # ptsa's pools, or uniform's: see the pool rule
+        # the age at which a visible id ages, or None with aging off or unranked
+        self._aging = (max(visibility_delay, aging_threshold)
+                       if ranked and aging_threshold is not None else None)
         # id-sorted indexes over the state above, of the revealed ids only
-        self.pools = SelectionCandidates(priority=[], common=[0], tips=[0])
+        self.pools = SelectionCandidates([], common := [0], [] if ranked else common)
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -204,12 +208,12 @@ class TangleLedger:
         if not newly:
             return newly
         priority, visible, aged = self.pools.priority, self._visible, self._aged
-        confirmed_at, stamp, flag = self.confirmed_at, self._stamp, self.flags
+        confirmed_at, stamp, flag, ranked = self.confirmed_at, self._stamp, self.flags, self._ranked
         for i in newly:
             confirmed_at[i] = now
             stamp[i] = _CONFIRMED
-            # a revealed priority id: aged (so promoted unless flagged), or flagged
-            if i < aged or i < visible and flag[i]:
+            # a revealed priority id: aged (so promoted unless flagged), or flagged and ranked
+            if i < aged or ranked and i < visible and flag[i]:
                 del priority[bisect_left(priority, i)]
                 if not self._approved[i]:  # a confirmed tip is common
                     insort(self.pools.common, i)
@@ -218,28 +222,26 @@ class TangleLedger:
     def reveal(self, now: float) -> None:
         """Make the ids issued at or before `now - h` visible: each one not
         reached by an earlier call becomes a tip, and each parent it is the
-        first to approve stops being one. Then, with aging on, stamp each
-        visible id issued at or before `now - max(h, threshold)` and not
-        reached by an earlier call, if it is unconfirmed and unflagged, as
-        promoted at `now`, which makes it a priority id until it confirms.
-        An earlier `now` changes nothing."""
+        first to approve stops being one. Then, with aging on in a ranked
+        ledger, stamp each visible id issued at or before
+        `now - max(h, threshold)` and not reached by an earlier call, if it is
+        unconfirmed and unflagged, as promoted at `now`, which makes it a
+        priority id until it confirms. An earlier `now` changes nothing."""
         visible = bisect_right(self.issued, now - self._delay, self._visible)
         pools = self.pools
         if visible != self._visible:
             approved, stamp, flag, parents = self._approved, self._stamp, self.flags, self.parents
-            aged, tips, common = self._aged, pools.tips, pools.common
+            ranked, aged, common = self._ranked, self._aged, pools.common
             for j in range(self._visible, visible):
-                tips.append(j)
-                if stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
+                if ranked and stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
                     pools.priority.append(j)
                 else:
                     common.append(j)
                 for p in parents[j]:
                     if not approved[p]:
                         approved[p] = True
-                        del tips[bisect_left(tips, p)]
-                        # a common tip: confirmed, or neither flagged nor aged
-                        if stamp[p] == _CONFIRMED or not (flag[p] or p < aged):
+                        # a common tip: confirmed, or neither aged nor flagged in a ranked ledger
+                        if stamp[p] == _CONFIRMED or not (ranked and flag[p] or p < aged):
                             del common[bisect_left(common, p)]
             self._visible = visible
         if self._aging is None:

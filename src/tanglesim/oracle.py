@@ -86,10 +86,10 @@ def reference_pools(parents: list[tuple[int, ...]], flags: list[bool], visible: 
 
 
 def reference_run(config: SimConfig) -> list[TxRecord]:
-    """The records `run_simulation(config)` must return. Each arrival first
-    promotes the aged ids that are unconfirmed and unflagged, then attaches
-    to the strategy's draw from the visible pools, which hold genesis from
-    the start; then every id whose weight reaches theta confirms."""
+    """The records `run_simulation(config)` must return. Under ptsa each
+    arrival first promotes the aged ids that are unconfirmed and unflagged;
+    it attaches to the strategy's draw from the visible pools, which hold
+    genesis from the start; then every id whose weight reaches theta confirms."""
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
     parents, flags, issued = [()], [False], [0.0]
@@ -98,7 +98,8 @@ def reference_run(config: SimConfig) -> list[TxRecord]:
         visible = max(1, sum(t <= now - config.visibility_delay for t in issued))
         aged_cutoff = now - max(config.visibility_delay, config.aging_threshold)
         for i, t in enumerate(issued):
-            if config.aging_enabled and t <= aged_cutoff and i not in confirmed and not flags[i]:
+            if (config.aging_enabled and config.strategy == "ptsa" and t <= aged_cutoff
+                    and i not in confirmed and not flags[i]):
                 promoted.setdefault(i, now)
         chosen = select(reference_pools(parents, flags, visible, confirmed, promoted),
                         attach_rng).parents
@@ -151,8 +152,8 @@ def check_cumulative_weights() -> bool:
     return True
 
 
-# (p, |common|) for every shape a ledger's pools can take: they always hold
-# genesis, so p = 0 comes with a common tip
+# (p, |common|) for every shape a ranked ledger's pools can take: they always
+# hold genesis, so p = 0 comes with a common tip
 BRANCH_TABLE = tuple((p, c) for p in (0, 1, 2, 5) for c in (0, 1, 2, 10) if p or c)
 
 
@@ -162,11 +163,7 @@ def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
     by pool membership: min(p, 2) priority ids, one common tip when p >= 1
     has one to take, all distinct, and three of them only when p >= 2 does."""
     common = list(range(200, 200 + n_common))
-    candidates = SelectionCandidates(
-        priority=list(range(100, 100 + p)),
-        common=common,
-        tips=common,
-    )
+    candidates = SelectionCandidates(list(range(100, 100 + p)), common, [])  # a ranked ledger's
     parents = select_ptsa(candidates, rng).parents
     expect_arity = 3 if p >= 2 and n_common >= 1 else 2
     if (

@@ -4,8 +4,8 @@ Both strategies are pure functions of the candidate pools and a seeded
 random source; they never touch the ledger. `build_candidates` hands out
 `ledger.pools`, the ledger's own live `SelectionCandidates`: its lists are
 current only until the ledger's next mutation. Every pool is sorted by id,
-so a given seed yields one result regardless of set iteration order, and
-holds genesis at least, so a strategy always draws.
+so a given seed yields one result regardless of set iteration order. A ledger
+keeps only the pools its run's strategy reads, and each holds genesis at least.
 
 The draws, `_index` and `_two`, return what CPython 3.11's `choice` and
 `sample(pool, 2)` return and leave the stream where they leave it, at less
@@ -28,7 +28,7 @@ BRANCH_BASELINE = "baseline"
 
 
 class EmptyCandidates(Exception):
-    """Raised by nothing: a ledger's pools always hold its genesis at least.
+    """Raised by nothing: the pools a ledger keeps always hold its genesis.
     Kept only because `tsbench/traced_cli.py` imports it."""
 
 
@@ -89,7 +89,7 @@ def select_uniform(
     candidates: SelectionCandidates, rng: random.Random
 ) -> SelectionResult:
     """Baseline: two distinct tips uniformly at random from the whole tip
-    pool, ignoring the priority/common partition."""
+    pool, which neither flags nor aging touch."""
     return SelectionResult(_two(candidates.tips, rng), BRANCH_BASELINE)
 
 

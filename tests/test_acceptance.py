@@ -18,6 +18,7 @@ from tanglesim.oracle import (
     check_branch_table,
     check_cumulative_weights,
     future_cones,
+    reference_pools,
 )
 
 REFERENCE = SimConfig()  # the defaults are the reference experiment
@@ -115,8 +116,15 @@ def test_criterion_7_ledger_invariants(reference_runs):
             parents = ledger.parents
             w = [1 + f.bit_count() for f in future_cones(parents)]
             ledger.reveal(math.inf)
-            tips = ledger.pools.tips
-            ok &= tips == sorted(brute_force_tips(parents))
+            # each ledger keeps its strategy's pools: uniform's the tips, and
+            # ptsa's the priority and common ids
+            if ledger is u_ledger:
+                ok &= ledger.pools.tips == sorted(brute_force_tips(parents))
+            else:
+                expected = reference_pools(parents, ledger.flags, n, ledger.confirmed_at,
+                                           ledger.promoted_at)
+                ok &= (ledger.pools.priority, ledger.pools.common) == (
+                    expected.priority, expected.common)
             confirmed = ledger.confirmed_set
             ok &= confirmed == {i for i in range(n) if w[i] >= theta}
             stored = ledger.weight

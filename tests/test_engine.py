@@ -336,7 +336,8 @@ class TestRunSimulation:
                 assert r.confirmed_at >= r.issued_at
 
     def test_tip_pool_series_matches_records(self):
-        trace = run_simulation(SMALL)
+        # uniform's ledger keeps the tip list
+        trace = run_simulation(dataclasses.replace(SMALL, strategy="uniform"))
         series = tip_pool_series(trace.records)
         assert [t for t, _ in series] == [r.issued_at for r in trace.records]
         assert all(n >= 1 for _, n in series)
@@ -444,6 +445,27 @@ class TestMetamorphic:
         ptsa = [(r.parents, r.confirmed_at) for r in ptsa_trace.records]
         assert ptsa == uniform
 
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_uniform_is_blind_to_flags_and_aging(self, seed):
+        # uniform draws from all tips, which neither a flag nor aging touches,
+        # and each arrival's time is drawn before its flag: so neither rho, the
+        # pinned ordinals nor aging moves a uniform run, and aging, ptsa's
+        # rule, promotes nothing in one
+        base = SimConfig(strategy="uniform", horizon=200.0, seed=seed)
+        expected = run_simulation(base).ledger
+        variants = [
+            dataclasses.replace(base, priority_fraction=rho, aging_enabled=enabled,
+                                aging_threshold=threshold)
+            for rho in (0.0, 0.05, 0.5, 1.0)
+            for enabled, threshold in ((False, 30.0), (True, 0.5), (True, 5.0))
+        ]
+        variants.append(dataclasses.replace(base, pinned_priority=(1, 2, 50, 51)))
+        for config in [base, *variants]:
+            ledger = run_simulation(config).ledger
+            for column in ("issued", "parents", "confirmed_at"):
+                assert getattr(ledger, column) == getattr(expected, column), (config, column)
+            assert ledger.promoted_at == {}, config
+
     @pytest.mark.parametrize("seed", [42, 43])
     @pytest.mark.parametrize("strategy", ["uniform", "ptsa"])
     def test_theta_two_confirms_at_first_approval(self, strategy, seed):
@@ -464,7 +486,9 @@ class TestMetamorphic:
         # two (IEEE scaling by 2^k commutes with rounding)
         config = dataclasses.replace(BACKLOG, strategy=strategy, seed=seed)
         original = run_simulation(config)
-        assert any(r.promoted_at is not None for r in original.records)
+        # aging is ptsa's rule, and it fires in ptsa's runs here
+        promoted = any(r.promoted_at is not None for r in original.records)
+        assert promoted == (strategy == "ptsa")
         for c in (2.0, 4.0, 0.5):
             scaled = run_simulation(
                 dataclasses.replace(

@@ -140,7 +140,7 @@ COMPARE_GOLDEN = {
 # the ptsa-backlog config
 IN_MEMORY_GOLDEN = "184dfe80ebc06794d572518c5e2c29264626b3dbc566421f4db51db17e2c50cd"
 # the same for the ptsa-backlog config under the uniform strategy
-UNIFORM_IN_MEMORY_GOLDEN = "a83ea003e22ed591d472086e0103f65b2e5d59ea4094976e166ed19794fb0a11"
+UNIFORM_IN_MEMORY_GOLDEN = "bcd1d094b63396f1f6d745726650ac6923baba4e6568e9c87ab2c67184681dd7"
 # the same for the aging-below-delay-backlog config
 AGING_BELOW_DELAY_IN_MEMORY_GOLDEN = (
     "99fab56c369bbc79a7b30e66fe576eea000ff0d71af9804fd0c862298bfe2340"

@@ -8,6 +8,7 @@ from tanglesim.engine import MAX_EXPECTED_TX
 from tanglesim.ledger import (
     _CONFIRMED,
     ParentArity,
+    SelectionCandidates,
     TimeRegression,
     UnknownParent,
     TangleLedger,
@@ -20,9 +21,50 @@ from tanglesim.oracle import (
 )
 
 
-def build_chain(theta=8, visibility_delay=0.0, aging_threshold=None):
-    """genesis <- A <- B, issued at 0, 1 and 2"""
-    ledger = TangleLedger(theta, visibility_delay, aging_threshold)
+class Twins:
+    """A ranked ledger and an unranked twin fed one history. The mutators go
+    to both, other reads to the ranked one, and `pools` joins the ranked
+    twin's priority and common lists with the unranked twin's tips, so each
+    list is read from the ledger that keeps it."""
+
+    def __init__(self, theta=8, visibility_delay=0.0, aging_threshold=None):
+        self.ranked = TangleLedger(theta, visibility_delay, aging_threshold, ranked=True)
+        self.unranked = TangleLedger(theta, visibility_delay, aging_threshold)
+
+    def __getattr__(self, name):
+        return getattr(self.ranked, name)
+
+    def __len__(self):
+        return len(self.ranked)
+
+    def add_transaction(self, parents, issued_at, priority_flag=False):
+        new = self.ranked.add_transaction(parents, issued_at, priority_flag)
+        assert self.unranked.add_transaction(parents, issued_at, priority_flag) == new
+        return new
+
+    def reveal(self, now):
+        self.ranked.reveal(now)
+        self.unranked.reveal(now)
+
+    def confirmation_sweep(self, now):
+        newly = self.ranked.confirmation_sweep(now)
+        assert self.unranked.confirmation_sweep(now) == newly
+        return newly
+
+    @property
+    def pools(self):
+        ranked, unranked = self.ranked, self.unranked
+        # the unranked twin keeps no priority ids, so its tips are its common
+        # tips, and aging leaves it alone; the ranked one keeps no tip list
+        assert unranked.pools.priority == [] and unranked.pools.common is unranked.pools.tips
+        assert unranked.promoted_at == {} and ranked.pools.tips == []
+        assert (unranked.weight, unranked.confirmed_at) == (ranked.weight, ranked.confirmed_at)
+        return SelectionCandidates(ranked.pools.priority, ranked.pools.common, unranked.pools.tips)
+
+
+def build_chain(theta=8, visibility_delay=0.0, aging_threshold=None, make=TangleLedger):
+    """genesis <- A <- B, issued at 0, 1 and 2, in a ledger or `Twins`"""
+    ledger = make(theta, visibility_delay, aging_threshold)
     a = ledger.add_transaction([ledger.genesis], 1.0)
     b = ledger.add_transaction([a], 2.0)
     return ledger, a, b
@@ -38,7 +80,8 @@ def build_diamond():
 
 
 def tips(ledger):
-    """Every tip, in id order: the tip candidates with all ids revealed."""
+    """Every tip of an unranked ledger, in id order: the tip candidates with
+    all ids revealed."""
     ledger.reveal(math.inf)
     return ledger.pools.tips
 
@@ -155,9 +198,10 @@ class TestTips:
         assert len(tips(ledger)) == 2
 
 
-def pools(ledger):
-    """Copies of the revealed priority ids, tips and common tips."""
-    return list(ledger.pools.priority), list(ledger.pools.tips), list(ledger.pools.common)
+def pools(twins):
+    """Copies of the revealed priority ids, tips and common tips of `Twins`."""
+    c = twins.pools
+    return list(c.priority), list(c.tips), list(c.common)
 
 
 def columns(ledger):
@@ -168,7 +212,7 @@ def columns(ledger):
 
 class TestReveal:
     def test_fresh_view_is_genesis_alone(self):
-        ledger = TangleLedger(8, 1.0, 3.0)
+        ledger = Twins(8, 1.0, 3.0)
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
         # an insertion touches nothing of the view, nor do negative visible
         # and aged cutoffs (-0.5 and -2.5)
@@ -178,7 +222,7 @@ class TestReveal:
         assert ledger.promoted_at == {}
 
     def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
-        ledger = TangleLedger(1)  # a tip weighs 1, so a sweep confirms it
+        ledger = Twins(1)  # a tip weighs 1, so a sweep confirms it
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         ledger.confirmation_sweep(1.0)
         assert hp in ledger.confirmed_set
@@ -186,7 +230,7 @@ class TestReveal:
         assert pools(ledger) == ([], [hp], [hp])
 
     def test_revealed_id_is_tip_until_a_revealed_id_approves_it(self):
-        ledger, a, b = build_chain()
+        ledger, a, b = build_chain(make=Twins)
         ledger.reveal(0.0)  # genesis, approved by a, which is not revealed yet
         assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
         ledger.reveal(1.0)  # a, approved by b, which is not revealed yet
@@ -195,7 +239,7 @@ class TestReveal:
         assert pools(ledger) == ([], [b], [b])
 
     def test_smaller_prefix_reveals_nothing(self):
-        ledger, a, b = build_chain()
+        ledger, a, b = build_chain(make=Twins)
         ledger.reveal(2.0)
         before = pools(ledger)
         c = ledger.add_transaction([ledger.genesis], 3.0)
@@ -207,7 +251,7 @@ class TestReveal:
 
     def test_promote_never_reaches_unrevealed_id(self):
         # a threshold below the delay: the aged cutoff is the visible one
-        ledger, a, b = build_chain(visibility_delay=5.0, aging_threshold=1.0)
+        ledger, a, b = build_chain(visibility_delay=5.0, aging_threshold=1.0, make=Twins)
         ledger.reveal(5.0)
         # promotion stops at the revealed prefix: genesis, approved by no revealed id
         assert ledger.promoted_at == {ledger.genesis: 5.0}
@@ -217,7 +261,7 @@ class TestReveal:
         assert pools(ledger) == ([ledger.genesis, a], [a], [])
 
     def test_promote_at_or_below_cursor_changes_nothing(self):
-        ledger, a, b = build_chain(aging_threshold=4.0)
+        ledger, a, b = build_chain(aging_threshold=4.0, make=Twins)
         ledger.reveal(5.0)  # reveals all three, and ages genesis and a
         before = pools(ledger), columns(ledger)
         ledger.reveal(5.0)
@@ -230,17 +274,27 @@ class TestReveal:
     def test_aging_cursor_at_the_end_changes_nothing(self):
         # every id visible and aged: aging's cursor stands at the visible one,
         # past the last issue time, and must not read beyond it
-        ledger, a, b = build_chain(visibility_delay=1.0, aging_threshold=2.0)
+        ledger, a, b = build_chain(visibility_delay=1.0, aging_threshold=2.0, make=Twins)
         ledger.reveal(math.inf)
         before = pools(ledger), columns(ledger)
         assert before[0] == ([ledger.genesis, a, b], [b], [])
         ledger.reveal(math.inf)
         assert (pools(ledger), columns(ledger)) == before
 
+    def test_unranked_ledger_ignores_flags_and_aging(self):
+        # uniform's ledger: its common tips are its tips, and neither a flag
+        # nor aging, ptsa's rule, touches them
+        ledger, a, b = build_chain(aging_threshold=1.0)
+        c = ledger.add_transaction([a], 3.0, priority_flag=True)
+        ledger.reveal(10.0)
+        assert ledger.promoted_at == {}
+        assert ledger.pools == SelectionCandidates([], [b, c], [b, c])
+        assert ledger.pools.common is ledger.pools.tips
+
     def test_aging_off_at_infinite_now_promotes_nothing(self):
         # aging off is no infinite threshold: inf - inf is NaN, and a NaN
         # cutoff bisects to the end, which would promote every unflagged id
-        ledger = TangleLedger(8)
+        ledger = TangleLedger(8, ranked=True)
         a = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         b = ledger.add_transaction([a], 2.0)
         c = ledger.add_transaction([ledger.genesis, b], 3.0, priority_flag=True)
@@ -305,7 +359,7 @@ class TestConfirmationSweep:
         assert ledger.confirmed_at == {ledger.genesis: 1.0, a: 1.0, b: 2.0}
 
     def test_nothing_ripe_changes_nothing(self):
-        ledger, a, b = build_chain(theta=3)
+        ledger, a, b = build_chain(theta=3, make=Twins)
         ledger.reveal(2.0)
         ledger.add_transaction([b], 3.0, priority_flag=True)
         ledger.reveal(3.0)

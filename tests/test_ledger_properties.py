@@ -5,12 +5,15 @@ Each example draws one threshold, one visibility delay and one aging
 threshold (or aging off), and grows a random DAG with random flags and issue
 times (ties included). It sweeps after some insertions, so ids ripen over
 several insertions before a sweep, and after every insertion it queries the
-candidate pools at non-decreasing times, as the engine does. A
-brute-force record of promotions stands beside the ledger: an id is promoted
-at the first query whose aged cutoff covers it, if it is then unconfirmed and
-unflagged. Every pool is checked against `reference_pools` at the query's
-visible prefix, which only grows, as the ledger's reveal cursor requires, and
-the tips against the lemma the single-tip fallback rests on.
+candidate pools at non-decreasing times, as the engine does. The history
+feeds a ranked ledger and an unranked twin (`test_ledger.Twins`), so the
+priority and common lists are read from the ranked one and the tips from the
+unranked one. A brute-force record of promotions stands beside them: an id
+is promoted in the ranked ledger at the first query whose aged cutoff covers
+it, if it is then unconfirmed and unflagged. Every pool is checked against
+`reference_pools` at the query's visible prefix, which only grows, as the
+ledger's reveal cursor requires, and the tips against the lemma the
+single-tip fallback rests on.
 """
 
 import ast
@@ -21,9 +24,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tanglesim.engine import SimConfig
-from tanglesim.ledger import MAX_PARENTS, TangleLedger
+from tanglesim.ledger import MAX_PARENTS
 from tanglesim.oracle import future_cones, reference_pools
 from tanglesim.selection import build_candidates
+from test_ledger import Twins
 
 MAX_SIZE = 40
 MAX_THETA = 12
@@ -54,7 +58,7 @@ def histories(draw):
 
 
 def check_candidates(ledger, now, config, parents, issued, flags, confirmed, promoted):
-    """Query the ledger at `now`, after recording in `promoted` what the
+    """Query the `Twins` at `now`, after recording in `promoted` what the
     query promotes, and check the snapshot and every promotion time."""
     # genesis is revealed from the start
     visible = max(1, sum(t <= now - config.visibility_delay for t in issued))
@@ -67,9 +71,11 @@ def check_candidates(ledger, now, config, parents, issued, flags, confirmed, pro
                 promoted.setdefault(i, now)
     c = build_candidates(ledger, now)
     assert c == reference_pools(parents, flags, visible, confirmed, promoted)
-    # the pools are the ledger's one standing object, and never empty: the
-    # newest revealed id is a tip, and a tip is a priority id or a common tip
-    assert c is ledger.pools
+    # each twin's pools are its one standing object, and the pools a
+    # strategy reads are never empty: the newest revealed id is a tip, and a
+    # tip is a priority id or a common tip
+    assert build_candidates(ledger.ranked, now) is ledger.ranked.pools
+    assert build_candidates(ledger.unranked, now) is ledger.unranked.pools
     assert c.tips
     assert c.priority or c.common
     # the newest revealed id is a tip, since what approves it is newer; so a
@@ -99,7 +105,7 @@ def test_indexes_match_brute_force(history, delay, threshold):
         aging_enabled=threshold is not None,
         aging_threshold=threshold or 30.0,
     )
-    ledger = TangleLedger(theta, delay, threshold)
+    ledger = Twins(theta, delay, threshold)
     parents, flags, issued = [()], [False], [0.0]
     confirmed: dict[int, float] = {}  # id -> the sweep that confirmed it
     promoted: dict[int, float] = {}  # id -> the query that promoted it
@@ -144,7 +150,7 @@ def test_priority_pool_same_whichever_comes_first(visible, aged, size, age_first
     # with the aging threshold at gap, ages the first `aged`. Genesis, issued
     # at 0, would age too, so with `aged` = 0 the threshold is past every id.
     gap = 1000.0
-    ledger = TangleLedger(10**6, 0.0, gap if aged else 2 * gap)  # nothing confirms
+    ledger = Twins(10**6, 0.0, gap if aged else 2 * gap)  # nothing confirms
     for i in range(1, 200):
         ledger.add_transaction([i - 1], i + (i >= aged) * gap, priority_flag=i % 3 != 0)
     if age_first:

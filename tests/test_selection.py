@@ -19,6 +19,7 @@ from tanglesim.selection import (
     select_ptsa,
     select_uniform,
 )
+from test_ledger import Twins
 
 # a ledger's (visibility delay, aging threshold), as the engine passes them
 AGING = (0.0, 30.0)
@@ -41,7 +42,7 @@ def make_candidates(priority=(), common=(), tips=None):
 
 def is_priority(flag, now, aging):
     """Whether a transaction issued at 0 is a priority candidate at `now`."""
-    ledger = TangleLedger(8, *aging)
+    ledger = TangleLedger(8, *aging, ranked=True)
     tx = ledger.add_transaction([ledger.genesis], 0.0, priority_flag=flag)
     return tx in build_candidates(ledger, now).priority
 
@@ -76,20 +77,20 @@ class TestBuildCandidates:
         assert build_candidates(ledger, 3.0) is c  # reveals a, then its approver
 
     def test_genesis_only(self):
-        ledger = TangleLedger(8, *AGING)
+        ledger = Twins(8, *AGING)
         c = build_candidates(ledger, 0.0)
         assert list(c.priority) == []
         assert c.common == [ledger.genesis]
 
     def test_genesis_alone_before_anything_visible(self):
-        ledger = TangleLedger(8, 1.0, 30.0)
+        ledger = Twins(8, 1.0, 30.0)
         c = build_candidates(ledger, 0.5)
         assert c == SelectionCandidates([], [ledger.genesis], [ledger.genesis])
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
         # remain in the priority list
-        ledger = TangleLedger(8, *NO_AGING)
+        ledger = TangleLedger(8, *NO_AGING, ranked=True)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
@@ -98,7 +99,7 @@ class TestBuildCandidates:
         assert c.common == sorted([t1, t2])
 
     def test_confirmed_priority_excluded(self):
-        ledger = TangleLedger(2, *AGING)
+        ledger = TangleLedger(2, *AGING, ranked=True)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         child = ledger.add_transaction([hp], 2.0)
         ledger.confirmation_sweep(2.0)  # genesis and hp now confirmed
@@ -112,7 +113,7 @@ class TestBuildCandidates:
     def test_theta_one_confirmed_tip_is_common(self):
         # a tip weighs 1, so only at theta=1 can a sweep confirm a tip; every
         # id below is old enough for aging to promote it
-        ledger = TangleLedger(1, *AGING)
+        ledger = Twins(1, *AGING)
         hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
         c = build_candidates(ledger, 40.0)
         assert hp in c.priority and hp not in c.common  # ripe, not yet swept
@@ -135,7 +136,7 @@ class TestBuildCandidates:
         assert fresh in c.common
 
     def test_partition_disjoint_and_sorted(self):
-        ledger = TangleLedger(8, *NO_AGING)
+        ledger = TangleLedger(8, *NO_AGING, ranked=True)
         for i in range(6):
             ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
         c = build_candidates(ledger, 10.0)
@@ -144,7 +145,7 @@ class TestBuildCandidates:
         assert c.common == sorted(c.common)
 
     def test_aging_promotes_old_common(self):
-        ledger = TangleLedger(8, *AGING)
+        ledger = TangleLedger(8, *AGING, ranked=True)
         old = ledger.add_transaction([ledger.genesis], 1.0)
         young = ledger.add_transaction([old], 20.0)
         c = build_candidates(ledger, 40.0)
@@ -160,7 +161,7 @@ class TestBuildCandidates:
         assert promotion_times(ledger) == [40.0, 40.0, 50.0]
 
     def test_visibility_delay_hides_recent(self):
-        ledger = TangleLedger(8, 1.0)
+        ledger = Twins(8, 1.0)
         recent = ledger.add_transaction([ledger.genesis], 5.0)
         c = build_candidates(ledger, 5.5)
         # genesis is the one visible id, and its approver is not visible, so
