@@ -223,11 +223,10 @@ def run_simulation(config: SimConfig, arrivals: list[tuple[float, bool]] | None 
     ledger = TangleLedger(config.theta, config.visibility_delay,
                           config.aging_threshold if config.aging_enabled else None,
                           config.strategy == "ptsa")
-    insert, sweep = ledger.add_transaction, ledger.confirmation_sweep
     # with no list handed in, iterate the call itself: its list is freed when the loop ends
     for now, flag in generate_workload(config) if arrivals is None else arrivals:
-        insert(select(build_candidates(ledger, now), attach_rng).parents, now, flag)
-        sweep(now)
+        ledger.add_transaction(select(build_candidates(ledger, now), attach_rng).parents, now, flag)
+        ledger.confirmation_sweep(now)
     return SimTrace(config, ledger)
 
 

@@ -207,16 +207,15 @@ class TangleLedger:
         newly, self._ripe = self._ripe, []
         if not newly:
             return newly
-        priority, visible, aged = self.pools.priority, self._visible, self._aged
-        confirmed_at, stamp, flag, ranked = self.confirmed_at, self._stamp, self.flags, self._ranked
+        pools = self.pools
         for i in newly:
-            confirmed_at[i] = now
-            stamp[i] = _CONFIRMED
+            self.confirmed_at[i] = now
+            self._stamp[i] = _CONFIRMED
             # a revealed priority id: aged (so promoted unless flagged), or flagged and ranked
-            if i < aged or ranked and i < visible and flag[i]:
-                del priority[bisect_left(priority, i)]
+            if i < self._aged or self._ranked and i < self._visible and self.flags[i]:
+                del pools.priority[bisect_left(pools.priority, i)]
                 if not self._approved[i]:  # a confirmed tip is common
-                    insort(self.pools.common, i)
+                    insort(pools.common, i)
         return newly
 
     def reveal(self, now: float) -> None:
@@ -252,9 +251,8 @@ class TangleLedger:
         if start == self._visible or issued[start] > cutoff:
             return
         aged = bisect_right(issued, cutoff, start)
-        stamp, flag = self._stamp, self.flags
         for i in range(start, aged):
-            if stamp[i] != _CONFIRMED and not flag[i]:
+            if self._stamp[i] != _CONFIRMED and not self.flags[i]:
                 self.promoted_at[i] = now
                 insort(pools.priority, i)
                 if not self._approved[i]:

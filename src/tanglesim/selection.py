@@ -71,17 +71,12 @@ def _two(pool: list[int], rng: random.Random) -> list[int]:
         lone = pool[0]
         return [lone, lone - 1] if lone else [lone]
     i = _index(n, rng)
-    if n <= 21:  # the second index is `_index(n - 1, rng)`, inlined
-        m = n - 1
-        k = m.bit_length()
-        j = rng.getrandbits(k)
-        while j >= m:
-            j = rng.getrandbits(k)
-        return [pool[i], pool[m if j == i else j]]
-    k = n.bit_length()  # `_index(n, rng)` inlined, redrawn until it is not i
-    j = rng.getrandbits(k)
-    while j >= n or j == i:
-        j = rng.getrandbits(k)
+    if n <= 21:
+        j = _index(n - 1, rng)
+        return [pool[i], pool[n - 1 if j == i else j]]
+    j = _index(n, rng)
+    while j == i:
+        j = _index(n, rng)
     return [pool[i], pool[j]]
 
 

@@ -21,6 +21,12 @@ Under uniform selection, each arrival draws a given visible tip with
 probability 2/L ≈ 1/(λh), a rate of 1/h. A tip stays one in arrivals' view
 until its first approver is revealed, h after that approver's issue, so an
 id's direct approvers number 1 + Poisson(1): P(k) = e⁻¹/(k − 1)! for k ≥ 1.
+Every approver repeats this, so the approvals form a Crump–Mode–Jagers
+branching process with mean offspring 2. Its Malthusian rate α solves
+e⁻ᵃ/(1 + a)·(1 + (1 − e⁻ᵃ)/a) = 1 with a = αh, so a = 0.3305 and weight
+doubles every ln 2/a = 2.097 h. While θ ≪ λh the uniform latency is then
+about h·g(θ), with g(θ) = 2 + ln(θ/2)/a, and with aging off PTSA's latency
+reduction is about 1 − PS/(h·g(θ)), PS the priority latency above.
 """
 
 import math
@@ -28,9 +34,9 @@ import statistics
 
 import pytest
 
-from tanglesim.engine import SimConfig, run_simulation
+from tanglesim.engine import SimConfig, paired_runs, run_simulation
 from tanglesim.ledger import CLASS_COMMON
-from tanglesim.metrics import class_stats
+from tanglesim.metrics import class_stats, compare
 
 RATE = 10.0
 THETAS = (100, 200)
@@ -239,3 +245,77 @@ def test_uniform_direct_approvers_are_one_plus_poisson():
         model = math.exp(-1) / math.factorial(k - 1)
         standard_error = statistics.stdev(per_seed) / math.sqrt(len(per_seed))
         assert abs(statistics.mean(per_seed) - model) <= 3 * standard_error, (k, per_seed)
+
+
+def malthusian_a():
+    """a = αh, the root of e⁻ᵃ/(1 + a)·(1 + (1 − e⁻ᵃ)/a) = 1, by bisection."""
+    low, high = 0.1, 1.0  # the left side falls from above 1 to below it
+    for _ in range(60):
+        mid = (low + high) / 2
+        if math.exp(-mid) / (1 + mid) * (1 + (1 - math.exp(-mid)) / mid) > 1:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+DOUBLING_DELAY = 20.0  # h, so λh = 200 ≫ θ = 64
+DOUBLING_THETAS = (8, 64)  # three doublings apart
+DOUBLING_ISSUED = (300.0, 800.0)  # issue window of a 1500 s horizon
+# The tree counts twice a descendant reached by two paths, which cumulative
+# weight counts once, so weight grows slower than the tree and each doubling
+# costs more than the law's ln 2/a: a bias of sign +. Measured over seeds
+# 0–15: mean 2.139 h per doubling, +2.0% over the law's 2.097, per-seed SD 0.022
+DOUBLING_BIAS = 0.020
+
+
+def test_uniform_latency_costs_one_malthusian_doubling_per_theta_doubling():
+    # about 0.7 s: six 15k-tx runs
+    low, high = DOUBLING_ISSUED
+    costs = []  # per seed, h per doubling of θ
+    for seed in range(3):
+        means = []
+        for theta in DOUBLING_THETAS:
+            config = SimConfig(
+                arrival_rate=RATE,
+                priority_fraction=0.0,
+                horizon=1500.0,
+                visibility_delay=DOUBLING_DELAY,
+                theta=theta,
+                strategy="uniform",
+                aging_enabled=False,
+                seed=seed,
+            )
+            ledger = run_simulation(config).ledger
+            issued, confirmed_at = ledger.issued, ledger.confirmed_at
+            window = [i for i, t in enumerate(issued) if low <= t <= high]
+            assert all(i in confirmed_at for i in window)
+            means.append(sum(confirmed_at[i] - issued[i] for i in window) / len(window))
+        doublings = math.log2(DOUBLING_THETAS[1] / DOUBLING_THETAS[0])
+        costs.append((means[1] - means[0]) / (doublings * DOUBLING_DELAY))
+    law = math.log(2) / malthusian_a()
+    mean = statistics.mean(costs)
+    # measured: 2.114, 2.149, 2.142, mean 2.135 (+1.8%); three standard
+    # errors of the seeds' spread are 0.032, and the mean is 0.004 below
+    # the biased law
+    assert mean > law, (costs, law)
+    standard_error = statistics.stdev(costs) / math.sqrt(len(costs))
+    assert abs(mean - law * (1 + DOUBLING_BIAS)) <= 3 * standard_error, (costs, law)
+
+
+def test_reference_reduction_is_processor_sharing_over_branching_latency():
+    # about 0.4 s: sixteen paired 3k-tx runs of the reference config, aging off
+    reductions = []
+    for seed in PS_SEEDS:
+        uniform, ptsa = paired_runs(SimConfig(aging_enabled=False, seed=seed))
+        reductions.append(compare(uniform, ptsa)["latency_reduction"])
+    config = SimConfig()
+    rho, theta, rate, delay = (
+        config.priority_fraction, config.theta, config.arrival_rate, config.visibility_delay)
+    branching_latency = delay * (2 + math.log(theta / 2) / malthusian_a())
+    predicted = 1 - processor_sharing(rho, theta, rate, delay)[0] / branching_latency
+    # 1 − 1.722/6.195 = 0.722; measured: mean 0.7172, SD 0.0107, so three
+    # standard errors are 0.0081 and the mean is 1.8 of them below
+    standard_error = statistics.stdev(reductions) / math.sqrt(len(reductions))
+    assert abs(statistics.mean(reductions) - predicted) <= 3 * standard_error, (
+        reductions, predicted)
