@@ -30,19 +30,19 @@ The pool rule: a tip is a revealed id that no revealed id approves; the
 priority ids are the revealed, unconfirmed ids that are flagged or below the
 aged cursor in a ranked ledger (ptsa's), and none in an unranked one
 (uniform's); the common tips are the tips that are not priority ids. The
-pools are `ledger.pools`, one `SelectionCandidates` built once and kept
-current, of id-sorted lists used whole, never copied: a reader sees them
-change at the next mutation. A ledger keeps only its strategy's pools: a
-ranked one the priority and common lists, its tip list left empty; an
-unranked one the tips, which are its common tips (`pools.tips is
-pools.common`). A newly revealed id joins its list, marks each parent it is
-the first to approve as approved, and takes that parent out of the common
-tips by bisection. The newest revealed id is a tip, since what approves it is
-newer and not yet revealed; so a lone tip is the newest revealed id, and the
-id before it is the newest non-tip. Confirmation is read as of now, not as of
-the cutoff. A promotion inserts an id into the priority list and takes it out
-of the common tips; a confirmation takes a revealed priority id out of the
-priority list and inserts it into the common tips if it is a tip.
+pools are three more columns, `priority`, `common` and `tips`: id-sorted
+lists kept current in place, never copied, so a reader sees them change at
+the next mutation. A ledger keeps only its strategy's pools: a ranked one
+the priority and common lists, its tip list left empty; an unranked one the
+tips, which are its common tips (`tips is common`). A newly revealed id
+joins its list, marks each parent it is the first to approve as approved,
+and takes that parent out of the common tips by bisection. The newest
+revealed id is a tip, since what approves it is newer and not yet revealed;
+so a lone tip is the newest revealed id, and the id before it is the newest
+non-tip. Confirmation is read as of now, not as of the cutoff. A promotion
+inserts an id into the priority list and takes it out of the common tips; a
+confirmation takes a revealed priority id out of the priority list and
+inserts it into the common tips if it is a tip.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
@@ -89,17 +89,6 @@ CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # a transaction's class, indexed by it
 
 
 @dataclass(slots=True)
-class SelectionCandidates:
-    """The selectable transactions, as the module docstring's pool rule
-    defines and keeps them, so strategies need no ledger access: the priority
-    ids (selectable until confirmed, tips or not), the common tips and all tips."""
-
-    priority: list[int]
-    common: list[int]
-    tips: list[int]
-
-
-@dataclass(slots=True)
 class TxRecord:
     """Lifecycle of one transaction: `tx_class` is CLASS_PRIORITY for a
     flagged one, else CLASS_COMMON. `promoted_at` is when aging promoted a
@@ -135,8 +124,10 @@ class TangleLedger:
         # the age at which a visible id ages, or None with aging off or unranked
         self._aging = (max(visibility_delay, aging_threshold)
                        if ranked and aging_threshold is not None else None)
-        # id-sorted indexes over the state above, of the revealed ids only
-        self.pools = SelectionCandidates([], common := [0], [] if ranked else common)
+        # the pools: id-sorted indexes over the state above, of the revealed ids only
+        self.priority: list[int] = []
+        self.common = [0]
+        self.tips = [] if ranked else self.common
         # the confirmation threshold, and the unconfirmed ids whose weight
         # reached it since the last sweep
         self._theta = theta
@@ -207,15 +198,15 @@ class TangleLedger:
         newly, self._ripe = self._ripe, []
         if not newly:
             return newly
-        pools = self.pools
+        priority = self.priority
         for i in newly:
             self.confirmed_at[i] = now
             self._stamp[i] = _CONFIRMED
             # a revealed priority id: aged (so promoted unless flagged), or flagged and ranked
             if i < self._aged or self._ranked and i < self._visible and self.flags[i]:
-                del pools.priority[bisect_left(pools.priority, i)]
+                del priority[bisect_left(priority, i)]
                 if not self._approved[i]:  # a confirmed tip is common
-                    insort(pools.common, i)
+                    insort(self.common, i)
         return newly
 
     def reveal(self, now: float) -> None:
@@ -227,13 +218,12 @@ class TangleLedger:
         unconfirmed and unflagged, as promoted at `now`, which makes it a
         priority id until it confirms. An earlier `now` changes nothing."""
         visible = bisect_right(self.issued, now - self._delay, self._visible)
-        pools = self.pools
         if visible != self._visible:
             approved, stamp, flag, parents = self._approved, self._stamp, self.flags, self.parents
-            ranked, aged, common = self._ranked, self._aged, pools.common
+            ranked, aged, common = self._ranked, self._aged, self.common
             for j in range(self._visible, visible):
                 if ranked and stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
-                    pools.priority.append(j)
+                    self.priority.append(j)
                 else:
                     common.append(j)
                 for p in parents[j]:
@@ -254,7 +244,7 @@ class TangleLedger:
         for i in range(start, aged):
             if self._stamp[i] != _CONFIRMED and not self.flags[i]:
                 self.promoted_at[i] = now
-                insort(pools.priority, i)
+                insort(self.priority, i)
                 if not self._approved[i]:
-                    del pools.common[bisect_left(pools.common, i)]
+                    del self.common[bisect_left(self.common, i)]
         self._aged = aged

@@ -8,7 +8,7 @@ large for per-node BFS; the tests check it against BFS.
 
 `reference_pools` and `reference_run` are the executable statement of the
 model, recomputed from scratch on every arrival. The engine must produce the
-same records on any config, so a change to the model is made here first.
+same columns on any config, so a change to the model is made here first.
 
 `run_self_check` backs the CLI `self-check` command with these references:
 it rebuilds randomized DAGs through the ledger and compares its incremental
@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from types import SimpleNamespace
 
 from tanglesim.engine import SimConfig, generate_workload
-from tanglesim.ledger import CLASSES, MAX_PARENTS, SelectionCandidates, TangleLedger, TxRecord
+from tanglesim.ledger import MAX_PARENTS, TangleLedger
 from tanglesim.selection import select_ptsa, select_uniform
 
 
@@ -75,21 +76,24 @@ def brute_force_tips(parents: list[tuple[int, ...]]) -> set[int]:
 
 
 def reference_pools(parents: list[tuple[int, ...]], flags: list[bool], visible: int,
-                    confirmed: dict[int, float], promoted: dict[int, float]) -> SelectionCandidates:
+                    confirmed: dict[int, float], promoted: dict[int, float]) -> SimpleNamespace:
     """The pools of the first `visible` ids: priority (unconfirmed, and
     flagged or promoted), tips (approved by no visible id) and common (the
     tips not in priority)."""
     unapproved = brute_force_tips(parents[:visible])
     tips = [i for i in range(visible) if i in unapproved]
     priority = [i for i in range(visible) if i not in confirmed and (flags[i] or i in promoted)]
-    return SelectionCandidates(priority, [i for i in tips if i not in priority], tips)
+    common = [i for i in tips if i not in priority]
+    return SimpleNamespace(priority=priority, common=common, tips=tips)
 
 
-def reference_run(config: SimConfig) -> list[TxRecord]:
-    """The records `run_simulation(config)` must return. Under ptsa each
-    arrival first promotes the aged ids that are unconfirmed and unflagged;
-    it attaches to the strategy's draw from the visible pools, which hold
-    genesis from the start; then every id whose weight reaches theta confirms."""
+def reference_run(config: SimConfig) -> tuple[list, list, list, dict, dict]:
+    """The ledger columns `run_simulation(config)` must end with, genesis
+    included: `parents`, `flags`, `issued`, `confirmed_at`, `promoted_at`.
+    Under ptsa each arrival first promotes the aged ids that are unconfirmed
+    and unflagged; it attaches to the strategy's draw from the visible pools,
+    which hold genesis from the start; then every id whose weight reaches
+    theta confirms."""
     attach_rng = random.Random(f"{config.seed}|attach")
     select = select_uniform if config.strategy == "uniform" else select_ptsa
     parents, flags, issued = [()], [False], [0.0]
@@ -109,8 +113,7 @@ def reference_run(config: SimConfig) -> list[TxRecord]:
         for i, cone in enumerate(future_cones(parents)):
             if 1 + cone.bit_count() >= config.theta:
                 confirmed.setdefault(i, now)
-    return [TxRecord(i, CLASSES[flags[i]], issued[i], parents[i],
-                     confirmed.get(i), promoted.get(i)) for i in range(1, len(parents))]
+    return parents, flags, issued, confirmed, promoted
 
 
 ORACLE_TRIALS = 100
@@ -144,7 +147,7 @@ def check_cumulative_weights() -> bool:
             print(f"  dag edges: {_format_edges(parents)}")
             return False
         ledger.reveal(math.inf)
-        if ledger.pools.tips != sorted(brute_force_tips(parents)):
+        if ledger.tips != sorted(brute_force_tips(parents)):
             print(f"FAIL tip-set oracle: trial {trial}")
             print(f"  dag edges: {_format_edges(parents)}")
             return False
@@ -162,14 +165,13 @@ def branch_case_error(p: int, n_common: int, rng: random.Random) -> str | None:
     and n_common common tips (ids 200..), or None. The parents fix the branch
     by pool membership: min(p, 2) priority ids, one common tip when p >= 1
     has one to take, all distinct, and three of them only when p >= 2 does."""
-    common = list(range(200, 200 + n_common))
-    candidates = SelectionCandidates(list(range(100, 100 + p)), common, [])  # a ranked ledger's
-    parents = select_ptsa(candidates, rng).parents
+    priority, common = list(range(100, 100 + p)), list(range(200, 200 + n_common))
+    parents = select_ptsa(SimpleNamespace(priority=priority, common=common, tips=[]), rng).parents
     expect_arity = 3 if p >= 2 and n_common >= 1 else 2
     if (
         len(parents) != expect_arity
         or len(set(parents)) != len(parents)
-        or sum(1 for x in parents if x in candidates.priority) != min(p, 2)
+        or sum(1 for x in parents if x in priority) != min(p, 2)
         or (p >= 1 and n_common >= 1 and sum(1 for x in parents if x in common) != 1)
     ):
         return f"got parents={parents}"

@@ -1,11 +1,11 @@
 """Tip-selection strategies: uniform-random baseline and priority-based.
 
-Both strategies are pure functions of the candidate pools and a seeded
-random source; they never touch the ledger. `build_candidates` hands out
-`ledger.pools`, the ledger's own live `SelectionCandidates`: its lists are
-current only until the ledger's next mutation. Every pool is sorted by id,
-so a given seed yields one result regardless of set iteration order. A ledger
-keeps only the pools its run's strategy reads, and each holds genesis at least.
+Both strategies are pure functions of a seeded random source and the pools'
+`priority`, `common` and `tips` lists, read from a ledger or from any object
+with those names. `build_candidates` hands out the ledger, whose pools are
+current only until its next mutation. Every pool is sorted by id, so a given
+seed yields one result regardless of set iteration order. A ledger keeps
+only the pools its run's strategy reads, and each holds genesis at least.
 
 The draws, `_index` and `_two`, return what CPython 3.11's `choice` and
 `sample(pool, 2)` return and leave the stream where they leave it, at less
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from tanglesim.ledger import SelectionCandidates, TangleLedger
+from tanglesim.ledger import TangleLedger
 
 BRANCH_P0 = "p=0"
 BRANCH_P1 = "p=1"
@@ -38,15 +38,15 @@ class SelectionResult:
     branch: str
 
 
-def build_candidates(ledger: TangleLedger, now: float) -> SelectionCandidates:
+def build_candidates(ledger: TangleLedger, now: float) -> TangleLedger:
     """Reveal the transactions visible at `now` and apply aging at `now` (see
-    `TangleLedger.reveal`), then hand out `ledger.pools`, the same object on
-    every call. So `now` must not decrease between calls on one ledger.
+    `TangleLedger.reveal`), then hand out the ledger, whose pool columns the
+    strategies read. So `now` must not decrease between calls on one ledger.
     Genesis is revealed from the start, so before anything else is visible
     the pools hold genesis alone.
     """
     ledger.reveal(now)
-    return ledger.pools
+    return ledger
 
 
 def _index(n: int, rng: random.Random) -> int:
@@ -80,17 +80,13 @@ def _two(pool: list[int], rng: random.Random) -> list[int]:
     return [pool[i], pool[j]]
 
 
-def select_uniform(
-    candidates: SelectionCandidates, rng: random.Random
-) -> SelectionResult:
+def select_uniform(candidates: TangleLedger, rng: random.Random) -> SelectionResult:
     """Baseline: two distinct tips uniformly at random from the whole tip
     pool, which neither flags nor aging touch."""
     return SelectionResult(_two(candidates.tips, rng), BRANCH_BASELINE)
 
 
-def select_ptsa(
-    candidates: SelectionCandidates, rng: random.Random
-) -> SelectionResult:
+def select_ptsa(candidates: TangleLedger, rng: random.Random) -> SelectionResult:
     """Priority-based selection, dispatching on the count p of unconfirmed
     effective-priority candidates.
 

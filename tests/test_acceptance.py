@@ -119,11 +119,11 @@ def test_criterion_7_ledger_invariants(reference_runs):
             # each ledger keeps its strategy's pools: uniform's the tips, and
             # ptsa's the priority and common ids
             if ledger is u_ledger:
-                ok &= ledger.pools.tips == sorted(brute_force_tips(parents))
+                ok &= ledger.tips == sorted(brute_force_tips(parents))
             else:
                 expected = reference_pools(parents, ledger.flags, n, ledger.confirmed_at,
                                            ledger.promoted_at)
-                ok &= (ledger.pools.priority, ledger.pools.common) == (
+                ok &= (ledger.priority, ledger.common) == (
                     expected.priority, expected.common)
             confirmed = ledger.confirmed_set
             ok &= confirmed == {i for i in range(n) if w[i] >= theta}

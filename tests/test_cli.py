@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -21,7 +22,6 @@ from tanglesim.cli import (
 )
 from tanglesim import cli, oracle
 from tanglesim.engine import SimConfig, SimTrace, reference_config_text
-from tanglesim.ledger import SelectionCandidates
 from tanglesim.oracle import brute_force_cumulative_weights, brute_force_tips
 from tanglesim.selection import select_ptsa
 
@@ -352,8 +352,8 @@ class TestSelfCheck:
     def test_branch_table_mutant_detected(self, capsys, monkeypatch):
         def common_from_priority(candidates, rng):
             # the common slot drawn from the priority pool instead
-            pools = SelectionCandidates(
-                candidates.priority, candidates.priority or candidates.common, candidates.tips)
+            pools = SimpleNamespace(priority=candidates.priority, tips=candidates.tips,
+                                    common=candidates.priority or candidates.common)
             return select_ptsa(pools, rng)
 
         monkeypatch.setattr(oracle, "select_ptsa", common_from_priority)

@@ -23,6 +23,8 @@ from tanglesim.engine import (
 from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
 from tanglesim.metrics import export_csv
 from tanglesim.oracle import brute_force_tips, reference_run
+from tanglesim.selection import BRANCH_P0, BRANCH_P1, BRANCH_P2, select_ptsa
+from test_bench_contract import BACKLOG_60S
 from test_golden import tip_pool_series
 
 SMALL = SimConfig(horizon=60.0)
@@ -295,14 +297,49 @@ def test_engine_equals_reference_model():
             aging_threshold=rng.choice((0.5, 2.0, 5.0)),
             seed=rng.randrange(2**32),
         )
-        records = run_simulation(config).records
-        assert records == reference_run(config), config
+        # every column, genesis's confirmation and promotion times included
+        ledger = run_simulation(config).ledger
+        columns = (ledger.parents, ledger.flags, ledger.issued, ledger.confirmed_at,
+                   ledger.promoted_at)
+        assert columns == reference_run(config), config
         # genesis is only the start-up parent: an arrival attaches to it alone
         # exactly when it sees no arrival
-        h = config.visibility_delay
-        assert [r.parents == (0,) for r in records] == [
-            r.id == 1 or r.issued_at - h < records[0].issued_at for r in records
+        h, issued = config.visibility_delay, ledger.issued
+        assert [ps == (0,) for ps in ledger.parents[1:]] == [
+            j == 1 or issued[j] - h < issued[1] for j in range(1, len(ledger))
         ], config
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SimConfig.from_dict({**BACKLOG_60S, "seed": seed}) for seed in (1, 2)]
+    + [SimConfig(seed=seed) for seed in (1, 2)],
+    ids=["backlog-1", "backlog-2", "reference-1", "reference-2"],
+)
+def test_branch_histogram_read_from_columns(config, monkeypatch):
+    # a ptsa arrival's branch is p=0, p=1 or p>=2 as 0, 1 or 2+ of its parents
+    # were unconfirmed priority ids at its issue time: flagged or promoted by
+    # then, and not confirmed before it (a confirmation at exactly that time
+    # is the arrival's own sweep's); so the columns give the histogram
+    labels = []
+
+    def recording(candidates, rng):
+        result = select_ptsa(candidates, rng)
+        labels.append(result.branch)
+        return result
+
+    monkeypatch.setattr(engine, "select_ptsa", recording)
+    ledger = run_simulation(config).ledger
+    issued, confirmed_at, promoted_at = ledger.issued, ledger.confirmed_at, ledger.promoted_at
+
+    def p(j):
+        t = issued[j]
+        return sum((ledger.flags[i] or promoted_at.get(i, math.inf) <= t)
+                   and confirmed_at.get(i, math.inf) >= t for i in ledger.parents[j])
+
+    branches = (BRANCH_P0, BRANCH_P1, BRANCH_P2)
+    assert labels == [branches[min(p(j), 2)] for j in range(1, len(ledger))]
+    assert set(labels) == set(branches)
 
 
 class TestRunSimulation:
@@ -344,7 +381,7 @@ class TestRunSimulation:
         ledger = trace.ledger
         parents = ledger.parents
         ledger.reveal(math.inf)
-        assert series[-1][1] == len(ledger.pools.tips)
+        assert series[-1][1] == len(ledger.tips)
         assert series[-1][1] == len(brute_force_tips(parents))
 
     def test_aging_promotion_recorded(self):

@@ -8,7 +8,6 @@ from tanglesim.engine import MAX_EXPECTED_TX
 from tanglesim.ledger import (
     _CONFIRMED,
     ParentArity,
-    SelectionCandidates,
     TimeRegression,
     UnknownParent,
     TangleLedger,
@@ -23,9 +22,8 @@ from tanglesim.oracle import (
 
 class Twins:
     """A ranked ledger and an unranked twin fed one history. The mutators go
-    to both, other reads to the ranked one, and `pools` joins the ranked
-    twin's priority and common lists with the unranked twin's tips, so each
-    list is read from the ledger that keeps it."""
+    to both, `tips` to the unranked twin and other reads to the ranked one,
+    so each pool is read from the ledger that keeps it."""
 
     def __init__(self, theta=8, visibility_delay=0.0, aging_threshold=None):
         self.ranked = TangleLedger(theta, visibility_delay, aging_threshold, ranked=True)
@@ -52,14 +50,14 @@ class Twins:
         return newly
 
     @property
-    def pools(self):
+    def tips(self):
         ranked, unranked = self.ranked, self.unranked
         # the unranked twin keeps no priority ids, so its tips are its common
         # tips, and aging leaves it alone; the ranked one keeps no tip list
-        assert unranked.pools.priority == [] and unranked.pools.common is unranked.pools.tips
-        assert unranked.promoted_at == {} and ranked.pools.tips == []
+        assert unranked.priority == [] and unranked.common is unranked.tips
+        assert unranked.promoted_at == {} and ranked.tips == []
         assert (unranked.weight, unranked.confirmed_at) == (ranked.weight, ranked.confirmed_at)
-        return SelectionCandidates(ranked.pools.priority, ranked.pools.common, unranked.pools.tips)
+        return unranked.tips
 
 
 def build_chain(theta=8, visibility_delay=0.0, aging_threshold=None, make=TangleLedger):
@@ -83,7 +81,7 @@ def tips(ledger):
     """Every tip of an unranked ledger, in id order: the tip candidates with
     all ids revealed."""
     ledger.reveal(math.inf)
-    return ledger.pools.tips
+    return ledger.tips
 
 
 class TestGenesis:
@@ -182,7 +180,7 @@ class TestAddTransaction:
             ledger.add_transaction([ledger.genesis], 1.0)
         assert len(ledger) == 2
         ledger.reveal(2.0)  # genesis alone
-        assert ledger.pools.tips == [ledger.genesis]
+        assert ledger.tips == [ledger.genesis]
 
 
 class TestTips:
@@ -198,9 +196,9 @@ class TestTips:
         assert len(tips(ledger)) == 2
 
 
-def pools(twins):
-    """Copies of the revealed priority ids, tips and common tips of `Twins`."""
-    c = twins.pools
+def pools(c):
+    """Copies of the revealed priority ids, tips and common tips of `Twins`,
+    or of any object with those three lists."""
     return list(c.priority), list(c.tips), list(c.common)
 
 
@@ -288,8 +286,8 @@ class TestReveal:
         c = ledger.add_transaction([a], 3.0, priority_flag=True)
         ledger.reveal(10.0)
         assert ledger.promoted_at == {}
-        assert ledger.pools == SelectionCandidates([], [b, c], [b, c])
-        assert ledger.pools.common is ledger.pools.tips
+        assert (ledger.priority, ledger.common, ledger.tips) == ([], [b, c], [b, c])
+        assert ledger.common is ledger.tips
 
     def test_aging_off_at_infinite_now_promotes_nothing(self):
         # aging off is no infinite threshold: inf - inf is NaN, and a NaN
@@ -300,7 +298,7 @@ class TestReveal:
         c = ledger.add_transaction([ledger.genesis, b], 3.0, priority_flag=True)
         ledger.reveal(math.inf)
         assert ledger.promoted_at == {}
-        assert ledger.pools.priority == [a, c]
+        assert ledger.priority == [a, c]
 
 
 class TestColumns:

@@ -27,7 +27,7 @@ from tanglesim.engine import SimConfig
 from tanglesim.ledger import MAX_PARENTS
 from tanglesim.oracle import future_cones, reference_pools
 from tanglesim.selection import build_candidates
-from test_ledger import Twins
+from test_ledger import Twins, pools
 
 MAX_SIZE = 40
 MAX_THETA = 12
@@ -70,12 +70,12 @@ def check_candidates(ledger, now, config, parents, issued, flags, confirmed, pro
             if i not in confirmed and not flags[i]:
                 promoted.setdefault(i, now)
     c = build_candidates(ledger, now)
-    assert c == reference_pools(parents, flags, visible, confirmed, promoted)
-    # each twin's pools are its one standing object, and the pools a
+    assert pools(c) == pools(reference_pools(parents, flags, visible, confirmed, promoted))
+    # each twin hands out itself, its pools its own columns, and the pools a
     # strategy reads are never empty: the newest revealed id is a tip, and a
     # tip is a priority id or a common tip
-    assert build_candidates(ledger.ranked, now) is ledger.ranked.pools
-    assert build_candidates(ledger.unranked, now) is ledger.unranked.pools
+    assert build_candidates(ledger.ranked, now) is ledger.ranked
+    assert build_candidates(ledger.unranked, now) is ledger.unranked
     assert c.tips
     assert c.priority or c.common
     # the newest revealed id is a tip, since what approves it is newer; so a
@@ -155,15 +155,15 @@ def test_priority_pool_same_whichever_comes_first(visible, aged, size, age_first
         ledger.add_transaction([i - 1], i + (i >= aged) * gap, priority_flag=i % 3 != 0)
     if age_first:
         ledger.reveal(aged - 1 + gap)  # reveals the aged ids only (genesis at least)
-        assert ledger.pools.priority == list(range(aged))
-        assert ledger.pools.tips == [max(aged - 1, 0)]
+        assert ledger.priority == list(range(aged))
+        assert ledger.tips == [max(aged - 1, 0)]
     ledger.reveal(visible - 1 + gap)
-    pool = ledger.pools.priority
+    pool = ledger.priority
     assert type(pool) is list
     assert pool == [i for i in range(visible) if i < aged or i % 3]
     assert len(pool) == size
     # the chain's one revealed tip is its newest revealed id, flagged
-    assert (ledger.pools.tips, ledger.pools.common) == ([visible - 1], [])
+    assert (ledger.tips, ledger.common) == ([visible - 1], [])
 
 
 def test_every_derandomized_test_pins_its_seed():
