@@ -12,10 +12,11 @@ import dataclasses
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from types import SimpleNamespace
 
-from tanglesim.ledger import CLASSES, TangleLedger, TxRecord
+from tanglesim.ledger import TangleLedger
 from tanglesim.selection import build_candidates, select_ptsa, select_uniform
 
 STRATEGIES = ("uniform", "ptsa")
@@ -48,8 +49,8 @@ MAX_EXPECTED_TX = 2_000_000
 MAX_WALK_STEPS = 1_000_000_000
 
 
-def _key(key: str, default: Any, bound: Callable[[Any, SimConfig], bool], message: str,
-         comment: str = "") -> Any:
+def _key(key: str, default: object, bound: Callable[[object, SimConfig], bool], message: str,
+         comment: str = "") -> object:
     """A `SimConfig` field with its YAML key (`aging.*` inside `aging:`), default,
     bound as (value, whole config) -> valid, the bound's message and gen-config's
     comment on the key's line. A bound may read the fields declared before it."""
@@ -174,22 +175,18 @@ def reference_config_text() -> str:
 
 @dataclass(eq=False)
 class SimTrace:
-    """A finished run: its config and its final ledger, whose columns carry
-    every fact the outputs report."""
+    """A finished run: its config and its final ledger. The run is the
+    ledger's columns, and the outputs and tests read them by name."""
 
     config: SimConfig
     ledger: TangleLedger = field(repr=False)
 
     @property
-    def records(self) -> list[TxRecord]:
-        """Every arrival's record in id order, genesis left out; built from
-        the ledger's columns on each read."""
-        ledger = self.ledger
-        ids = range(1, len(ledger))
-        return list(map(
-            TxRecord, ids, map(CLASSES.__getitem__, ledger.flags[1:]), ledger.issued[1:],
-            ledger.parents[1:], map(ledger.confirmed_at.get, ids), map(ledger.promoted_at.get, ids),
-        ))
+    def records(self) -> list[SimpleNamespace]:
+        """`tsbench/traced_cli.py`'s read alone: one entry per arrival in id
+        order, carrying only its `promoted_at` (None if aging never promoted it)."""
+        promoted_at = self.ledger.promoted_at.get
+        return [SimpleNamespace(promoted_at=promoted_at(i)) for i in range(1, len(self.ledger))]
 
 
 def generate_workload(config: SimConfig) -> list[tuple[float, bool]]:

@@ -1,11 +1,11 @@
 """Append-only DAG ledger with incremental cumulative-weight maintenance.
 
 Transaction ids are insertion ordinals starting at 0 (the genesis), so id
-order equals issue-time order. Each transaction's state is stored once: in
-per-id lists (`parents`, `issued`, `flags`, `weight`), plus two id -> time
-dicts (`confirmed_at`, `promoted_at`) for the times that not every id has.
-Readers read these columns by name; the public methods are the mutators.
-`engine.SimTrace.records` builds the arrivals' `TxRecord`s from them.
+order equals issue-time order. A transaction is its columns, and its state is
+stored there once: in per-id lists (`parents`, `issued`, `flags`, `weight`),
+plus two id -> time dicts (`confirmed_at`, `promoted_at`) for the times that
+not every id has. Readers read these columns by name; the public methods are
+the mutators. There is no row type.
 
 A transaction confirms once its cumulative weight reaches the threshold θ,
 which the ledger takes once, at construction. Every ancestor of a
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 
 MAX_PARENTS = 8
 
@@ -81,25 +80,6 @@ class ParentArity(Exception):
 
 class TimeRegression(Exception):
     """Issue time not finite, or earlier than an already-stored transaction."""
-
-
-CLASS_PRIORITY = "priority"
-CLASS_COMMON = "common"
-CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # a transaction's class, indexed by its flag
-
-
-@dataclass(slots=True)
-class TxRecord:
-    """Lifecycle of one transaction: `tx_class` is CLASS_PRIORITY for a
-    flagged one, else CLASS_COMMON. `promoted_at` is when aging promoted a
-    common one (see `TangleLedger.reveal`), else None."""
-
-    id: int
-    tx_class: str
-    issued_at: float
-    parents: tuple[int, ...]
-    confirmed_at: float | None = None
-    promoted_at: float | None = None
 
 
 class TangleLedger:

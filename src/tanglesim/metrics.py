@@ -13,8 +13,11 @@ from itertools import islice
 from pathlib import Path
 
 from tanglesim.engine import SimConfig, SimTrace
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY, CLASSES, MAX_PARENTS
+from tanglesim.ledger import MAX_PARENTS
 
+CLASS_PRIORITY = "priority"
+CLASS_COMMON = "common"
+CLASSES = (CLASS_COMMON, CLASS_PRIORITY)  # a transaction's class label, indexed by its flag
 CSV_COLUMNS = ("id", "class", "issued_at", "confirmed_at", "latency", "parents")
 REPORT_CLASSES = (CLASS_PRIORITY, CLASS_COMMON)  # the report's key order
 

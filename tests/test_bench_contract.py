@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from tanglesim.engine import SimConfig, run_simulation
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # the `ptsa-backlog` workload shortened to 60 s; aging promotes on it
@@ -57,6 +59,9 @@ def test_traced_cli_runs_and_counts(command, tmp_path):
     assert "ledger.reveal" in header["names"]
     counters = header["counters"]
     assert counters["promoted"] > 0
+    if command == ["simulate"]:  # the harness counts every promotion of the run
+        promoted_at = run_simulation(SimConfig.from_dict(BACKLOG_60S)).ledger.promoted_at
+        assert counters["promoted"] == len(promoted_at)
     assert counters["priority_len_sum"] > 0  # the wrapper takes len() of the pool
     assert counters["sweeps"] == counters["inserts"]  # one sweep per arrival
     # every arrival draws from a pool: genesis is revealed from the start

@@ -247,7 +247,7 @@ def output_files(out):
 
 @pytest.mark.parametrize("command", [["simulate"], ["compare", "--seeds", "2"]])
 def test_outputs_build_no_records(command, config_path, tmp_path, monkeypatch):
-    # the outputs read the ledger's columns; `TxRecord`s are for tests only
+    # the outputs read the ledger's columns; `records` is tsbench/traced_cli.py's read
     args = [*command, "--config", str(config_path), "--out"]
     assert main([*args, str(tmp_path / "normal")]) == EXIT_OK
 

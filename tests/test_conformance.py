@@ -35,8 +35,7 @@ import statistics
 import pytest
 
 from tanglesim.engine import SimConfig, paired_runs, run_simulation
-from tanglesim.ledger import CLASS_COMMON
-from tanglesim.metrics import class_stats, compare
+from tanglesim.metrics import CLASS_COMMON, class_stats, compare
 
 RATE = 10.0
 THETAS = (100, 200)

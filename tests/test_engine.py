@@ -20,7 +20,6 @@ from tanglesim.engine import (
     paired_runs,
     run_simulation,
 )
-from tanglesim.ledger import CLASS_COMMON, CLASS_PRIORITY
 from tanglesim.metrics import export_csv
 from tanglesim.oracle import brute_force_tips, reference_run
 from tanglesim.selection import BRANCH_P0, BRANCH_P1, BRANCH_P2, select_ptsa
@@ -32,6 +31,8 @@ SMALL = SimConfig(horizon=60.0)
 BACKLOG = SimConfig(
     arrival_rate=20.0, priority_fraction=0.5, horizon=60.0, visibility_delay=3.0, theta=32
 )
+# a run's every column: two runs that agree on these agree on every output
+COLUMNS = ("parents", "issued", "flags", "weight", "confirmed_at", "promoted_at")
 
 
 class TestConfigValidation:
@@ -100,15 +101,15 @@ class TestConfigValidation:
         config = SimConfig(horizon=100.0, theta=MAX_WALK_STEPS // 1000, strategy="uniform",
                            aging_enabled=False)
         start = time.process_time()
-        trace = run_simulation(config)
+        ledger = run_simulation(config).ledger
         assert time.process_time() - start < 1.0
-        assert len(trace.records) > 1000
-        assert all(r.confirmed_at is None for r in trace.records)
+        assert len(ledger) > 1001
+        assert ledger.confirmed_at == {}
 
     def test_underflowing_expected_count_runs(self):
         # lambda * horizon_seconds underflows to 0.0, which bounds no theta
         config = SimConfig(arrival_rate=1.0e-200, horizon=1.0e-200, theta=10**15)
-        assert run_simulation(config).records == []
+        assert len(run_simulation(config).ledger) == 1  # genesis alone
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -223,11 +224,10 @@ def test_random_config_rejected_naming_key_or_runs(values):
         assert exc.field_name in YAML_KEYS
         assert not all(in_range for _, in_range in values.values())
         return
-    trace = run_simulation(config)
-    assert len(trace.records) == len(generate_workload(config))
-    for r in trace.records:
-        assert all(p < r.id for p in r.parents)
-        assert r.confirmed_at is None or r.confirmed_at >= r.issued_at
+    ledger = run_simulation(config).ledger
+    assert list(zip(ledger.issued[1:], ledger.flags[1:])) == generate_workload(config)
+    assert all(p < j for j, parents in enumerate(ledger.parents) for p in parents)
+    assert all(t >= ledger.issued[i] for i, t in ledger.confirmed_at.items())
 
 
 class TestWorkload:
@@ -344,41 +344,41 @@ def test_branch_histogram_read_from_columns(config, monkeypatch):
 
 class TestRunSimulation:
     def test_deterministic_replay(self):
-        assert run_simulation(SMALL).records == run_simulation(SMALL).records
+        first, second = run_simulation(SMALL).ledger, run_simulation(SMALL).ledger
+        for column in COLUMNS:
+            assert getattr(first, column) == getattr(second, column), column
 
     def test_records_in_issue_order(self):
-        trace = run_simulation(SMALL)
-        times = [r.issued_at for r in trace.records]
-        assert times == sorted(times)
+        times = run_simulation(SMALL).ledger.issued[1:]
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_record_ids_are_ordinals(self):
-        trace = run_simulation(SMALL)
-        assert [r.id for r in trace.records] == list(range(1, len(trace.records) + 1))
+        # arrival k is id k, genesis id 0: every list column has one entry
+        # per id, and the time dicts key no other id
+        ledger = run_simulation(SMALL).ledger
+        ids = range(len(generate_workload(SMALL)) + 1)
+        for column in ("parents", "issued", "flags", "weight"):
+            assert len(getattr(ledger, column)) == len(ids), column
+        assert ledger.confirmed_at.keys() | ledger.promoted_at.keys() <= set(ids)
 
     def test_theta_one_confirms_instantly(self):
-        config = dataclasses.replace(SMALL, theta=1)
-        trace = run_simulation(config)
-        assert all(r.confirmed_at == r.issued_at for r in trace.records)
+        ledger = run_simulation(dataclasses.replace(SMALL, theta=1)).ledger
+        assert [ledger.confirmed_at[i] for i in range(1, len(ledger))] == ledger.issued[1:]
 
     def test_rho_zero_no_priority_class(self):
         config = dataclasses.replace(SMALL, priority_fraction=0.0)
-        trace = run_simulation(config)
-        assert not any(r.tx_class == "priority" for r in trace.records)
+        assert not any(run_simulation(config).ledger.flags)
 
     def test_confirmed_never_precedes_issue(self):
-        trace = run_simulation(SMALL)
-        for r in trace.records:
-            if r.confirmed_at is not None:
-                assert r.confirmed_at >= r.issued_at
+        ledger = run_simulation(SMALL).ledger
+        assert all(t >= ledger.issued[i] for i, t in ledger.confirmed_at.items())
 
     def test_tip_pool_series_matches_records(self):
         # uniform's ledger keeps the tip list
-        trace = run_simulation(dataclasses.replace(SMALL, strategy="uniform"))
-        series = tip_pool_series(trace.records)
-        assert [t for t, _ in series] == [r.issued_at for r in trace.records]
+        ledger = run_simulation(dataclasses.replace(SMALL, strategy="uniform")).ledger
+        series = tip_pool_series(ledger)
+        assert [t for t, _ in series] == ledger.issued[1:]
         assert all(n >= 1 for _, n in series)
-        ledger = trace.ledger
         parents = ledger.parents
         ledger.reveal(math.inf)
         assert series[-1][1] == len(ledger.tips)
@@ -392,34 +392,25 @@ class TestRunSimulation:
             aging_enabled=True,
             aging_threshold=5.0,
         )
-        trace = run_simulation(config)
-        promoted = [r for r in trace.records if r.promoted_at is not None]
-        assert promoted
-        for r in promoted:
-            assert r.tx_class == "common"
-            assert r.promoted_at - r.issued_at >= config.aging_threshold
+        ledger = run_simulation(config).ledger
+        assert ledger.promoted_at
+        for i, t in ledger.promoted_at.items():
+            assert not ledger.flags[i]
+            assert t - ledger.issued[i] >= config.aging_threshold
 
     def test_final_ledger_consistent_with_trace(self):
-        trace = run_simulation(dataclasses.replace(BACKLOG, seed=1))
-        ledger = trace.ledger
-        assert len(ledger) == len(trace.records) + 1
-        promoted = [r for r in trace.records if r.promoted_at is not None]
-        assert promoted
-        assert all(r.tx_class == CLASS_COMMON for r in promoted)
-        classes = {False: CLASS_COMMON, True: CLASS_PRIORITY}
-        assert [dataclasses.astuple(r) for r in trace.records] == [
-            (i, classes[ledger.flags[i]], ledger.issued[i], ledger.parents[i],
-             ledger.confirmed_at.get(i), ledger.promoted_at.get(i))
-            for i in range(1, len(ledger))
-        ]
+        # aging promotes common ids only, each before or as it confirms
+        ledger = run_simulation(dataclasses.replace(BACKLOG, seed=1)).ledger
+        assert ledger.promoted_at
+        assert not any(ledger.flags[i] for i in ledger.promoted_at)
+        assert all(ledger.confirmed_at.get(i, math.inf) >= t
+                   for i, t in ledger.promoted_at.items())
 
 
 class TestPairedRuns:
     def test_workload_identical_across_strategies(self):
-        uniform_trace, ptsa_trace = paired_runs(SMALL)
-        u = [(r.issued_at, r.tx_class) for r in uniform_trace.records]
-        p = [(r.issued_at, r.tx_class) for r in ptsa_trace.records]
-        assert u == p
+        uniform, ptsa = (trace.ledger for trace in paired_runs(SMALL))
+        assert (uniform.issued, uniform.flags) == (ptsa.issued, ptsa.flags)
 
     def test_strategies_recorded(self):
         uniform_trace, ptsa_trace = paired_runs(SMALL)
@@ -428,10 +419,8 @@ class TestPairedRuns:
 
     def test_theta_one_equal_latencies(self):
         config = dataclasses.replace(SMALL, theta=1)
-        uniform_trace, ptsa_trace = paired_runs(config)
-        for u, p in zip(uniform_trace.records, ptsa_trace.records):
-            assert u.confirmed_at == u.issued_at
-            assert p.confirmed_at == p.issued_at
+        for ledger in (trace.ledger for trace in paired_runs(config)):
+            assert [ledger.confirmed_at[i] for i in range(1, len(ledger))] == ledger.issued[1:]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -457,9 +446,8 @@ class TestPairedRuns:
         before = list(arrivals)
         shared, own = run_simulation(config, arrivals), run_simulation(config)
         assert arrivals == before  # read, not mutated
-        for column in ("issued", "flags", "parents", "weight", "confirmed_at", "promoted_at"):
+        for column in COLUMNS:
             assert getattr(shared.ledger, column) == getattr(own.ledger, column)
-        assert shared.records == own.records
         a, b = tmp_path / "shared.csv", tmp_path / "own.csv"
         export_csv(shared, a)
         export_csv(own, b)
@@ -477,10 +465,8 @@ class TestMetamorphic:
             aging_enabled=False,
             seed=seed,
         )
-        uniform_trace, ptsa_trace = paired_runs(config)
-        uniform = [(r.parents, r.confirmed_at) for r in uniform_trace.records]
-        ptsa = [(r.parents, r.confirmed_at) for r in ptsa_trace.records]
-        assert ptsa == uniform
+        uniform, ptsa = (trace.ledger for trace in paired_runs(config))
+        assert (ptsa.parents, ptsa.confirmed_at) == (uniform.parents, uniform.confirmed_at)
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_uniform_is_blind_to_flags_and_aging(self, seed):
@@ -506,14 +492,12 @@ class TestMetamorphic:
     @pytest.mark.parametrize("seed", [42, 43])
     @pytest.mark.parametrize("strategy", ["uniform", "ptsa"])
     def test_theta_two_confirms_at_first_approval(self, strategy, seed):
-        trace = run_simulation(SimConfig(theta=2, strategy=strategy, seed=seed))
+        ledger = run_simulation(SimConfig(theta=2, strategy=strategy, seed=seed)).ledger
         first_approval: dict[int, float] = {}
-        for r in trace.records:
-            for p in r.parents:
-                first_approval.setdefault(p, r.issued_at)
-        assert [r.confirmed_at for r in trace.records] == [
-            first_approval.get(r.id) for r in trace.records
-        ]
+        for parents, issued_at in zip(ledger.parents, ledger.issued):
+            for p in parents:
+                first_approval.setdefault(p, issued_at)
+        assert ledger.confirmed_at == first_approval
 
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("strategy", ["uniform", "ptsa"])
@@ -522,10 +506,9 @@ class TestMetamorphic:
         # duration by c divides every time by c, exactly when c is a power of
         # two (IEEE scaling by 2^k commutes with rounding)
         config = dataclasses.replace(BACKLOG, strategy=strategy, seed=seed)
-        original = run_simulation(config)
+        original = run_simulation(config).ledger
         # aging is ptsa's rule, and it fires in ptsa's runs here
-        promoted = any(r.promoted_at is not None for r in original.records)
-        assert promoted == (strategy == "ptsa")
+        assert bool(original.promoted_at) == (strategy == "ptsa")
         for c in (2.0, 4.0, 0.5):
             scaled = run_simulation(
                 dataclasses.replace(
@@ -535,11 +518,9 @@ class TestMetamorphic:
                     visibility_delay=config.visibility_delay / c,
                     aging_threshold=config.aging_threshold / c,
                 )
-            )
-            assert [(r.parents, r.tx_class) for r in scaled.records] == [
-                (r.parents, r.tx_class) for r in original.records
-            ]
-            times = [(r.issued_at, r.confirmed_at, r.promoted_at) for r in original.records]
-            assert [(r.issued_at, r.confirmed_at, r.promoted_at) for r in scaled.records] == [
-                tuple(None if t is None else t / c for t in row) for row in times
-            ]
+            ).ledger
+            assert (scaled.parents, scaled.flags) == (original.parents, original.flags)
+            assert scaled.issued == [t / c for t in original.issued]
+            for column in ("confirmed_at", "promoted_at"):
+                times = getattr(original, column)
+                assert getattr(scaled, column) == {i: t / c for i, t in times.items()}, column

@@ -135,9 +135,9 @@ COMPARE_GOLDEN = {
 }
 
 
-# sha256 of every record's promoted_at and the tip-pool series derived from
-# the records (`tip_pool_series`), neither of which an output file holds, for
-# the ptsa-backlog config
+# sha256 of every arrival's promotion time and the tip-pool series
+# (`tip_pool_series`), both read from the ledger's columns and neither held by
+# an output file, for the ptsa-backlog config
 IN_MEMORY_GOLDEN = "184dfe80ebc06794d572518c5e2c29264626b3dbc566421f4db51db17e2c50cd"
 # the same for the ptsa-backlog config under the uniform strategy
 UNIFORM_IN_MEMORY_GOLDEN = "bcd1d094b63396f1f6d745726650ac6923baba4e6568e9c87ab2c67184681dd7"
@@ -179,26 +179,26 @@ def test_compare_outputs_match_golden_digests(tmp_path):
     assert compare_digests(tmp_path) == COMPARE_GOLDEN
 
 
-def tip_pool_series(records) -> list[tuple[float, int]]:
-    """(issue time, number of tips) after each record, in id order: genesis
-    starts as the one tip, and each record adds itself and removes each of its
-    parents that no earlier record approved."""
+def tip_pool_series(ledger) -> list[tuple[float, int]]:
+    """(issue time, number of tips) after each arrival, in id order: genesis
+    starts as the one tip, and each arrival adds itself and removes each of its
+    parents that no earlier arrival approved."""
     approved: set[int] = set()
     tips = 1
     series = []
-    for r in records:
-        fresh = set(r.parents) - approved
+    for parents, issued_at in zip(ledger.parents[1:], ledger.issued[1:]):
+        fresh = set(parents) - approved
         approved |= fresh
         tips += 1 - len(fresh)
-        series.append((r.issued_at, tips))
+        series.append((issued_at, tips))
     return series
 
 
 def in_memory_digest(config: dict) -> str:
-    trace = run_simulation(SimConfig.from_dict(config))
+    ledger = run_simulation(SimConfig.from_dict(config)).ledger
     pinned = {
-        "promoted_at": [[r.id, r.promoted_at] for r in trace.records],
-        "tip_pool_sizes": tip_pool_series(trace.records),
+        "promoted_at": [[i, ledger.promoted_at.get(i)] for i in range(1, len(ledger))],
+        "tip_pool_sizes": tip_pool_series(ledger),
     }
     return hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
 

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from tanglesim.engine import SimConfig, SimTrace, paired_runs, run_simulation
-from tanglesim.ledger import CLASSES, MAX_PARENTS, TangleLedger
+from tanglesim.engine import SimConfig, SimTrace, generate_workload, paired_runs, run_simulation
+from tanglesim.ledger import MAX_PARENTS, TangleLedger
 from tanglesim.metrics import (
     _CSV_CHUNK,
+    CLASSES,
     WorkloadMismatch,
     class_stats,
     compare,
@@ -83,7 +84,7 @@ class TestClassStats:
     def test_classes_partition_records(self):
         trace = run_simulation(CONFIG)
         total = sum(class_stats(trace, c)["issued"] for c in ("priority", "common"))
-        assert total == len(trace.records)
+        assert total == len(generate_workload(CONFIG))
 
 
 class TestCompare:
@@ -184,6 +185,6 @@ class TestJsonExport:
     def test_summary_shape(self):
         trace = run_simulation(CONFIG)
         summary = trace_summary(trace)
-        assert summary["records"] == len(trace.records)
+        assert summary["records"] == len(generate_workload(CONFIG))
         assert summary["config"] == CONFIG.to_dict()
         assert set(summary["stats"]) == {"priority", "common"}
