@@ -22,34 +22,36 @@ an arrival at `now` sees the DAG as it was at `now - h`: `reveal(now)` bisects
 the issue times from its cursor to that cutoff's prefix, which only grows, and
 genesis is revealed at construction. Aging is ptsa's rule: with it on, a
 ranked ledger's `reveal` then bisects from a second cursor, the aged one, to
-the prefix of `now - max(h, threshold)`, within the revealed one, and records
-each id it passes that is unconfirmed and unflagged as promoted at `now`; one
-comparison skips that when the id at the cursor is unrevealed or younger.
+the prefix of `now - max(h, threshold)`, within the revealed one, and promotes
+each id it passes that is unconfirmed and unmarked: it marks the id and
+records it as promoted at `now`. One comparison skips that when the id at the
+cursor is unrevealed or younger.
 
-The pool rule: a tip is a revealed id that no revealed id approves; the
-priority ids are the revealed, unconfirmed ids that are flagged or below the
-aged cursor in a ranked ledger (ptsa's), and none in an unranked one
-(uniform's); the common tips are the tips that are not priority ids. The
-pools are three more columns, `priority`, `common` and `tips`: id-sorted
-lists kept current in place, never copied, so a reader sees them change at
-the next mutation. A ledger keeps only its strategy's pools: a ranked one
-the priority and common lists, its tip list left empty; an unranked one the
-tips, which are its common tips (`tips is common`). A newly revealed id
-joins its list, marks each parent it is the first to approve as approved,
-and takes that parent out of the common tips by bisection. The newest
-revealed id is a tip, since what approves it is newer and not yet revealed;
-so a lone tip is the newest revealed id, and the id before it is the newest
-non-tip. Confirmation is read as of now, not as of the cutoff. A promotion
-inserts an id into the priority list and takes it out of the common tips; a
-confirmation takes a revealed priority id out of the priority list and
-inserts it into the common tips if it is a tip.
+The pool rule: each id carries one mark, set while it is unconfirmed and
+either flagged in a ranked ledger (ptsa's) or promoted; an unranked ledger
+(uniform's) marks none. `add_transaction` sets it, aging sets it on each id it
+promotes, and a sweep clears it. A tip is a revealed id that no revealed id
+approves; the priority ids are the revealed marked ids, and the common tips
+the unmarked tips. The pools are three more columns, `priority`, `common` and
+`tips`: id-sorted lists kept current in place, never copied, so a reader sees
+them change at the next mutation. A ranked ledger keeps the priority and
+common lists, its tip list left empty; an unranked one the tips, which are its
+common tips (`tips is common`). Each pool edit tells priority from common by
+the mark alone: a newly revealed id joins the priority list if marked and the
+common tips if not, and each parent it is the first to approve is set approved
+and, if unmarked, leaves the common tips; a promotion moves an id into the
+priority list and out of the common tips; a confirmation moves a marked
+revealed id out of the priority list and, if it is a tip, into the common
+tips. The newest revealed id is a tip, since what approves it is newer and not
+yet revealed; so a lone tip is the newest revealed id, and the id before it is
+the newest non-tip. Confirmation is read as of now, not as of the cutoff.
 
 Each id is stamped with the last insertion walk to reach it, or with a
 sentinel above every id once it confirms, so a walk enters an ancestor only
 while its stamp is below the new id: once, and never a confirmed one. The
 sentinel is 2**30 - 1, the largest int that CPython stores in one digit, so
-the stamp comparisons take the interpreter's small-int fast path. It stays
-above every id: a config admits at most `engine.MAX_EXPECTED_TX` (2M)
+the walk's and aging's stamp tests take the interpreter's small-int fast path.
+It stays above every id: a config admits at most `engine.MAX_EXPECTED_TX` (2M)
 expected arrivals, and a ledger of 2**30 ids would need over 100 GB.
 
 A new id is stored with weight 0, and its own insertion walk gives it its
@@ -88,19 +90,19 @@ class TangleLedger:
     def __init__(self, theta: int, visibility_delay: float = 0.0,
                  aging_threshold: float | None = None, ranked: bool = False) -> None:
         # genesis: no parents, issued at time 0, common class
-        self.genesis = 0
         self.parents: list[tuple[int, ...]] = [()]
         self.issued: list[float] = [0.0]
         self.flags: list[bool] = [False]
         self._approved: list[bool] = [False]  # approved by a revealed id
+        self._rank = bytearray(1)  # the mark of the pool rule
         # cumulative weight per id, kept exact until the id confirms
         self.weight: list[int] = [1]
         # the last insertion walk to reach each id, or _CONFIRMED
         self._stamp: list[int] = [0]
         self._visible = 1  # reveal's cursor: it has passed every id below
-        self._aged = 0  # aging's cursor, never past the one above: see the pool rule
+        self._aged = 0  # aging's cursor, never past the one above
         self._delay = visibility_delay
-        self._ranked = ranked  # ptsa's pools, or uniform's: see the pool rule
+        self._ranked = ranked  # whether a flag marks an id: see the pool rule
         # the age at which a visible id ages, or None with aging off or unranked
         self._aging = (max(visibility_delay, aging_threshold)
                        if ranked and aging_threshold is not None else None)
@@ -151,6 +153,7 @@ class TangleLedger:
         self.issued.append(issued_at)
         self.flags.append(priority_flag)
         self._approved.append(False)
+        self._rank.append(priority_flag and self._ranked)
         self.weight.append(0)
         self._stamp.append(new_id)
         # the new id and every distinct unconfirmed ancestor gain one, in a
@@ -176,41 +179,36 @@ class TangleLedger:
         idempotent at a fixed instant.
         """
         newly, self._ripe = self._ripe, []
-        if not newly:
-            return newly
-        priority = self.priority
+        priority, rank = self.priority, self._rank
         for i in newly:
             self.confirmed_at[i] = now
             self._stamp[i] = _CONFIRMED
-            # a revealed priority id: aged (so promoted unless flagged), or flagged and ranked
-            if i < self._aged or self._ranked and i < self._visible and self.flags[i]:
-                del priority[bisect_left(priority, i)]
-                if not self._approved[i]:  # a confirmed tip is common
-                    insort(self.common, i)
+            if rank[i]:
+                rank[i] = 0
+                if i < self._visible:  # a revealed priority id
+                    del priority[bisect_left(priority, i)]
+                    if not self._approved[i]:  # a confirmed tip is common
+                        insort(self.common, i)
         return newly
 
     def reveal(self, now: float) -> None:
         """Make the ids issued at or before `now - h` visible: each one not
-        reached by an earlier call becomes a tip, and each parent it is the
-        first to approve stops being one. Then, with aging on in a ranked
-        ledger, stamp each visible id issued at or before
-        `now - max(h, threshold)` and not reached by an earlier call, if it is
-        unconfirmed and unflagged, as promoted at `now`, which makes it a
-        priority id until it confirms. An earlier `now` changes nothing."""
+        reached by an earlier call becomes a tip, a priority id if marked and
+        a common tip if not, and each parent it is the first to approve stops
+        being a tip. Then, with aging on in a ranked ledger, mark each visible
+        id issued at or before `now - max(h, threshold)` and not reached by an
+        earlier call, if it is unconfirmed and unmarked, as promoted at `now`,
+        which makes it a priority id until it confirms. An earlier `now`
+        changes nothing."""
         visible = bisect_right(self.issued, now - self._delay, self._visible)
-        if visible != self._visible:
-            approved, stamp, flag, parents = self._approved, self._stamp, self.flags, self.parents
-            ranked, aged, common = self._ranked, self._aged, self.common
+        if visible != self._visible:  # half the calls reveal nothing; skipping them pays
+            approved, rank, parents, common = self._approved, self._rank, self.parents, self.common
             for j in range(self._visible, visible):
-                if ranked and stamp[j] != _CONFIRMED and flag[j]:  # aging has not reached j yet
-                    self.priority.append(j)
-                else:
-                    common.append(j)
+                (self.priority if rank[j] else common).append(j)
                 for p in parents[j]:
                     if not approved[p]:
                         approved[p] = True
-                        # a common tip: confirmed, or neither aged nor flagged in a ranked ledger
-                        if stamp[p] == _CONFIRMED or not (ranked and flag[p] or p < aged):
+                        if not rank[p]:  # a common tip
                             del common[bisect_left(common, p)]
             self._visible = visible
         if self._aging is None:
@@ -222,7 +220,8 @@ class TangleLedger:
             return
         aged = bisect_right(issued, cutoff, start)
         for i in range(start, aged):
-            if self._stamp[i] != _CONFIRMED and not self.flags[i]:
+            if self._stamp[i] != _CONFIRMED and not self._rank[i]:
+                self._rank[i] = 1
                 self.promoted_at[i] = now
                 insort(self.priority, i)
                 if not self._approved[i]:

@@ -63,7 +63,7 @@ class Twins:
 def build_chain(theta=8, visibility_delay=0.0, aging_threshold=None, make=TangleLedger):
     """genesis <- A <- B, issued at 0, 1 and 2, in a ledger or `Twins`"""
     ledger = make(theta, visibility_delay, aging_threshold)
-    a = ledger.add_transaction([ledger.genesis], 1.0)
+    a = ledger.add_transaction([0], 1.0)
     b = ledger.add_transaction([a], 2.0)
     return ledger, a, b
 
@@ -71,8 +71,8 @@ def build_chain(theta=8, visibility_delay=0.0, aging_threshold=None, make=Tangle
 def build_diamond():
     """A and B both approve genesis, C approves [A, B]."""
     ledger = TangleLedger(8)
-    a = ledger.add_transaction([ledger.genesis], 1.0)
-    b = ledger.add_transaction([ledger.genesis], 2.0)
+    a = ledger.add_transaction([0], 1.0)
+    b = ledger.add_transaction([0], 2.0)
     c = ledger.add_transaction([a, b], 3.0)
     return ledger, a, b, c
 
@@ -87,7 +87,7 @@ def tips(ledger):
 class TestGenesis:
     def test_fresh_ledger_has_only_genesis_tip(self):
         ledger = TangleLedger(8)
-        assert tips(ledger) == [ledger.genesis]
+        assert tips(ledger) == [0]
         assert len(tips(ledger)) == 1
         assert len(ledger) == 1
 
@@ -104,7 +104,7 @@ class TestGenesis:
 class TestAddTransaction:
     def test_first_approval_moves_tip(self):
         ledger = TangleLedger(8)
-        new = ledger.add_transaction([ledger.genesis], 1.0)
+        new = ledger.add_transaction([0], 1.0)
         assert tips(ledger) == [new]
 
     def test_chain_weights(self):
@@ -117,8 +117,8 @@ class TestAddTransaction:
 
     def test_duplicate_parents_deduplicated(self):
         ledger = TangleLedger(8)
-        new = ledger.add_transaction([ledger.genesis, ledger.genesis], 1.0)
-        assert ledger.parents == [(), (ledger.genesis,)]
+        new = ledger.add_transaction([0, 0], 1.0)
+        assert ledger.parents == [(), (0,)]
         assert tips(ledger) == [new]
         assert ledger.weight == [2, 1]
 
@@ -139,8 +139,8 @@ class TestAddTransaction:
     def test_two_parents_stored_sorted(self, order):
         # two parents take a path of their own: one comparison, no set or sort
         ledger = TangleLedger(8)
-        a = ledger.add_transaction([ledger.genesis], 1.0)
-        b = ledger.add_transaction([ledger.genesis], 2.0)
+        a = ledger.add_transaction([0], 1.0)
+        b = ledger.add_transaction([0], 2.0)
         c = ledger.add_transaction(order, 3.0)
         assert ledger.parents[c] == (a, b) == (1, 2)
         assert ledger.weight == [4, 2, 2, 1]
@@ -149,7 +149,7 @@ class TestAddTransaction:
     @pytest.mark.parametrize("bad", [-1, 2])  # 2 is the id the insertion would take
     def test_unknown_one_of_two_parents(self, bad):
         ledger = TangleLedger(8)
-        a = ledger.add_transaction([ledger.genesis], 1.0)
+        a = ledger.add_transaction([0], 1.0)
         for order in ([a, bad], [bad, a]):
             with pytest.raises(UnknownParent):
                 ledger.add_transaction(order, 2.0)
@@ -160,27 +160,27 @@ class TestAddTransaction:
     def test_parent_arity(self, count):
         ledger = TangleLedger(8)
         with pytest.raises(ParentArity):
-            ledger.add_transaction([ledger.genesis] * count, 1.0)
+            ledger.add_transaction([0] * count, 1.0)
 
     def test_time_regression(self):
         ledger = TangleLedger(8)
-        ledger.add_transaction([ledger.genesis], 5.0)
+        ledger.add_transaction([0], 5.0)
         with pytest.raises(TimeRegression):
-            ledger.add_transaction([ledger.genesis], 4.0)
+            ledger.add_transaction([0], 4.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_issue_time(self, bad):
         # a stored NaN would let the next insertion go back in time and break
         # the time-ordered prefix that reveal bisects
         ledger = TangleLedger(8)
-        ledger.add_transaction([ledger.genesis], 5.0)
+        ledger.add_transaction([0], 5.0)
         with pytest.raises(TimeRegression):
-            ledger.add_transaction([ledger.genesis], bad)
+            ledger.add_transaction([0], bad)
         with pytest.raises(TimeRegression):
-            ledger.add_transaction([ledger.genesis], 1.0)
+            ledger.add_transaction([0], 1.0)
         assert len(ledger) == 2
         ledger.reveal(2.0)  # genesis alone
-        assert ledger.tips == [ledger.genesis]
+        assert ledger.tips == [0]
 
 
 class TestTips:
@@ -190,8 +190,8 @@ class TestTips:
 
     def test_two_independent_children(self):
         ledger = TangleLedger(8)
-        a = ledger.add_transaction([ledger.genesis], 1.0)
-        b = ledger.add_transaction([ledger.genesis], 2.0)
+        a = ledger.add_transaction([0], 1.0)
+        b = ledger.add_transaction([0], 2.0)
         assert tips(ledger) == [a, b]
         assert len(tips(ledger)) == 2
 
@@ -211,17 +211,17 @@ def columns(ledger):
 class TestReveal:
     def test_fresh_view_is_genesis_alone(self):
         ledger = Twins(8, 1.0, 3.0)
-        assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
+        assert pools(ledger) == ([], [0], [0])
         # an insertion touches nothing of the view, nor do negative visible
         # and aged cutoffs (-0.5 and -2.5)
-        ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        ledger.add_transaction([0], 1.0, priority_flag=True)
         ledger.reveal(0.5)
-        assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
+        assert pools(ledger) == ([], [0], [0])
         assert ledger.promoted_at == {}
 
     def test_flagged_id_confirmed_unrevealed_is_common_tip(self):
         ledger = Twins(1)  # a tip weighs 1, so a sweep confirms it
-        hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        hp = ledger.add_transaction([0], 1.0, priority_flag=True)
         ledger.confirmation_sweep(1.0)
         assert hp in ledger.confirmed_set
         ledger.reveal(1.0)
@@ -230,7 +230,7 @@ class TestReveal:
     def test_revealed_id_is_tip_until_a_revealed_id_approves_it(self):
         ledger, a, b = build_chain(make=Twins)
         ledger.reveal(0.0)  # genesis, approved by a, which is not revealed yet
-        assert pools(ledger) == ([], [ledger.genesis], [ledger.genesis])
+        assert pools(ledger) == ([], [0], [0])
         ledger.reveal(1.0)  # a, approved by b, which is not revealed yet
         assert pools(ledger) == ([], [a], [a])
         ledger.reveal(2.0)
@@ -240,7 +240,7 @@ class TestReveal:
         ledger, a, b = build_chain(make=Twins)
         ledger.reveal(2.0)
         before = pools(ledger)
-        c = ledger.add_transaction([ledger.genesis], 3.0)
+        c = ledger.add_transaction([0], 3.0)
         ledger.reveal(0.0)
         ledger.reveal(2.0)
         assert pools(ledger) == before
@@ -252,11 +252,11 @@ class TestReveal:
         ledger, a, b = build_chain(visibility_delay=5.0, aging_threshold=1.0, make=Twins)
         ledger.reveal(5.0)
         # promotion stops at the revealed prefix: genesis, approved by no revealed id
-        assert ledger.promoted_at == {ledger.genesis: 5.0}
-        assert pools(ledger) == ([ledger.genesis], [ledger.genesis], [])
+        assert ledger.promoted_at == {0: 5.0}
+        assert pools(ledger) == ([0], [0], [])
         ledger.reveal(6.0)  # and resumes from its cursor as the prefix grows
-        assert ledger.promoted_at == {ledger.genesis: 5.0, a: 6.0}
-        assert pools(ledger) == ([ledger.genesis, a], [a], [])
+        assert ledger.promoted_at == {0: 5.0, a: 6.0}
+        assert pools(ledger) == ([0, a], [a], [])
 
     def test_promote_at_or_below_cursor_changes_nothing(self):
         ledger, a, b = build_chain(aging_threshold=4.0, make=Twins)
@@ -266,8 +266,8 @@ class TestReveal:
         ledger.reveal(4.0)
         assert (pools(ledger), columns(ledger)) == before
         ledger.reveal(9.0)  # reveals nothing, and still ages b
-        assert ledger.promoted_at == {ledger.genesis: 5.0, a: 5.0, b: 9.0}
-        assert pools(ledger) == ([ledger.genesis, a, b], [b], [])
+        assert ledger.promoted_at == {0: 5.0, a: 5.0, b: 9.0}
+        assert pools(ledger) == ([0, a, b], [b], [])
 
     def test_aging_cursor_at_the_end_changes_nothing(self):
         # every id visible and aged: aging's cursor stands at the visible one,
@@ -275,7 +275,7 @@ class TestReveal:
         ledger, a, b = build_chain(visibility_delay=1.0, aging_threshold=2.0, make=Twins)
         ledger.reveal(math.inf)
         before = pools(ledger), columns(ledger)
-        assert before[0] == ([ledger.genesis, a, b], [b], [])
+        assert before[0] == ([0, a, b], [b], [])
         ledger.reveal(math.inf)
         assert (pools(ledger), columns(ledger)) == before
 
@@ -293,9 +293,9 @@ class TestReveal:
         # aging off is no infinite threshold: inf - inf is NaN, and a NaN
         # cutoff bisects to the end, which would promote every unflagged id
         ledger = TangleLedger(8, ranked=True)
-        a = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        a = ledger.add_transaction([0], 1.0, priority_flag=True)
         b = ledger.add_transaction([a], 2.0)
-        c = ledger.add_transaction([ledger.genesis, b], 3.0, priority_flag=True)
+        c = ledger.add_transaction([0, b], 3.0, priority_flag=True)
         ledger.reveal(math.inf)
         assert ledger.promoted_at == {}
         assert ledger.priority == [a, c]
@@ -308,7 +308,7 @@ class TestColumns:
         ledger.confirmation_sweep(3.0)  # genesis and a
         issued_at, flags, parents, weight, confirmed_at = (
             ledger.issued, ledger.flags, ledger.parents, ledger.weight, ledger.confirmed_at)
-        assert confirmed_at == {ledger.genesis: 3.0, a: 3.0}
+        assert confirmed_at == {0: 3.0, a: 3.0}
         ledger.add_transaction([a], 4.0)
         assert len(issued_at) == len(flags) == len(parents) == len(weight) == len(ledger) == 5
 
@@ -317,6 +317,14 @@ class TestColumns:
         public = {name for name, f in vars(TangleLedger).items()
                   if callable(f) and not name.startswith("_")}
         assert public == {"add_transaction", "reveal", "confirmation_sweep"}
+
+    def test_public_names_are_columns_pools_and_harness_read(self):
+        # genesis is id 0 and has no name; `confirmed_set` is kept for tsbench/traced_cli.py
+        for ranked in (False, True):
+            public = {name for name in vars(TangleLedger(2, ranked=ranked))
+                      if not name.startswith("_")}
+            assert public == {"parents", "issued", "flags", "weight", "confirmed_at",
+                              "promoted_at", "priority", "common", "tips", "confirmed_set"}
 
 
 class TestCumulativeWeight:
@@ -335,26 +343,26 @@ class TestConfirmationSweep:
     def test_theta_one_confirms_everything(self):
         ledger, a, b = build_chain(theta=1)
         newly = ledger.confirmation_sweep(2.0)
-        assert newly == [ledger.genesis, a, b]
-        assert ledger.confirmed_at == {ledger.genesis: 2.0, a: 2.0, b: 2.0}
+        assert newly == [0, a, b]
+        assert ledger.confirmed_at == {0: 2.0, a: 2.0, b: 2.0}
 
     def test_theta_one_confirms_each_arrival(self):
         # genesis weighs theta from construction, and each new id from insertion
         ledger = TangleLedger(1)
-        assert ledger.confirmation_sweep(0.0) == [ledger.genesis]
-        new = ledger.add_transaction([ledger.genesis], 1.0)
+        assert ledger.confirmation_sweep(0.0) == [0]
+        new = ledger.add_transaction([0], 1.0)
         assert ledger.confirmation_sweep(1.0) == [new]
-        assert ledger.confirmed_at == {ledger.genesis: 0.0, new: 1.0}
+        assert ledger.confirmed_at == {0: 0.0, new: 1.0}
 
     def test_theta_one_new_id_ripe_at_insertion(self):
         # the new id is ripe though its walk reaches no unconfirmed id
         ledger = TangleLedger(1)
-        a = ledger.add_transaction([ledger.genesis], 1.0)
-        assert ledger.confirmation_sweep(1.0) == [ledger.genesis, a]
-        b = ledger.add_transaction([ledger.genesis, a], 2.0)
+        a = ledger.add_transaction([0], 1.0)
+        assert ledger.confirmation_sweep(1.0) == [0, a]
+        b = ledger.add_transaction([0, a], 2.0)
         assert ledger.weight == [2, 1, 1]  # confirmed parents stop growing
         assert ledger.confirmation_sweep(2.0) == [b]
-        assert ledger.confirmed_at == {ledger.genesis: 1.0, a: 1.0, b: 2.0}
+        assert ledger.confirmed_at == {0: 1.0, a: 1.0, b: 2.0}
 
     def test_nothing_ripe_changes_nothing(self):
         ledger, a, b = build_chain(theta=3, make=Twins)
@@ -369,7 +377,7 @@ class TestConfirmationSweep:
 
     def test_chain_theta_three(self):
         ledger, a, b = build_chain(theta=3)
-        assert ledger.confirmation_sweep(2.0) == [ledger.genesis]
+        assert ledger.confirmation_sweep(2.0) == [0]
 
     def test_idempotent(self):
         ledger, a, b = build_chain(theta=3)
@@ -394,9 +402,9 @@ class TestCones:
         assert future_cones([()]) == [0]
         ledger, a, b, c = build_diamond()
         parents = ledger.parents
-        assert parents[ledger.genesis] == ()
-        assert reachable(ledger.genesis, parents) == set()
-        assert all(not cone & bits({ledger.genesis}) for cone in future_cones(parents))
+        assert parents[0] == ()
+        assert reachable(0, parents) == set()
+        assert all(not cone & bits({0}) for cone in future_cones(parents))
 
     def test_diamond_future_cones(self):
         ledger, a, b, c = build_diamond()
@@ -404,7 +412,7 @@ class TestCones:
 
     def test_chain_future_cone(self):
         ledger, a, b = build_chain()
-        assert future_cones(ledger.parents)[ledger.genesis] == bits({a, b})
+        assert future_cones(ledger.parents)[0] == bits({a, b})
 
     def test_unknown(self):
         # the cone oracle and the ledger's readers have one entry per known id
@@ -481,7 +489,7 @@ class TestRandomizedInvariants:
         ledger = replay(parents)
         stored = ledger.parents
         for i in range(1, len(parents)):
-            assert ledger.genesis in reachable(i, stored)
+            assert 0 in reachable(i, stored)
 
     def test_confirmed_set_equals_threshold_cut(self):
         rng = random.Random(51)

@@ -44,7 +44,7 @@ def make_candidates(priority=(), common=(), tips=None):
 def is_priority(flag, now, aging):
     """Whether a transaction issued at 0 is a priority candidate at `now`."""
     ledger = TangleLedger(8, *aging, ranked=True)
-    tx = ledger.add_transaction([ledger.genesis], 0.0, priority_flag=flag)
+    tx = ledger.add_transaction([0], 0.0, priority_flag=flag)
     return tx in build_candidates(ledger, now).priority
 
 
@@ -72,7 +72,7 @@ class TestEffectivePriority:
 class TestBuildCandidates:
     def test_same_object_every_call(self):
         ledger = TangleLedger(8, 1.0)
-        a = ledger.add_transaction([ledger.genesis], 1.0)
+        a = ledger.add_transaction([0], 1.0)
         assert build_candidates(ledger, 1.5) is ledger  # genesis alone is visible
         ledger.add_transaction([a], 2.0)
         assert build_candidates(ledger, 3.0) is ledger  # reveals a, then its approver
@@ -81,18 +81,18 @@ class TestBuildCandidates:
         ledger = Twins(8, *AGING)
         c = build_candidates(ledger, 0.0)
         assert list(c.priority) == []
-        assert c.common == [ledger.genesis]
+        assert c.common == [0]
 
     def test_genesis_alone_before_anything_visible(self):
         ledger = Twins(8, 1.0, 30.0)
         c = build_candidates(ledger, 0.5)
-        assert pools(c) == ([], [ledger.genesis], [ledger.genesis])
+        assert pools(c) == ([], [0], [0])
 
     def test_priority_stays_selectable_after_approval(self):
         # an unconfirmed priority transaction that is no longer a tip must
         # remain in the priority list
         ledger = TangleLedger(8, *NO_AGING, ranked=True)
-        hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        hp = ledger.add_transaction([0], 1.0, priority_flag=True)
         t1 = ledger.add_transaction([hp], 2.0)
         t2 = ledger.add_transaction([hp], 3.0)
         c = build_candidates(ledger, 10.0)
@@ -101,12 +101,12 @@ class TestBuildCandidates:
 
     def test_confirmed_priority_excluded(self):
         ledger = TangleLedger(2, *AGING, ranked=True)
-        hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        hp = ledger.add_transaction([0], 1.0, priority_flag=True)
         child = ledger.add_transaction([hp], 2.0)
         ledger.confirmation_sweep(2.0)  # genesis and hp now confirmed
         c = build_candidates(ledger, 10.0)  # nothing is 30 s old yet
         assert hp not in c.priority
-        # aging stamps no confirmed id, only the unconfirmed common child
+        # aging marks no confirmed id, only the unconfirmed common child
         c = build_candidates(ledger, 40.0)
         assert list(c.priority) == [child]
         assert promotion_times(ledger) == [None, None, 40.0]  # genesis, hp, child
@@ -115,13 +115,13 @@ class TestBuildCandidates:
         # a tip weighs 1, so only at theta=1 can a sweep confirm a tip; every
         # id below is old enough for aging to promote it
         ledger = Twins(1, *AGING)
-        hp = ledger.add_transaction([ledger.genesis], 1.0, priority_flag=True)
+        hp = ledger.add_transaction([0], 1.0, priority_flag=True)
         c = build_candidates(ledger, 40.0)
         assert hp in c.priority and hp not in c.common  # ripe, not yet swept
-        # aging stamps the unconfirmed genesis, but never the flagged hp
+        # aging marks the unconfirmed genesis, but never the flagged hp
         assert promotion_times(ledger) == [40.0, None]  # genesis, hp
         ledger.confirmation_sweep(1.0)
-        fresh = ledger.add_transaction([ledger.genesis], 2.0)  # unswept
+        fresh = ledger.add_transaction([0], 2.0)  # unswept
         c = build_candidates(ledger, 40.0)
         assert promotion_times(ledger) == [40.0, None, 40.0]  # genesis, hp, fresh
         assert hp in c.common and hp not in c.priority
@@ -139,7 +139,7 @@ class TestBuildCandidates:
     def test_partition_disjoint_and_sorted(self):
         ledger = TangleLedger(8, *NO_AGING, ranked=True)
         for i in range(6):
-            ledger.add_transaction([ledger.genesis], float(i + 1), priority_flag=i % 2 == 0)
+            ledger.add_transaction([0], float(i + 1), priority_flag=i % 2 == 0)
         c = build_candidates(ledger, 10.0)
         assert not set(c.priority) & set(c.common)
         assert list(c.priority) == sorted(c.priority)
@@ -147,13 +147,13 @@ class TestBuildCandidates:
 
     def test_aging_promotes_old_common(self):
         ledger = TangleLedger(8, *AGING, ranked=True)
-        old = ledger.add_transaction([ledger.genesis], 1.0)
+        old = ledger.add_transaction([0], 1.0)
         young = ledger.add_transaction([old], 20.0)
         c = build_candidates(ledger, 40.0)
         assert old in c.priority  # age 39 >= 30
         assert young not in c.priority  # age 20
         # genesis is also old and unconfirmed, hence promoted too
-        assert ledger.genesis in c.priority
+        assert 0 in c.priority
         ledger.reveal(29.0)  # an earlier aged cutoff, -1, promotes nothing
         ledger.reveal(31.0)  # nor does one of 1 rewind the cursor
         assert promotion_times(ledger) == [40.0, 40.0, None]  # genesis, old, young
@@ -163,11 +163,11 @@ class TestBuildCandidates:
 
     def test_visibility_delay_hides_recent(self):
         ledger = Twins(8, 1.0)
-        recent = ledger.add_transaction([ledger.genesis], 5.0)
+        recent = ledger.add_transaction([0], 5.0)
         c = build_candidates(ledger, 5.5)
         # genesis is the one visible id, and its approver is not visible, so
         # genesis is the one visible tip and no visible id is a non-tip
-        assert c.tips == c.common == [ledger.genesis]
+        assert c.tips == c.common == [0]
         assert recent not in c.tips
 
 
